@@ -94,11 +94,12 @@ def modified_staircase(env: UserEnv):
 
 def iterative_modified_staircase(scenario: Scenario, eps: float = 1e-5,
                                  max_iter: int = 50) -> MacSolution:
-    """Round-robin sweeps where each response is the modified staircase."""
-    def respond(env, _n):
-        p_n, _ = modified_staircase(env)
-        return p_n
-    return iterate_best_response(scenario, respond, eps=eps, max_iter=max_iter)
+    """Round-robin sweeps where each response is the modified staircase.
+
+    The solution's d is the wastage of each user's last clipped response.
+    """
+    return iterate_best_response(scenario, lambda env, _n: modified_staircase(env),
+                                 eps=eps, max_iter=max_iter)
 
 
 _POLICIES = {

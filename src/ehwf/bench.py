@@ -12,8 +12,7 @@ cli_main / main           the `ehwf` console entry point
 Determinism: every trial derives its seed from the root seed with a
 spawn key, and the same trial seed is reused at every sweep value, so
 sweeps are coupled through common random draws.  Timing columns are the
-only non-reproducible output.  Set EHWF_THREADS to parallelize trials;
-result order does not depend on it.
+only non-reproducible output.
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -220,9 +217,8 @@ def _run_policy(policy: str, scenario: Scenario):
     return non_iterative_multiuser(policy, scenario), 1, None
 
 
-def _run_cell(job):
+def _run_cell(base, sweep_param, value, trial, root_seed, policies, label):
     """All policies for one (sweep value, trial) cell."""
-    base, sweep_param, value, trial, root_seed, policies, label = job
     seed = _trial_seed(root_seed, trial)
     params = replace(base, **{sweep_param: value}, seed=seed)
     scenario = gen_scenario(params)
@@ -282,20 +278,13 @@ def run_experiment(config, trials: int | None = None,
                      battery_max=float(cfg["battery_max"]),
                      power_max=float(cfg["power_max"]))
 
-    jobs = [(base, sweep_param, value, trial, seed, policies, cfg["label"])
-            for value in sweep_values for trial in range(trials)]
-
-    n_threads = int(os.environ.get("EHWF_THREADS", "1") or "1")
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            cells = list(pool.map(_run_cell, jobs))
-    else:
-        cells = [_run_cell(job) for job in jobs]
-
     rows, traces = [], []
-    for cell_rows, cell_traces in cells:
-        rows.extend(cell_rows)
-        traces.extend(cell_traces)
+    for value in sweep_values:
+        for trial in range(trials):
+            cell_rows, cell_traces = _run_cell(base, sweep_param, value, trial,
+                                               seed, policies, cfg["label"])
+            rows.extend(cell_rows)
+            traces.extend(cell_traces)
     return ExperimentResult(label=cfg["label"], sweep_param=sweep_param,
                             sweep_values=tuple(sweep_values),
                             policies=tuple(policies),

@@ -18,7 +18,7 @@ optimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,27 +90,23 @@ def iterate_best_response(scenario: Scenario, responder,
     """Round-robin sweeps of a per-user responder until the rate settles.
 
     responder(env, n) takes the user's effective-gain environment and
-    returns that user's new slot vector.  Sweeps run in user-index order;
-    the loop stops when the sum rate changes by at most eps between
+    returns that user's new (p_n, d_n) slot vectors; the solution's d holds
+    each user's wastage from its last response.  Sweeps run in user-index
+    order; the loop stops when the sum rate changes by at most eps between
     consecutive sweeps, or after max_iter sweeps.  The objective trace
     starts from the all-zero schedule (value 0 before sweep 1).
     """
     if eps <= 0 or max_iter < 1:
         raise ValueError("eps must be positive and max_iter at least 1")
-    n_users = scenario.num_users
     p = np.zeros_like(scenario.harvest)
     d = np.zeros_like(scenario.harvest)
-    for n in range(n_users):
-        d_n, _, _ = optimal_wastage(scenario.user(n))
-        d[n] = d_n
-
     trace = []
     v_prev = 0.0
     converged = False
     for _ in range(max_iter):
-        for n in range(n_users):
+        for n in range(scenario.num_users):
             env = _user_env(scenario, n, effective_gain(scenario, p, n))
-            p[n] = responder(env, n)
+            p[n], d[n] = responder(env, n)
         v = sum_rate(scenario, p)
         trace.append(v)
         if abs(v - v_prev) <= eps:
@@ -131,45 +127,26 @@ def solve_mac(scenario: Scenario, eps: float = DEFAULT_EPS,
     schedules.  The returned solution carries each user's segment
     boundaries, water levels, and effective gains from its final update.
     """
-    if eps <= 0 or max_iter < 1:
-        raise ValueError("eps must be positive and max_iter at least 1")
-    n_users, n_slots = scenario.num_users, scenario.num_slots
-    p = np.zeros((n_users, n_slots))
-    d = np.zeros((n_users, n_slots))
-    e_tilde = np.zeros((n_users, n_slots))
+    n_users = scenario.num_users
+    d = np.zeros_like(scenario.harvest)
+    e_tilde = np.zeros_like(scenario.harvest)
     for n in range(n_users):
         env = scenario.user(n)
-        d_n, _, _ = optimal_wastage(env)
-        d[n] = d_n
-        e_tilde[n] = effective_energy(env, d_n)
+        d[n], _, _ = optimal_wastage(env)
+        e_tilde[n] = effective_energy(env, d[n])
 
     boundaries = [None] * n_users
     levels = [None] * n_users
     snap_gains = np.array(scenario.gain, dtype=float, copy=True)
 
-    trace = []
-    v_prev = 0.0
-    converged = False
-    for _ in range(max_iter):
-        for n in range(n_users):
-            gains = effective_gain(scenario, p, n)
-            env = _user_env(scenario, n, gains)
-            p_n, x_n, levels_n = solve_reduced(env, e_tilde[n])
-            p[n] = p_n
-            boundaries[n] = x_n
-            levels[n] = levels_n
-            snap_gains[n] = gains
-        v = sum_rate(scenario, p)
-        trace.append(v)
-        if abs(v - v_prev) <= eps:
-            converged = True
-            break
-        v_prev = v
+    def respond(env, n):
+        p_n, boundaries[n], levels[n] = solve_reduced(env, e_tilde[n])
+        snap_gains[n] = env.gain
+        return p_n, d[n]
 
-    return MacSolution(p=p, d=d, trace=np.asarray(trace),
-                       iterations=len(trace), converged=converged,
-                       user_boundaries=boundaries, user_levels=levels,
-                       user_gains=snap_gains)
+    sol = iterate_best_response(scenario, respond, eps=eps, max_iter=max_iter)
+    return replace(sol, user_boundaries=boundaries, user_levels=levels,
+                   user_gains=snap_gains)
 
 
 def first_iteration_gap_bound(n_users: int, n_slots: int) -> float:

@@ -58,6 +58,17 @@ def _as_float_array(x, name, ndim):
     return arr
 
 
+def _check_entries(harvest, gain, battery_max, power_max):
+    # NaN passes every ordered comparison, so it is rejected explicitly.
+    # Infinite caps stay allowed: they mean "no limit".
+    if not (np.isfinite(harvest).all() and np.isfinite(gain).all()):
+        raise ValueError("harvest and gain entries must be finite")
+    if np.isnan(battery_max).any() or np.isnan(power_max).any():
+        raise ValueError("battery_max and power_max must not be NaN")
+    if (harvest < 0).any() or (gain < 0).any():
+        raise ValueError("harvest and gain entries must be nonnegative")
+
+
 @dataclass(frozen=True)
 class UserEnv:
     """One transmitter's problem data.
@@ -86,8 +97,7 @@ class UserEnv:
         gain = _as_float_array(self.gain, "gain", 1)
         if harvest.shape != gain.shape:
             raise ValueError("harvest and gain must have the same length")
-        if (harvest < 0).any() or (gain < 0).any():
-            raise ValueError("harvest and gain entries must be nonnegative")
+        _check_entries(harvest, gain, self.battery_max, self.power_max)
         if self.battery_max < 0 or self.power_max < 0:
             raise ValueError("battery_max and power_max must be nonnegative")
         harvest.setflags(write=False)
@@ -125,8 +135,7 @@ class Scenario:
             raise ValueError("gain shape does not match harvest shape")
         if battery_max.shape != (n,) or power_max.shape != (n,):
             raise ValueError("battery_max and power_max must have one entry per user")
-        if (harvest < 0).any() or (gain < 0).any():
-            raise ValueError("harvest and gain entries must be nonnegative")
+        _check_entries(harvest, gain, battery_max, power_max)
         if (battery_max <= 0).any() or (power_max <= 0).any():
             raise ValueError("battery_max and power_max must be positive")
         for arr, nm in ((harvest, "harvest"), (gain, "gain"),

@@ -19,6 +19,13 @@ battery-full points (BFP, level at capacity); within a segment the
 optimal allocation is capped water-filling at a single level, and the
 segment boundaries are located by a forward scan with a backward
 correction step whenever a candidate segment overfills the battery.
+
+Every segment, whatever its length, is filled by water_fill_segment and
+classified by one battery cumsum.  Its water level, and the prefix drain
+levels of the scan filter, come from one level function that switches on
+size: a scalar breakpoint sweep below _VECTOR_FILL_SLOTS slots, where
+numpy's per-call overhead dominates, and a sorted-array solve from there
+on, where the sweep's per-event Python loop does.
 """
 
 from __future__ import annotations
@@ -53,6 +60,12 @@ __all__ = [
 
 BDP = "BDP"      # battery-depletion point: level 0, water level may rise after
 BFP = "BFP"      # battery-full point: level at capacity, water level may drop
+
+# Slot count from which _fill_level solves with arrays instead of sweeping
+# breakpoints in Python.  On a 2-vCPU x86 host with numpy 2.4 the sweep
+# takes 3-31 us a call at 5-47 slots, where the array solve takes 36-50 us;
+# at 800 slots it takes 430-760 us against 80-160 us.
+_VECTOR_FILL_SLOTS = 48
 
 
 def optimal_wastage(env: UserEnv):
@@ -120,87 +133,106 @@ def water_fill_segment(gains, target_energy, power_max) -> SegmentSolution:
     """Allocate target_energy across slots at one water level, capped per slot.
 
     Solves sum_k min(P, max(0, L - 1/gain_k)) = target_energy for the level
-    L exactly: the left side is piecewise linear and nondecreasing in L, so
-    the solve walks its breakpoints instead of iterating.  Zero-gain slots
-    always get 0, as do slots whose gain is too small to invert.  Returns
-    p and w = 1/L.
+    L exactly (see _fill_level).  Zero-gain slots always get 0, as do slots
+    whose gain is too small to invert.  Returns p and w = 1/L.
     """
     gains = np.asarray(gains, dtype=float)
-    glist = gains.tolist()
-    n = gains.size
     cap = float(power_max)
-    finite_cap = math.isfinite(cap)
     target = float(target_energy)
+    p = np.zeros(gains.size)
     if target <= 0.0:
-        return SegmentSolution(p=np.zeros(n), w=np.inf)
+        return SegmentSolution(p=p, w=np.inf)
 
-    inv = [1.0 / g for g in glist if g > GAIN_FLOOR]
-    npos = len(inv)
+    pos = gains > GAIN_FLOOR
+    npos = int(np.count_nonzero(pos))
     if npos == 0:
         raise ValueError("cannot water-fill positive energy over all-zero gains")
-    if finite_cap:
-        if target > n * cap + FEAS_TOL:
+    if math.isfinite(cap):
+        if target > gains.size * cap + FEAS_TOL:
             raise ValueError("target energy exceeds segment capacity")
         if target > npos * cap + FEAS_TOL:
             raise ValueError("target energy exceeds positive-gain slot capacity")
         target = min(target, npos * cap)
 
-    if n == 1:
-        # single slot: the clamped target, no level search needed
-        val = min(target, cap) if finite_cap else target
-        return SegmentSolution(p=np.array([val]), w=1.0 / (inv[0] + val))
-
-    # Total consumption as a function of the level L is piecewise linear;
-    # its slope rises by one where a slot starts filling (L = 1/g) and
-    # drops by one where a slot saturates (L = 1/g + P).  Sweep the
-    # breakpoints until the running total crosses the target.
-    events = [(v, 1) for v in inv]
-    if finite_cap:
-        events += [(v + cap, -1) for v in inv]
-    events.sort()
-    slope = 0
-    total = 0.0
-    prev = events[0][0]
-    level = None
-    for x, delta in events:
-        if x > prev and slope > 0:
-            step = slope * (x - prev)
-            if total + step >= target:
-                level = prev + (target - total) / slope
-                break
-            total += step
-        prev = x
-        slope += delta
-    if level is None:
-        if finite_cap:
-            level = prev                  # target == npos * cap up to tolerance
-        else:
-            level = prev + (target - total) / slope
-
-    p_list = [min(cap, max(0.0, level - 1.0 / g)) if g > GAIN_FLOOR else 0.0
-              for g in glist]
+    inv = 1.0 / gains[pos]
+    level = _fill_level(inv, cap, target)
+    p[pos] = np.minimum(np.maximum(level - inv, 0.0), cap)
     # One exact correction pass: spread the float residual over the slots
     # strictly between the bounds, where the level actually moves mass.
-    resid = target - math.fsum(p_list)
+    resid = target - math.fsum(p.tolist())
     if resid != 0.0:
-        interior = [i for i, v in enumerate(p_list) if 0.0 < v < cap]
-        if interior:
-            bump = resid / len(interior)
-            for i in interior:
-                p_list[i] = min(cap, max(0.0, p_list[i] + bump))
-    return SegmentSolution(p=np.array(p_list), w=1.0 / level)
+        interior = (p > 0.0) & (p < cap)
+        n_int = int(np.count_nonzero(interior))
+        if n_int:
+            p[interior] += resid / n_int
+            np.minimum(np.maximum(p, 0.0, out=p), cap, out=p)
+    return SegmentSolution(p=p, w=1.0 / level)
 
 
-def _segment_battery(p, e_slice, base_energy, start_level):
-    # battery through the segment, measured from the left boundary's level
-    return start_level + (np.asarray(e_slice, dtype=float) - base_energy) - np.cumsum(p)
+def _fill_level(inv, cap, target):
+    """Smallest water level whose total draw over these slots reaches target.
+
+    inv holds the inverse gains (an array, target > 0); each slot draws
+    clamp(level - inv, 0, cap), so the total is piecewise linear and
+    nondecreasing in the level, with a slope that rises by one where a slot
+    starts filling (inv) and drops by one where it saturates (inv + cap).
+    Short spans sweep those breakpoints in plain Python; from
+    _VECTOR_FILL_SLOTS slots on, sorting and searching them as arrays is
+    cheaper than the sweep's per-event loop.  A target at or above the
+    total capacity returns the level where every slot saturates.
+    """
+    finite_cap = math.isfinite(cap)
+    if len(inv) < _VECTOR_FILL_SLOTS:
+        vals = inv.tolist()
+        events = [(v, 1) for v in vals]
+        if finite_cap:
+            events += [(v + cap, -1) for v in vals]
+        events.sort()
+        slope = 0
+        total = 0.0
+        prev = events[0][0]
+        for x, delta in events:
+            if x > prev and slope > 0:
+                step = slope * (x - prev)
+                if total + step >= target:
+                    return prev + (target - total) / slope
+                total += step
+            prev = x
+            slope += delta
+        return prev if finite_cap else prev + (target - total) / slope
+
+    v = np.sort(inv)
+    w = np.concatenate(([0.0], np.cumsum(v)))
+    if finite_cap:
+        knots = np.unique(np.concatenate((v, v + cap)))
+        nsat = np.searchsorted(v, knots - cap, side="right")
+    else:
+        knots = np.unique(v)
+        nsat = np.zeros(len(knots), dtype=int)
+    nlt = np.searchsorted(v, knots, side="left")
+    drawn = knots * (nlt - nsat) - (w[nlt] - w[nsat])
+    if finite_cap:
+        drawn = drawn + cap * nsat
+    idx = int(np.searchsorted(drawn, target, side="left"))
+    if idx >= len(knots):
+        if finite_cap:
+            return float(knots[-1])
+        return float(knots[-1] + (target - drawn[-1]) / len(v))
+    if idx == 0:
+        return float(knots[0])
+    lo, hi = float(knots[idx - 1]), float(knots[idx])
+    clo, chi = float(drawn[idx - 1]), float(drawn[idx])
+    if chi <= clo:
+        return hi
+    return lo + (target - clo) * (hi - lo) / (chi - clo)
 
 
-def _status_of(p, battery, battery_max, power_max, tol):
-    if float(np.min(p)) < -tol or float(np.max(p)) > power_max + tol \
-            or float(np.min(battery)) < -tol:
+def _classify(p, battery, battery_max, power_max, tol=FEAS_TOL):
+    # the one segment status rule: p out of [0, P] or a negative battery is
+    # infeasible; a battery above capacity alone is semi-feasible
+    if p.min() < -tol or p.max() > power_max + tol or battery.min() < -tol:
         return INFEASIBLE
-    if float(np.max(battery)) > battery_max + tol:
+    if battery.max() > battery_max + tol:
         return SEMI_FEASIBLE
     return FEASIBLE
 
@@ -215,8 +247,8 @@ def classify_segment(p, e_tilde, battery_max, power_max,
     Semi-feasible means the only violations are levels above battery_max.
     """
     p = np.asarray(p, dtype=float)
-    battery = _segment_battery(p, e_tilde, base_energy, start_level)
-    return _status_of(p, battery, battery_max, power_max, tol)
+    battery = start_level + (np.asarray(e_tilde, dtype=float) - base_energy) - np.cumsum(p)
+    return _classify(p, battery, battery_max, power_max, tol)
 
 
 def _segment_schedule(env: UserEnv, e_tilde, a, kind_a, b, kind_b):
@@ -230,143 +262,38 @@ def _segment_schedule(env: UserEnv, e_tilde, a, kind_a, b, kind_b):
     bmax, cap = env.battery_max, env.power_max
     target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
     gains = env.gain[a:b]
-
-    if b - a >= 48 and target > 0.0 and float(np.min(gains)) > GAIN_FLOOR:
-        fast = _segment_schedule_dense(env, e_tilde, a, kind_a, b, target, gains)
-        if fast is not None:
-            return fast
-
-    unmet = 0.0
-    if target <= 0.0:
-        p_seg = np.zeros(b - a)
-        height = 0.0
-    else:
-        pos = gains > GAIN_FLOOR
-        npos = int(np.count_nonzero(pos))
-        fill_target = target
-        if npos and math.isfinite(cap):
-            fill_target = min(target, npos * cap)
-        if npos:
-            sol = water_fill_segment(gains, fill_target, cap)
-            p_seg = sol.p
-            height = sol.height
-        else:
-            fill_target = 0.0
-            p_seg = np.zeros(b - a)
-            height = 0.0
-        surplus = target - fill_target
-        if surplus > FEAS_TOL:
-            # Burn the surplus on zero-gain slots, earliest first but never
-            # drawing the battery negative; it contributes no rate.
-            p_list = p_seg.tolist()
-            glist = gains.tolist()
-            base_w = float(e_tilde[a - 1]) if a > 0 else 0.0
-            level_w = bmax if kind_a == BFP else 0.0
-            for i, e in enumerate(e_tilde[a:b].tolist()):
-                level_w += e - base_w
-                base_w = e
-                if glist[i] <= GAIN_FLOOR and surplus > 0.0:
-                    room = cap - p_list[i] if math.isfinite(cap) else surplus
-                    u = min(room, surplus, level_w - p_list[i])
-                    if u > 0.0:
-                        p_list[i] += u
-                        surplus -= u
-                level_w -= p_list[i]
-            p_seg = np.array(p_list)
-            unmet = surplus
-
-    # battery walk and classification in one pass over plain floats
-    base = float(e_tilde[a - 1]) if a > 0 else 0.0
-    level = bmax if kind_a == BFP else 0.0
-    battery = []
-    b_min = math.inf
-    b_max_seen = -math.inf
-    p_bad = unmet > FEAS_TOL
-    cap_hi = cap + FEAS_TOL
-    for e, q in zip(e_tilde[a:b].tolist(), p_seg.tolist()):
-        if q < -FEAS_TOL or q > cap_hi:
-            p_bad = True
-        level += e - base - q
-        base = e
-        battery.append(level)
-        if level < b_min:
-            b_min = level
-        if level > b_max_seen:
-            b_max_seen = level
-    if p_bad or b_min < -FEAS_TOL:
-        status = INFEASIBLE
-    elif b_max_seen > bmax + FEAS_TOL:
-        status = SEMI_FEASIBLE
-    else:
-        status = FEASIBLE
-    return p_seg, height, status, battery
-
-
-def _segment_schedule_dense(env, e_tilde, a, kind_a, b, target, gains):
-    """Array fast path for long segments with strictly positive gains.
-
-    Same result as the scalar walk in _segment_schedule: the level solve
-    replaces the event sweep and the battery comes from one cumsum.  Returns
-    None when the level solve cannot place the target (caller falls back).
-    """
-    bmax, cap = env.battery_max, env.power_max
-    inv = 1.0 / gains
-    level = _level_for_consumption(inv, cap, target)
-    if not math.isfinite(level):
-        return None
-    p_seg = np.clip(level - inv, 0.0, cap)
-    resid = target - math.fsum(p_seg.tolist())
-    if resid != 0.0:
-        interior = (p_seg > 0.0) & (p_seg < cap)
-        n_int = int(np.count_nonzero(interior))
-        if n_int:
-            p_seg[interior] += resid / n_int
-            np.clip(p_seg, 0.0, cap, out=p_seg)
+    npos = int(np.count_nonzero(gains > GAIN_FLOOR))
+    fill_target = min(target, npos * cap) if npos else 0.0
+    sol = water_fill_segment(gains, fill_target, cap)
+    p_seg = sol.p
     base = float(e_tilde[a - 1]) if a > 0 else 0.0
     start = bmax if kind_a == BFP else 0.0
+
+    surplus = target - fill_target
+    if surplus > FEAS_TOL:
+        # Burn the surplus on zero-gain slots, earliest first but never
+        # drawing the battery negative; it contributes no rate.
+        p_list = p_seg.tolist()
+        level_w = start
+        base_w = base
+        for i, e in enumerate(e_tilde[a:b].tolist()):
+            level_w += e - base_w
+            base_w = e
+            if gains[i] <= GAIN_FLOOR and surplus > 0.0:
+                room = cap - p_list[i] if math.isfinite(cap) else surplus
+                u = min(room, surplus, level_w - p_list[i])
+                if u > 0.0:
+                    p_list[i] += u
+                    surplus -= u
+            level_w -= p_list[i]
+        p_seg = np.array(p_list)
+
     battery = start + (e_tilde[a:b] - base) - np.cumsum(p_seg)
-    if float(np.min(battery)) < -FEAS_TOL:
+    if surplus > FEAS_TOL:
         status = INFEASIBLE
-    elif float(np.max(battery)) > bmax + FEAS_TOL:
-        status = SEMI_FEASIBLE
     else:
-        status = FEASIBLE
-    return p_seg, level, status, battery
-
-
-def _level_for_consumption(inv, cap, target):
-    """Smallest water level whose total draw over these slots reaches target.
-
-    inv holds the inverse gains; each slot draws clamp(level - inv, 0, cap).
-    Returns inf when every slot saturates below the target.
-    """
-    v = np.sort(np.asarray(inv, dtype=float))
-    w = np.concatenate(([0.0], np.cumsum(v)))
-    if target <= 0.0:
-        return float(v[0])
-    if math.isfinite(cap):
-        knots = np.unique(np.concatenate((v, v + cap)))
-        nsat = np.searchsorted(v, knots - cap, side="right")
-    else:
-        knots = np.unique(v)
-        nsat = np.zeros(len(knots), dtype=int)
-    nlt = np.searchsorted(v, knots, side="left")
-    drawn = knots * (nlt - nsat) - (w[nlt] - w[nsat])
-    if math.isfinite(cap):
-        drawn = drawn + cap * nsat
-    idx = int(np.searchsorted(drawn, target, side="left"))
-    if idx >= len(knots):
-        slope = len(v) - (int(nsat[-1]) if math.isfinite(cap) else 0)
-        if slope <= 0:
-            return math.inf
-        return float(knots[-1] + (target - drawn[-1]) / slope)
-    if idx == 0:
-        return float(knots[0])
-    lo, hi = float(knots[idx - 1]), float(knots[idx])
-    clo, chi = float(drawn[idx - 1]), float(drawn[idx])
-    if chi <= clo:
-        return hi
-    return lo + (target - clo) * (hi - lo) / (chi - clo)
+        status = _classify(p_seg, battery, bmax, cap)
+    return p_seg, sol.height, status, battery
 
 
 def _scan_skip_flags(inv, supply, targets, cap, tol):
@@ -401,7 +328,7 @@ def _scan_skip_flags(inv, supply, targets, cap, tol):
         records += 1
         if records > 48:
             return None
-        level = _level_for_consumption(inv[:t0 + 1], cap, float(lim[t0]))
+        level = _fill_level(inv[:t0 + 1], cap, float(lim[t0]))
         pos = t0 + 1
     return skip
 
@@ -419,7 +346,7 @@ def _backward_search(env, e_tilde, a, kind_a, battery0):
     limit = env.battery_max + FEAS_TOL
     prev_k = None
     while True:
-        over = np.flatnonzero(np.asarray(battery) > limit)
+        over = np.flatnonzero(battery > limit)
         k = a + 1 + int(over[-1]) if over.size else None
         if k is None:
             raise RuntimeError("semi-feasible segment has no overflow slot")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from ehwf.baselines import (balanced_policy, greedy_policy,
                             iterative_modified_staircase, modified_staircase,
                             non_iterative_multiuser, staircase_wf)
+from ehwf.bench import GenParams, gen_scenario
 from ehwf.model import FEASIBLE, Scenario, UserEnv, check_feasible, sum_rate
 from ehwf.single_user import optimal_wastage
 
@@ -100,6 +101,17 @@ def test_iterative_modified_staircase_single_user_reduction():
     zero = Scenario(harvest=np.zeros((1, 3)), gain=gain[:, :3],
                     battery_max=np.array([20.0]), power_max=np.array([15.0]))
     assert sum_rate(zero, iterative_modified_staircase(zero).p) == 0.0
+
+
+def test_iterative_modified_staircase_wastage_is_its_own():
+    # d must be the wastage of the returned schedule, not the greedy one:
+    # with greedy wastage these fig9-shaped pairs all read semi-feasible
+    for seed in range(200):
+        sc = gen_scenario(GenParams(n_users=5, n_slots=20,
+                                    harvest_mean=5.0 + seed % 6, harvest_var=3.5,
+                                    battery_max=20.0, power_max=15.0, seed=seed))
+        sol = iterative_modified_staircase(sc)
+        assert check_feasible(sc, sol.p, sol.d).ok, seed
 
 
 def test_non_iterative_multiuser():

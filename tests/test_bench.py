@@ -119,16 +119,6 @@ def test_run_experiment_deterministic_modulo_timing():
     assert a.traces == b.traces
 
 
-def test_run_experiment_threaded_output_identical(monkeypatch):
-    base = run_experiment(MINI, trials=2, seed=3)
-    monkeypatch.setenv("EHWF_THREADS", "2")
-    threaded = run_experiment(MINI, trials=2, seed=3)
-    for ra, rb in zip(base.rows, threaded.rows):
-        assert ra["scenario_id"] == rb["scenario_id"]
-        assert ra["sum_rate_nats"] == rb["sum_rate_nats"]
-    assert base.traces == threaded.traces
-
-
 def test_run_experiment_mean_sum_rate():
     result = run_experiment(MINI, trials=3, seed=4)
     manual = np.mean([r["sum_rate_nats"] for r in result.rows
@@ -253,3 +243,15 @@ def test_cli_errors_return_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_cli_solve_rejects_nan_scenario(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"num_users": 1, "num_slots": 3, "users": [{"harvest": '
+                    '[1, NaN, 2], "gain": [1, 1, 1], "battery_max": 5, '
+                    '"power_max": 10}]}')
+    rc = cli_main(["solve", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "finite" in captured.err
+    assert "p[0]" not in captured.out

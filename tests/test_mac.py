@@ -149,7 +149,8 @@ def test_solve_mac_rejects_bad_arguments():
 def test_iterate_best_response_generic_loop():
     rng = np.random.default_rng(10)
     sc = random_scenario(rng, 2, 4)
-    sol = iterate_best_response(sc, lambda env, n: np.zeros(env.num_slots))
+    sol = iterate_best_response(
+        sc, lambda env, n: (np.zeros(env.num_slots), np.zeros(env.num_slots)))
     assert not sol.p.any()
     assert sol.converged
     assert sol.iterations == 1            # zero schedule matches V(0) = 0

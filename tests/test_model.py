@@ -89,6 +89,41 @@ def test_scenario_validation():
                  battery_max=np.zeros(1), power_max=np.ones(1))
 
 
+def test_non_finite_input_rejected():
+    nan = float("nan")
+    # a NaN harvest used to yield p = [1, 10, 10]: 21 units spent from 3
+    with pytest.raises(ValueError, match="finite"):
+        UserEnv(harvest=[1.0, nan, 2.0], gain=np.ones(3), battery_max=5.0,
+                power_max=10.0)
+    with pytest.raises(ValueError, match="finite"):
+        UserEnv(harvest=np.ones(3), gain=[1.0, nan, 2.0], battery_max=5.0,
+                power_max=10.0)
+    with pytest.raises(ValueError, match="finite"):
+        UserEnv(harvest=[1.0, math.inf], gain=np.ones(2), battery_max=5.0,
+                power_max=10.0)
+    with pytest.raises(ValueError, match="NaN"):
+        UserEnv(harvest=np.ones(2), gain=np.ones(2), battery_max=nan,
+                power_max=10.0)
+    with pytest.raises(ValueError, match="finite"):
+        scenario_1u([1.0, 2.0], gain=[nan, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        scenario_1u([1.0, 2.0], pmax=nan)
+    # infinite caps mean "no limit" and stay allowed
+    env = UserEnv(harvest=np.ones(2), gain=np.ones(2), battery_max=math.inf,
+                  power_max=math.inf)
+    assert env.battery_max == math.inf
+
+
+def test_scenario_from_json_rejects_nan():
+    text = ('{"num_users": 1, "num_slots": 2, "users": [{"harvest": [1, NaN], '
+            '"gain": [1, 1], "battery_max": 5, "power_max": 5}]}')
+    with pytest.raises(ValueError, match="finite"):
+        Scenario.from_json(text)
+    with pytest.raises(ValueError, match="NaN"):
+        Scenario.from_json(text.replace("[1, NaN]", "[1, 2]")
+                               .replace('"battery_max": 5', '"battery_max": NaN'))
+
+
 def test_scenario_json_round_trip():
     sc = Scenario(harvest=np.array([[1.0, 2.5], [0.0, 4.0]]),
                   gain=np.array([[0.3, 1.0], [2.0, 0.0]]),

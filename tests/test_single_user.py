@@ -121,10 +121,16 @@ def test_water_fill_segment_errors():
 @given(st.data())
 @settings(max_examples=150)
 def test_water_fill_matches_bisection_oracle(data):
-    k = data.draw(st.integers(min_value=1, max_value=10))
-    gains = data.draw(st.lists(
-        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0)),
-        min_size=k, max_size=k))
+    # short spans take the breakpoint sweep, 48+ positive gains the array
+    # solve; long draws keep zero gains rare so both sides are reached
+    k = data.draw(st.one_of(st.integers(min_value=1, max_value=10),
+                            st.integers(min_value=48, max_value=120)))
+    gain = st.floats(min_value=1e-6, max_value=10.0)
+    if k <= 10:
+        gain = st.one_of(st.just(0.0), gain)
+    gains = data.draw(st.lists(gain, min_size=k, max_size=k))
+    for i in data.draw(st.lists(st.integers(0, k - 1), max_size=k // 10)):
+        gains[i] = 0.0
     if not any(g > 0 for g in gains):
         gains[0] = 1.0
     cap = data.draw(st.one_of(
@@ -136,6 +142,32 @@ def test_water_fill_matches_bisection_oracle(data):
     ref = _oracles.wf_bisection(gains, target, cap)
     assert np.allclose(sol.p, ref, atol=1e-6)
     assert abs(math.fsum(sol.p.tolist()) - min(target, hi)) <= 1e-10 * max(1.0, target)
+
+
+def test_long_fills_go_through_water_fill_segment(monkeypatch):
+    # every segment fill, long ones included, is one water_fill_segment call
+    records = []
+    original = su.water_fill_segment
+
+    def audited(gains, target_energy, power_max):
+        sol = original(gains, target_energy, power_max)
+        target = float(target_energy)
+        if target > 0.0:
+            records.append((len(gains), target,
+                            abs(target - math.fsum(sol.p.tolist()))))
+        return sol
+
+    monkeypatch.setattr(su, "water_fill_segment", audited)
+    rng = np.random.default_rng(8000)
+    k = 200
+    env = UserEnv(harvest=rng.uniform(0.0, 10.0, k),
+                  gain=rng.standard_exponential(k),
+                  battery_max=20.0, power_max=15.0)
+    p, _, x, _ = su.solve_single(env)
+    assert kkt_certificate(env, p, x).passed
+    long_fills = [(t, r) for n, t, r in records if n >= su._VECTOR_FILL_SLOTS]
+    assert long_fills
+    assert max(r / t for t, r in long_fills) <= 1e-10
 
 
 # ---- classification ----------------------------------------------------------
