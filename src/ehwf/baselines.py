@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Scenario, UserEnv, cumulative_harvest
-from .single_user import optimal_wastage, solve_reduced
+from .single_user import _clip_to_battery, optimal_wastage, solve_reduced
 from .mac import MacSolution, iterate_best_response
 
 __all__ = [
@@ -43,18 +43,16 @@ def balanced_policy(env: UserEnv):
     The target is the pre-wastage mean of the harvest.  Shortfalls are not
     carried forward; battery overflow is wasted where it occurs.
     """
-    k_slots = env.num_slots
-    tau = float(env.harvest.sum()) / k_slots
-    p = np.zeros(k_slots)
-    d = np.zeros(k_slots)
-    level = 0.0
-    for k in range(k_slots):
-        avail = level + env.harvest[k]
-        p[k] = min(tau, env.power_max, avail)
-        level = avail - p[k]
-        d[k] = max(level - env.battery_max, 0.0)
-        level -= d[k]
+    tau = float(env.harvest.sum()) / env.num_slots
+    p, d, _ = _clip_to_battery(env, tau)
     return p, d
+
+
+def _staircase(env: UserEnv, guess=None):
+    # no cap and no capacity: nothing overflows, the budget is the raw harvest
+    unbounded = UserEnv(env.harvest, env.gain,
+                        battery_max=np.inf, power_max=np.inf)
+    return solve_reduced(unbounded, cumulative_harvest(env.harvest), guess=guess)
 
 
 def staircase_wf(env: UserEnv, with_levels: bool = False):
@@ -64,10 +62,7 @@ def staircase_wf(env: UserEnv, with_levels: bool = False):
     depletion points partition the horizon and the water levels step
     upward over time.  Returns p, or (p, levels) when with_levels is set.
     """
-    unbounded = UserEnv(env.harvest, env.gain,
-                        battery_max=np.inf, power_max=np.inf)
-    # no cap and no capacity: nothing overflows, the budget is the raw harvest
-    p, _, levels = solve_reduced(unbounded, cumulative_harvest(env.harvest))
+    p, _, levels = _staircase(env)
     return (p, levels) if with_levels else p
 
 
@@ -78,17 +73,7 @@ def modified_staircase(env: UserEnv):
     the cap and the battery actually allow; energy the clipped schedule
     leaves overflowing the battery is wasted on the spot.
     """
-    stair = staircase_wf(env)
-    k_slots = env.num_slots
-    p = np.zeros(k_slots)
-    d = np.zeros(k_slots)
-    level = 0.0
-    for k in range(k_slots):
-        avail = level + env.harvest[k]
-        p[k] = min(stair[k], env.power_max, avail)
-        level = avail - p[k]
-        d[k] = max(level - env.battery_max, 0.0)
-        level -= d[k]
+    p, d, _ = _clip_to_battery(env, staircase_wf(env))
     return p, d
 
 
@@ -96,10 +81,18 @@ def iterative_modified_staircase(scenario: Scenario, eps: float = 1e-5,
                                  max_iter: int = 50) -> MacSolution:
     """Round-robin sweeps where each response is the modified staircase.
 
-    The solution's d is the wastage of each user's last clipped response.
+    Each user's staircase is warm-started from its depletion points in the
+    previous sweep, as solve_mac does.  The solution's d is the wastage of
+    each user's last clipped response.
     """
-    return iterate_best_response(scenario, lambda env, _n: modified_staircase(env),
-                                 eps=eps, max_iter=max_iter)
+    stairs = [None] * scenario.num_users
+
+    def respond(env, n):
+        stair, stairs[n], _ = _staircase(env, guess=stairs[n])
+        p_n, d_n, _ = _clip_to_battery(env, stair)
+        return p_n, d_n
+
+    return iterate_best_response(scenario, respond, eps=eps, max_iter=max_iter)
 
 
 _POLICIES = {

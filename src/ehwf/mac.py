@@ -14,6 +14,12 @@ single-user problem with the gain replaced by the effective gain, so one
 sweep is N single-user solves.  The sum rate never decreases across a
 best response, and at a fixed point the joint schedule is globally
 optimal.
+
+Later sweeps mostly only polish the rate: a user's segment boundaries
+settle long before its levels do.  So solve_mac hands each user's previous
+boundary list to solve_reduced as a guess, which is refilled once and
+kept only when it passes a strict KKT check; the outputs are those of a
+cold scan.
 """
 
 from __future__ import annotations
@@ -124,8 +130,10 @@ def solve_mac(scenario: Scenario, eps: float = DEFAULT_EPS,
 
     Per-user wastage is fixed once up front (it does not depend on the
     others), then each sweep re-solves every user against the latest
-    schedules.  The returned solution carries each user's segment
-    boundaries, water levels, and effective gains from its final update.
+    schedules, warm-started from that user's boundaries in the previous
+    sweep (solve_reduced's guess).  The returned solution carries each
+    user's segment boundaries, water levels, and effective gains from its
+    final update.
     """
     n_users = scenario.num_users
     d = np.zeros_like(scenario.harvest)
@@ -140,7 +148,8 @@ def solve_mac(scenario: Scenario, eps: float = DEFAULT_EPS,
     snap_gains = np.array(scenario.gain, dtype=float, copy=True)
 
     def respond(env, n):
-        p_n, boundaries[n], levels[n] = solve_reduced(env, e_tilde[n])
+        p_n, boundaries[n], levels[n] = solve_reduced(env, e_tilde[n],
+                                                      guess=boundaries[n])
         snap_gains[n] = env.gain
         return p_n, d[n]
 

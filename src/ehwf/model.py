@@ -16,6 +16,7 @@ demand so the two representations cannot drift apart.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -166,15 +167,16 @@ class Scenario:
                 {
                     "harvest": self.harvest[n].tolist(),
                     "gain": self.gain[n].tolist(),
-                    "battery_max": float(self.battery_max[n]),
-                    "power_max": float(self.power_max[n]),
+                    "battery_max": _cap_to_json(self.battery_max[n]),
+                    "power_max": _cap_to_json(self.power_max[n]),
                 }
                 for n in range(self.num_users)
             ],
         }
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        # strict JSON: an unbounded cap is written as null, never Infinity
+        return json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Scenario":
@@ -192,12 +194,13 @@ class Scenario:
         return cls(
             harvest=harvest,
             gain=gain,
-            battery_max=np.array([u["battery_max"] for u in users], dtype=float),
-            power_max=np.array([u["power_max"] for u in users], dtype=float),
+            battery_max=np.array([_cap_from_json(u["battery_max"]) for u in users]),
+            power_max=np.array([_cap_from_json(u["power_max"]) for u in users]),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
+        """Read to_json output; older files spelling a cap Infinity still load."""
         return cls.from_json_dict(json.loads(text))
 
     @classmethod
@@ -205,6 +208,15 @@ class Scenario:
         """Wrap a single-user environment as an N=1 scenario."""
         return cls(env.harvest[None, :], env.gain[None, :],
                    np.array([env.battery_max]), np.array([env.power_max]))
+
+
+def _cap_to_json(cap):
+    # an unbounded cap has no JSON number; null stands for it
+    return float(cap) if np.isfinite(cap) else None
+
+
+def _cap_from_json(cap) -> float:
+    return math.inf if cap is None else float(cap)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ effective_energy       cumulative harvest net of wastage
 segment_target_energy  energy a boundary pair forces through its segment
 water_fill_segment     capped water-filling at one constant level
 classify_segment       feasible / semi-feasible / infeasible for a segment
-solve_reduced          forward/backward boundary search on given energy
+solve_reduced          forward/backward boundary search on given energy,
+                       optionally warm-started from a guessed boundary list
 solve_single           the full pipeline: wastage, then boundary search
 
 The solver works in two stages.  First the wastage schedule is fixed by a
@@ -26,6 +27,13 @@ levels of the scan filter, come from one level function that switches on
 size: a scalar breakpoint sweep below _VECTOR_FILL_SLOTS slots, where
 numpy's per-call overhead dominates, and a sorted-array solve from there
 on, where the sweep's per-event Python loop does.
+
+solve_reduced(env, e_tilde, guess=boundaries) first refills the guessed
+segments once each and returns them untouched when they meet the KKT
+conditions of the reduced problem, which on positive gains has a unique
+optimum; any other guess falls through to the scan.  Best-response sweeps
+pass each user's boundaries from its previous response, which stop
+changing long before the sum rate does.
 """
 
 from __future__ import annotations
@@ -68,6 +76,28 @@ BFP = "BFP"      # battery-full point: level at capacity, water level may drop
 _VECTOR_FILL_SLOTS = 48
 
 
+def _clip_to_battery(env: UserEnv, want):
+    """Spend min(want, cap, banked energy) each slot; waste only overflow.
+
+    want is one number for every slot or a per-slot vector.  Returns
+    (p, d, battery): consumption, wastage and end-of-slot battery level.
+    """
+    bmax, cap = env.battery_max, env.power_max
+    wants = np.broadcast_to(want, env.harvest.shape).tolist()
+    p, d, battery = [], [], []
+    level = 0.0
+    for h, w in zip(env.harvest.tolist(), wants):
+        avail = level + h
+        p_k = min(w, cap, avail)
+        level = avail - p_k
+        d_k = max(level - bmax, 0.0)
+        level -= d_k
+        p.append(p_k)
+        d.append(d_k)
+        battery.append(level)
+    return np.array(p), np.array(d), np.array(battery)
+
+
 def optimal_wastage(env: UserEnv):
     """Greedy wastage: consume up to the cap, waste only battery overflow.
 
@@ -75,17 +105,7 @@ def optimal_wastage(env: UserEnv):
     among all feasible wastage schedules; p_greedy is the max-consumption
     schedule that induces it, and battery its end-of-slot trace.
     """
-    k_slots = env.num_slots
-    d = np.zeros(k_slots)
-    p = np.zeros(k_slots)
-    battery = np.zeros(k_slots)
-    level = 0.0
-    for k in range(k_slots):
-        avail = level + env.harvest[k]
-        p[k] = min(env.power_max, avail)
-        d[k] = max(avail - p[k] - env.battery_max, 0.0)
-        level = avail - p[k] - d[k]
-        battery[k] = level
+    p, d, battery = _clip_to_battery(env, env.power_max)
     return d, p, battery
 
 
@@ -114,7 +134,7 @@ def segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max)
 
 @dataclass(frozen=True)
 class SegmentSolution:
-    """One segment's allocation p, water level dual w, and classification.
+    """One segment's allocation p and its water level dual w.
 
     The water level as a height is 1/w; w = +inf is the sentinel for an
     empty segment (no positive allocation), whose height reads as 0.
@@ -122,7 +142,6 @@ class SegmentSolution:
 
     p: np.ndarray
     w: float
-    status: str | None = None
 
     @property
     def height(self) -> float:
@@ -362,13 +381,89 @@ def _backward_search(env, e_tilde, a, kind_a, battery0):
             return ("rescan", k)
 
 
-def solve_reduced(env: UserEnv, e_tilde):
+def _checked_guess(guess, k_slots):
+    # a boundary list in solve_reduced's own output form, or ValueError
+    try:
+        guess = [(int(slot), kind) for slot, kind in guess]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"guess must be a list of (slot, kind) pairs: {exc}") from None
+    if not guess or guess[0] != (0, BDP):
+        raise ValueError("guess must start at (0, BDP)")
+    if guess[-1][0] != k_slots:
+        raise ValueError(f"guess must end at slot {k_slots}")
+    if any(b <= a for (a, _), (b, _) in zip(guess, guess[1:])):
+        raise ValueError("guess slots must be strictly increasing")
+    if any(kind not in (BDP, BFP) for _, kind in guess):
+        raise ValueError("guess kinds must be BDP or BFP")
+    return guess
+
+
+def _refill_guess(env: UserEnv, e_tilde, guess):
+    """Fill each guessed segment once; (p, heights) if that is the optimum.
+
+    Accepts only when every condition of the reduced problem's KKT system
+    holds: each segment has positive gains and a target strictly inside
+    (0, (b-a)*P), so its boundary battery levels are met exactly; its fill
+    is feasible and has a slot more than FEAS_TOL inside (0, P), which pins
+    the level; the height rises across every BDP and falls across every
+    BFP; and the list ends at (K, BDP).  The optimum is then unique, so
+    the guess describes the scan's own schedule.
+
+    Two margins make the boundary list unique as well: the height must
+    move by more than FEAS_TOL (relative) at each boundary, and the
+    battery must stay more than FEAS_TOL inside (0, B) within each
+    segment.  Where a level is flat or a battery bound is touched inside a
+    segment, several lists describe one schedule (B = 0 is the extreme
+    case), and the scan, which keeps the longest feasible segment, may
+    have chosen another; such guesses fall back.  Returns None otherwise.
+    """
+    if guess[-1][1] != BDP:
+        return None
+    bmax, cap = env.battery_max, env.power_max
+    p = np.zeros(env.num_slots)
+    heights = []
+    for (a, kind_a), (b, kind_b) in zip(guess, guess[1:]):
+        gains = env.gain[a:b]
+        if not gains.min() > GAIN_FLOOR:
+            return None
+        target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
+        if not 0.0 < target < (b - a) * cap:
+            return None
+        sol = water_fill_segment(gains, target, cap)
+        p_seg = sol.p
+        if not ((p_seg > FEAS_TOL) & (p_seg < cap - FEAS_TOL)).any():
+            return None
+        base = float(e_tilde[a - 1]) if a > 0 else 0.0
+        start = bmax if kind_a == BFP else 0.0
+        battery = start + (e_tilde[a:b] - base) - np.cumsum(p_seg)
+        if _classify(p_seg, battery, bmax, cap) != FEASIBLE:
+            return None
+        inner = battery[:-1]
+        if not ((inner > FEAS_TOL) & (inner < bmax - FEAS_TOL)).all():
+            return None
+        height = sol.height
+        if heights:
+            rise = (height - heights[-1]) * (1.0 if kind_a == BDP else -1.0)
+            if not rise > FEAS_TOL * max(1.0, heights[-1]):
+                return None
+        p[a:b] = p_seg
+        heights.append(height)
+    return p, heights
+
+
+def solve_reduced(env: UserEnv, e_tilde, guess=None):
     """Optimal transmission schedule for a fixed cumulative energy budget.
 
     e_tilde is the cumulative energy actually available per slot (harvest
     net of wastage).  Returns (p, boundaries, water_levels) where
     boundaries is the ordered (slot, kind) list starting at (0, BDP) and
     water_levels holds one height per segment (0 for empty segments).
+
+    guess, when given, is a boundary list in that same form, typically
+    this user's previous answer.  It is refilled once and returned as the
+    answer if it satisfies the KKT conditions (see _refill_guess);
+    otherwise the scan below runs as if no guess was given.  A malformed
+    guess raises ValueError.
 
     Each round scans right endpoints downward from the current goal and
     keeps the first candidate whose fill is feasible (confirm a boundary)
@@ -379,6 +474,11 @@ def solve_reduced(env: UserEnv, e_tilde):
     """
     k_slots = env.num_slots
     e_tilde = np.asarray(e_tilde, dtype=float)
+    if guess is not None:
+        guess = _checked_guess(guess, k_slots)
+        warm = _refill_guess(env, e_tilde, guess)
+        if warm is not None:
+            return warm[0], guess, warm[1]
     cap = env.power_max
     p = np.zeros(k_slots)
     confirmed = [(0, BDP)]

@@ -189,6 +189,18 @@ def test_cli_gen_stdout(capsys):
     assert scenario.harvest.shape == (1, 3)
 
 
+def test_cli_gen_writes_strict_json(capsys):
+    # an unbounded cap is null, never the non-JSON token Infinity
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    rc = cli_main(["gen", "--n", "2", "--k", "3", "--p-max", "inf", "--out", "-"])
+    assert rc == 0
+    obj = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert [u["power_max"] for u in obj["users"]] == [None, None]
+    assert np.all(Scenario.from_json_dict(obj).power_max == math.inf)
+
+
 def test_cli_solve_certify(tmp_path, capsys):
     path = tmp_path / "sc.json"
     assert cli_main(["gen", "--n", "2", "--k", "4", "--seed", "3",

@@ -156,6 +156,37 @@ def test_iterate_best_response_generic_loop():
     assert sol.iterations == 1            # zero schedule matches V(0) = 0
 
 
+def test_warm_start_leaves_sweep_outputs_unchanged(monkeypatch):
+    # every sweep after the first warm-starts each user from its previous
+    # boundaries; forcing every guess to None must not move a bit
+    import ehwf.baselines as baselines
+    import ehwf.mac as mac
+    from ehwf.single_user import solve_reduced
+
+    rng = np.random.default_rng(12)
+    scenarios = [random_scenario(rng, 5, 20) for _ in range(6)]
+    scenarios.append(scenario_of(rng.uniform(0, 10, (3, 12)),
+                                 rng.exponential(1.0, (3, 12)) * (rng.random((3, 12)) > 0.2),
+                                 [0.5, 20.0, 5.0], [15.0, np.inf, 3.0]))
+
+    def run_all():
+        out = []
+        for sc in scenarios:
+            for sol in (solve_mac(sc), baselines.iterative_modified_staircase(sc)):
+                out.append((sol.p.tobytes(), sol.d.tobytes(), sol.trace.tobytes(),
+                            sol.iterations, sol.user_boundaries))
+        return out
+
+    warm = run_all()
+
+    def cold_solve_reduced(env, e_tilde, guess=None):
+        return solve_reduced(env, e_tilde)
+
+    monkeypatch.setattr(mac, "solve_reduced", cold_solve_reduced)
+    monkeypatch.setattr(baselines, "solve_reduced", cold_solve_reduced)
+    assert run_all() == warm
+
+
 def test_first_iteration_gap_bound_values():
     assert first_iteration_gap_bound(1, 7) == 0.0
     assert first_iteration_gap_bound(5, 20) == 40.0

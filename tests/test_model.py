@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -134,6 +135,28 @@ def test_scenario_json_round_trip():
     assert np.array_equal(back.gain, sc.gain)
     assert np.array_equal(back.battery_max, sc.battery_max)
     assert np.array_equal(back.power_max, sc.power_max)
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_scenario_json_is_strict_with_unbounded_caps():
+    sc = Scenario(harvest=np.array([[1.0, 2.5], [0.0, 4.0]]),
+                  gain=np.array([[0.3, 1.0], [2.0, 0.0]]),
+                  battery_max=np.array([np.inf, 6.0]),
+                  power_max=np.array([2.0, np.inf]))
+    obj = strict_json(sc.to_json(indent=2))
+    assert obj["users"][0]["battery_max"] is None
+    assert obj["users"][1]["power_max"] is None
+    back = Scenario.from_json_dict(obj)
+    assert np.array_equal(back.battery_max, sc.battery_max)
+    assert np.array_equal(back.power_max, sc.power_max)
+    # files written before caps became null spell them Infinity
+    legacy = sc.to_json().replace("null", "Infinity")
+    assert np.array_equal(Scenario.from_json(legacy).power_max, sc.power_max)
 
 
 @given(st.lists(finite_energy, min_size=1, max_size=10), st.data())

@@ -10,7 +10,7 @@ from ehwf.model import FEASIBLE, INFEASIBLE, SEMI_FEASIBLE, UserEnv
 from ehwf.verify import kkt_certificate
 
 import _oracles
-from conftest import user_envs
+from conftest import finite_gain, user_envs
 
 
 def env_of(harvest, gain=None, bmax=100.0, pmax=100.0):
@@ -209,12 +209,112 @@ def test_solve_single_zero_battery_degenerates_to_slotwise():
     assert np.allclose(p, np.minimum(env.harvest, 4.0), atol=1e-9)
 
 
-@given(user_envs())
+def assert_same_solution(got, want):
+    # bit for bit: the warm start may only skip work, never move an output
+    p, x, levels = got
+    p0, x0, levels0 = want
+    assert p.tobytes() == p0.tobytes()
+    assert x == x0
+    assert levels == levels0
+
+
+@given(user_envs(), st.data())
 @settings(max_examples=80)
-def test_solve_single_passes_certificate(env):
+def test_solve_single_passes_certificate(env, data):
     p, d, x, levels = su.solve_single(env)
     cert = kkt_certificate(env, p, x)
     assert cert.passed, cert.conditions
+    # warm starts from its own boundaries and from a stale guess, the
+    # answer on other gains, both give the cold result
+    e_tilde = su.effective_energy(env, d)
+    assert_same_solution(su.solve_reduced(env, e_tilde, guess=x), (p, x, levels))
+    k = env.num_slots
+    other = UserEnv(env.harvest,
+                    np.array(data.draw(st.lists(finite_gain, min_size=k, max_size=k))),
+                    env.battery_max, env.power_max)
+    _, _, stale, _ = su.solve_single(other)
+    assert_same_solution(su.solve_reduced(env, e_tilde, guess=stale), (p, x, levels))
+
+
+def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
+    calls = []
+    original = su.water_fill_segment
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(su, "water_fill_segment", counted)
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        k = int(rng.integers(1, 40))
+        env = UserEnv(harvest=rng.uniform(0.0, 10.0, k),
+                      gain=rng.standard_exponential(k),
+                      battery_max=20.0, power_max=15.0)
+        d, _, _ = su.optimal_wastage(env)
+        e_tilde = su.effective_energy(env, d)
+        cold = su.solve_reduced(env, e_tilde)
+        calls.clear()
+        warm = su.solve_reduced(env, e_tilde, guess=cold[1])
+        assert_same_solution(warm, cold)
+        assert len(calls) == len(cold[1]) - 1
+
+
+def test_stale_guess_from_another_instance_gives_cold_result():
+    rng = np.random.default_rng(32)
+    k = 20
+    envs = [UserEnv(harvest=rng.uniform(0.0, 10.0, k),
+                    gain=rng.standard_exponential(k),
+                    battery_max=20.0, power_max=15.0) for _ in range(12)]
+    answers = [su.solve_single(env) for env in envs]
+    for env, (p, d, x, levels) in zip(envs, answers):
+        e_tilde = su.effective_energy(env, d)
+        for _, _, stale, _ in answers:
+            warm = su.solve_reduced(env, e_tilde, guess=stale)
+            assert_same_solution(warm, (p, x, levels))
+
+
+@pytest.mark.parametrize("harvest, gain, bmax, pmax, falls_back", [
+    # a zero-gain slot in every segment cannot price its level
+    ([3.0, 1.0, 4.0, 2.0], [1.0, 0.0, 2.0, 0.0], 5.0, 10.0, True),
+    # no battery: every slot is both a BDP and a BFP
+    ([3.0, 1.0, 4.0, 2.0], [1.0, 0.5, 2.0, 1.5], 0.0, 10.0, False),
+    # no cap
+    ([3.0, 1.0, 4.0, 2.0], [1.0, 0.5, 2.0, 1.5], 5.0, math.inf, False),
+    # harvest above the cap everywhere: every segment is all capped
+    ([9.0, 9.0, 9.0], [1.0, 0.5, 2.0], 100.0, 2.0, True),
+])
+def test_edge_case_guesses_match_cold_result(harvest, gain, bmax, pmax,
+                                             falls_back):
+    env = env_of(harvest, gain, bmax=bmax, pmax=pmax)
+    d, _, _ = su.optimal_wastage(env)
+    e_tilde = su.effective_energy(env, d)
+    cold = su.solve_reduced(env, e_tilde)
+    k = env.num_slots
+    guesses = [cold[1], [(0, su.BDP), (k, su.BDP)],
+               [(0, su.BDP)] + [(t, su.BDP) for t in range(1, k + 1)]]
+    for guess in guesses:
+        assert_same_solution(su.solve_reduced(env, e_tilde, guess=guess), cold)
+        if falls_back:
+            assert su._refill_guess(env, e_tilde, guess) is None
+
+
+@pytest.mark.parametrize("guess", [
+    [],
+    [(1, su.BDP), (4, su.BDP)],
+    [(0, su.BFP), (4, su.BDP)],
+    [(0, su.BDP), (3, su.BDP)],
+    [(0, su.BDP), (5, su.BDP)],
+    [(0, su.BDP), (2, su.BDP), (2, su.BFP), (4, su.BDP)],
+    [(0, su.BDP), (3, su.BDP), (2, su.BDP), (4, su.BDP)],
+    [(0, su.BDP), (2, "full"), (4, su.BDP)],
+    [(0, su.BDP), 4],
+])
+def test_malformed_guess_raises(guess):
+    env = env_of([3.0, 1.0, 4.0, 2.0], [1.0, 0.5, 2.0, 1.5], bmax=5.0, pmax=10.0)
+    d, _, _ = su.optimal_wastage(env)
+    with pytest.raises(ValueError):
+        su.solve_reduced(env, su.effective_energy(env, d), guess=guess)
 
 
 @given(user_envs(allow_inf_caps=False))
