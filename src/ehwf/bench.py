@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import iterative_modified_staircase, non_iterative_multiuser
-from .mac import solve_mac
+from .mac import DEFAULT_EPS, DEFAULT_MAX_ITER, _user_env, solve_mac
 from .model import Scenario, sum_rate
 from .verify import first_order_certificate, kkt_certificate
 
@@ -206,15 +206,20 @@ def _trial_seed(root_seed: int, trial: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_policy(policy: str, scenario: Scenario):
-    """One policy on one instance: (p, iterations, trace or None)."""
+def _run_policy(policy: str, scenario: Scenario, eps: float = DEFAULT_EPS,
+                max_iter: int = DEFAULT_MAX_ITER):
+    """One policy on one instance: (p, iterations, solution or None).
+
+    The solution is the MacSolution of the two iterative policies; the
+    one-shot policies have none and count as one iteration.
+    """
     if policy == "optimal":
-        sol = solve_mac(scenario)
-        return sol.p, sol.iterations, sol.trace
-    if policy == "staircase-iter":
-        sol = iterative_modified_staircase(scenario)
-        return sol.p, sol.iterations, None
-    return non_iterative_multiuser(policy, scenario), 1, None
+        sol = solve_mac(scenario, eps=eps, max_iter=max_iter)
+    elif policy == "staircase-iter":
+        sol = iterative_modified_staircase(scenario, eps=eps, max_iter=max_iter)
+    else:
+        return non_iterative_multiuser(policy, scenario), 1, None
+    return sol.p, sol.iterations, sol
 
 
 def _run_cell(base, sweep_param, value, trial, root_seed, policies, label):
@@ -226,15 +231,15 @@ def _run_cell(base, sweep_param, value, trial, root_seed, policies, label):
     rows, traces = [], []
     for policy in policies:
         t0 = time.perf_counter()
-        p, iterations, trace = _run_policy(policy, scenario)
+        p, iterations, sol = _run_policy(policy, scenario)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         rows.append({"scenario_id": sid, "seed": seed, "policy": policy,
                      "sum_rate_nats": float(sum_rate(scenario, p)),
                      "iterations": int(iterations),
                      "wall_time_ms": float(elapsed_ms),
                      "sweep_value": value, "trial": trial})
-        if trace is not None:
-            traces.extend((sid, i + 1, float(v)) for i, v in enumerate(trace))
+        if policy == "optimal":
+            traces.extend((sid, i + 1, float(v)) for i, v in enumerate(sol.trace))
     return rows, traces
 
 
@@ -294,19 +299,8 @@ def run_experiment(config, trials: int | None = None,
 def _cmd_solve(args) -> int:
     with open(args.infile) as fh:
         scenario = Scenario.from_json(fh.read())
-    if args.policy == "optimal":
-        sol = solve_mac(scenario, eps=args.eps, max_iter=args.max_iter)
-        p = sol.p
-        iterations = sol.iterations
-    elif args.policy == "staircase-iter":
-        sol = iterative_modified_staircase(scenario, eps=args.eps,
-                                           max_iter=args.max_iter)
-        p = sol.p
-        iterations = sol.iterations
-    else:
-        sol = None
-        p = non_iterative_multiuser(args.policy, scenario)
-        iterations = 1
+    p, iterations, sol = _run_policy(args.policy, scenario, eps=args.eps,
+                                     max_iter=args.max_iter)
     for n in range(scenario.num_users):
         print(f"p[{n}]: " + " ".join(f"{v:.9g}" for v in p[n]))
     print(f"iterations: {iterations}")
@@ -316,14 +310,9 @@ def _cmd_solve(args) -> int:
 
     ok = True
     if args.policy == "optimal":
-        from .model import UserEnv
         for n in range(scenario.num_users):
-            env = UserEnv(harvest=scenario.harvest[n],
-                          gain=sol.user_gains[n],
-                          battery_max=float(scenario.battery_max[n]),
-                          power_max=float(scenario.power_max[n]))
-            cert = kkt_certificate(env, p[n], sol.user_boundaries[n])
-            ok = ok and cert.passed
+            env = _user_env(scenario, n, sol.user_gains[n])
+            ok = ok and kkt_certificate(env, p[n], sol.user_boundaries[n]).passed
     fo_ok, worst = first_order_certificate(scenario, p)
     ok = ok and fo_ok
     print(f"worst_directional_derivative: {worst:.9g}")

@@ -19,7 +19,7 @@ Later sweeps mostly only polish the rate: a user's segment boundaries
 settle long before its levels do.  So solve_mac hands each user's previous
 boundary list to solve_reduced as a guess, which is refilled once and
 kept only when it passes a strict KKT check; the outputs are those of a
-cold scan.
+cold solve.
 """
 
 from __future__ import annotations

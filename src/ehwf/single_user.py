@@ -7,7 +7,7 @@ effective_energy       cumulative harvest net of wastage
 segment_target_energy  energy a boundary pair forces through its segment
 water_fill_segment     capped water-filling at one constant level
 classify_segment       feasible / semi-feasible / infeasible for a segment
-solve_reduced          forward/backward boundary search on given energy,
+solve_reduced          forward tube walk for the segment boundaries,
                        optionally warm-started from a guessed boundary list
 solve_single           the full pipeline: wastage, then boundary search
 
@@ -17,27 +17,39 @@ as much as the cap allows); this is total-wastage minimal and leaves the
 transmission problem over a pure polytope.  Second, the horizon is split
 into segments by battery-depletion points (BDP, level 0) and
 battery-full points (BFP, level at capacity); within a segment the
-optimal allocation is capped water-filling at a single level, and the
-segment boundaries are located by a forward scan with a backward
-correction step whenever a candidate segment overfills the battery.
+optimal allocation is capped water-filling at a single level.
 
-Every segment, whatever its length, is filled by water_fill_segment and
-classified by one battery cumsum.  Its water level, and the prefix drain
-levels of the scan filter, come from one level function that switches on
-size: a scalar breakpoint sweep below _VECTOR_FILL_SLOTS slots, where
-numpy's per-call overhead dominates, and a sorted-array solve from there
-on, where the sweep's per-event Python loop does.
+The boundaries come from one forward walk per segment.  Each prefix of
+the segment bounds its level from above (the highest level that keeps its
+battery nonnegative) and from below (the lowest that keeps it within
+capacity).  The walk keeps the running minimum of the upper bounds and
+the running maximum of the lower ones; where they cross, the water level
+has to move, rising after the depletion point that set the minimum (BDP)
+or falling after the full point that set the maximum (BFP), and at the
+horizon the segment ends where the minimum was last attained.  Zero-gain
+slots walk with one finite burn level above every positive-gain slot's
+cap, so energy is burned on them only where nothing else can take it.
+The walk runs on energies divided by a power of two near the mean energy
+per slot, so its absolute tolerances mean the same at any scale.
+
+Every segment, whatever its length, is filled once by water_fill_segment
+and classified by one battery cumsum.  Its water level, and the walk's
+prefix levels, come from one level function that switches on size: a
+scalar breakpoint sweep below _VECTOR_FILL_SLOTS slots, where numpy's
+per-call overhead dominates, and a sorted-array solve from there on,
+where the sweep's per-event Python loop does.
 
 solve_reduced(env, e_tilde, guess=boundaries) first refills the guessed
 segments once each and returns them untouched when they meet the KKT
 conditions of the reduced problem, which on positive gains has a unique
-optimum; any other guess falls through to the scan.  Best-response sweeps
-pass each user's boundaries from its previous response, which stop
-changing long before the sum rate does.
+optimum; any other guess falls through to the walk.  Best-response
+sweeps pass each user's boundaries from its previous response, which
+stop changing long before the sum rate does.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -270,115 +282,87 @@ def classify_segment(p, e_tilde, battery_max, power_max,
     return _classify(p, battery, battery_max, power_max, tol)
 
 
-def _segment_schedule(env: UserEnv, e_tilde, a, kind_a, b, kind_b):
+def _segment_schedule(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     """Fill segment (a, b] for the given boundary kinds and classify it.
 
-    Returns (p_segment, height, status, battery).  When the boundary
-    condition forces more energy through the segment than its positive-gain
-    slots can carry under the cap, the surplus is burned on zero-gain slots
-    (earliest first); it contributes no rate either way.
+    Returns (p_segment, height, status, battery).  Energy the boundary
+    condition forces through the segment beyond what its positive-gain
+    slots carry under the cap is burned evenly on its zero-gain slots; it
+    contributes no rate either way.
     """
-    bmax, cap = env.battery_max, env.power_max
-    target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
-    gains = env.gain[a:b]
-    npos = int(np.count_nonzero(gains > GAIN_FLOOR))
-    fill_target = min(target, npos * cap) if npos else 0.0
-    sol = water_fill_segment(gains, fill_target, cap)
+    target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max)
+    gains = gains[a:b]
+    zero = gains <= GAIN_FLOOR
+    npos = b - a - int(np.count_nonzero(zero))
+    fill_target = min(target, npos * power_max) if npos else 0.0
+    sol = water_fill_segment(gains, fill_target, power_max)
     p_seg = sol.p
-    base = float(e_tilde[a - 1]) if a > 0 else 0.0
-    start = bmax if kind_a == BFP else 0.0
-
     surplus = target - fill_target
-    if surplus > FEAS_TOL:
-        # Burn the surplus on zero-gain slots, earliest first but never
-        # drawing the battery negative; it contributes no rate.
-        p_list = p_seg.tolist()
-        level_w = start
-        base_w = base
-        for i, e in enumerate(e_tilde[a:b].tolist()):
-            level_w += e - base_w
-            base_w = e
-            if gains[i] <= GAIN_FLOOR and surplus > 0.0:
-                room = cap - p_list[i] if math.isfinite(cap) else surplus
-                u = min(room, surplus, level_w - p_list[i])
-                if u > 0.0:
-                    p_list[i] += u
-                    surplus -= u
-            level_w -= p_list[i]
-        p_seg = np.array(p_list)
-
+    if surplus > 0.0:
+        p_seg[zero] = surplus / (b - a - npos)
+    base = float(e_tilde[a - 1]) if a > 0 else 0.0
+    start = battery_max if kind_a == BFP else 0.0
     battery = start + (e_tilde[a:b] - base) - np.cumsum(p_seg)
-    if surplus > FEAS_TOL:
-        status = INFEASIBLE
-    else:
-        status = _classify(p_seg, battery, bmax, cap)
-    return p_seg, sol.height, status, battery
+    return p_seg, sol.height, _classify(p_seg, battery, battery_max, power_max), battery
 
 
-def _scan_skip_flags(inv, supply, targets, cap, tol):
-    """Mark scan candidates that provably cannot fill without going negative.
+def _close_segment(inv, e_tilde, battery_max, power_max, a, kind_a):
+    """Walk the level tube forward from boundary a; return its closing boundary.
 
-    A candidate's fill level cannot exceed the drain level of any prefix it
-    spans, so comparing per-prefix draw at a running minimum of prefix drain
-    levels rules candidates out without filling them.  Margins keep the test
-    one-sided: a flagged candidate is infeasible, an unflagged one is merely
-    undecided.  Returns None when the structure is too irregular to help.
+    Prefix j of the segment (slots a+1 .. a+j) draws D_j(L), the sum of
+    clamp(L - inv, 0, P) over its slots, and must keep its battery in
+    [0, B]: D_j(L) <= upper_j and D_j(L) >= lower_j = upper_j - B.  hi is
+    the running minimum of the prefix ceilings, the highest levels meeting
+    the first bound, and lo the running maximum of the floors, the lowest
+    levels meeting the second.  Each remembers its last attaining prefix;
+    a prefix whose draw at the current level is within FEAS_TOL of its
+    bound ties and takes the slot.  A floor above hi closes the segment at
+    hi's prefix as a BDP, a ceiling below lo closes it at lo's prefix as a
+    BFP, and the horizon closes it at hi's prefix as a BDP (the last slot
+    while hi is still unbounded).
+
+    Only a prefix whose draw at hi or at lo ties or crosses its own bound
+    can move either, so each bound keeps the draws of every prefix at its
+    current level, one cumsum per move, and the walk jumps from one such
+    prefix to the next, solving a level only where a bound moves.
     """
-    m = len(supply)
-    skip = np.zeros(m, dtype=bool)
-    safe = 1e-6 * max(1.0, float(np.max(supply)))
-    lim = supply + tol + safe
-    level = math.inf
-    pos = 0
-    records = 0
-    while pos < m:
-        if math.isinf(level) and not math.isfinite(cap):
-            drawn = np.full(m, math.inf)
-        else:
-            drawn = np.cumsum(np.minimum(cap, np.maximum(0.0, level - inv)))
-        over = drawn[pos:] > lim[pos:]
-        t0 = pos + int(np.argmax(over)) if over.any() else -1
-        if t0 < 0:
-            skip[pos:] = drawn[pos:] < targets[pos:] - safe
-            break
-        if t0 > pos:
-            seg = slice(pos, t0)
-            skip[seg] = drawn[seg] < targets[seg] - safe
-        records += 1
-        if records > 48:
-            return None
-        level = _fill_level(inv[:t0 + 1], cap, float(lim[t0]))
-        pos = t0 + 1
-    return skip
+    start = battery_max if kind_a == BFP else 0.0
+    upper = start + (e_tilde[a:] - (e_tilde[a - 1] if a > 0 else 0.0))
+    lower = upper - battery_max
+    inv = inv[a:]
+    n = len(inv)
+    near_upper, near_lower = upper - FEAS_TOL, lower + FEAS_TOL
 
+    def draws(level, near, bound):
+        # every prefix's draw at level, and the prefixes where near(draw,
+        # bound) holds, closed by the horizon n
+        drawn = np.minimum(np.maximum(level - inv, 0.0), power_max).cumsum()
+        return drawn, near(drawn, bound).nonzero()[0].tolist() + [n]
 
-def _backward_search(env, e_tilde, a, kind_a, battery0):
-    """Resolve a semi-feasible segment by pinning its worst overflow as a BFP.
-
-    Repeatedly take the largest slot whose battery exceeds capacity and
-    refill up to it assuming a full battery there.  A feasible refill
-    accepts that BFP; a semi-feasible one keeps shrinking; an infeasible
-    one (the refill breaks causality) hands the slot back so the caller
-    can rescan below it.
-    """
-    battery = battery0
-    limit = env.battery_max + FEAS_TOL
-    prev_k = None
+    hi, hi_at, lo, lo_at = math.inf, n, -math.inf, 0
+    draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
+    draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+    j = -1
     while True:
-        over = np.flatnonzero(battery > limit)
-        k = a + 1 + int(over[-1]) if over.size else None
-        if k is None:
-            raise RuntimeError("semi-feasible segment has no overflow slot")
-        if prev_k is not None and k >= prev_k:
-            # Each refill pins the battery at its endpoint, so the worst
-            # overflow must move left; kept as a hard stop.
-            raise RuntimeError("backward search made no progress")
-        prev_k = k
-        p_seg, height, status, battery = _segment_schedule(env, e_tilde, a, kind_a, k, BFP)
-        if status == FEASIBLE:
-            return ("accept", k, p_seg, height)
-        if status == INFEASIBLE:
-            return ("rescan", k)
+        j = min(hits_hi[bisect.bisect_right(hits_hi, j)],
+                hits_lo[bisect.bisect_right(hits_lo, j)])
+        if j == n:
+            return a + (hi_at if hi < math.inf else n), BDP
+        at_hi, at_lo, u, l = draw_hi[j], draw_lo[j], float(upper[j]), float(lower[j])
+        if at_hi < l - FEAS_TOL:
+            return a + hi_at, BDP
+        if at_lo > u + FEAS_TOL:
+            return a + lo_at, BFP
+        if at_hi >= u - FEAS_TOL:
+            if at_hi > u + FEAS_TOL:
+                hi = _fill_level(inv[:j + 1], power_max, u)
+                draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
+            hi_at = j + 1
+        if at_lo <= l + FEAS_TOL:
+            if at_lo < l - FEAS_TOL:
+                lo = _fill_level(inv[:j + 1], power_max, l)
+                draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+            lo_at = j + 1
 
 
 def _checked_guess(guess, k_slots):
@@ -407,15 +391,15 @@ def _refill_guess(env: UserEnv, e_tilde, guess):
     is feasible and has a slot more than FEAS_TOL inside (0, P), which pins
     the level; the height rises across every BDP and falls across every
     BFP; and the list ends at (K, BDP).  The optimum is then unique, so
-    the guess describes the scan's own schedule.
+    the guess describes the walk's own schedule.
 
     Two margins make the boundary list unique as well: the height must
     move by more than FEAS_TOL (relative) at each boundary, and the
     battery must stay more than FEAS_TOL inside (0, B) within each
     segment.  Where a level is flat or a battery bound is touched inside a
     segment, several lists describe one schedule (B = 0 is the extreme
-    case), and the scan, which keeps the longest feasible segment, may
-    have chosen another; such guesses fall back.  Returns None otherwise.
+    case), and the walk, which gives ties to the later prefix, may have
+    chosen another; such guesses fall back.  Returns None otherwise.
     """
     if guess[-1][1] != BDP:
         return None
@@ -423,25 +407,19 @@ def _refill_guess(env: UserEnv, e_tilde, guess):
     p = np.zeros(env.num_slots)
     heights = []
     for (a, kind_a), (b, kind_b) in zip(guess, guess[1:]):
-        gains = env.gain[a:b]
-        if not gains.min() > GAIN_FLOOR:
+        if not env.gain[a:b].min() > GAIN_FLOOR:
             return None
-        target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
-        if not 0.0 < target < (b - a) * cap:
+        # a slot strictly inside (0, P) also puts the target strictly inside
+        # (0, (b-a)*P), so the boundary levels are met exactly
+        p_seg, height, status, battery = _segment_schedule(
+            env.gain, e_tilde, bmax, cap, a, kind_a, b, kind_b)
+        if status != FEASIBLE:
             return None
-        sol = water_fill_segment(gains, target, cap)
-        p_seg = sol.p
         if not ((p_seg > FEAS_TOL) & (p_seg < cap - FEAS_TOL)).any():
-            return None
-        base = float(e_tilde[a - 1]) if a > 0 else 0.0
-        start = bmax if kind_a == BFP else 0.0
-        battery = start + (e_tilde[a:b] - base) - np.cumsum(p_seg)
-        if _classify(p_seg, battery, bmax, cap) != FEASIBLE:
             return None
         inner = battery[:-1]
         if not ((inner > FEAS_TOL) & (inner < bmax - FEAS_TOL)).all():
             return None
-        height = sol.height
         if heights:
             rise = (height - heights[-1]) * (1.0 if kind_a == BDP else -1.0)
             if not rise > FEAS_TOL * max(1.0, heights[-1]):
@@ -457,20 +435,24 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     e_tilde is the cumulative energy actually available per slot (harvest
     net of wastage).  Returns (p, boundaries, water_levels) where
     boundaries is the ordered (slot, kind) list starting at (0, BDP) and
-    water_levels holds one height per segment (0 for empty segments).
+    water_levels holds one height per segment (0 for a segment with no
+    positive-gain slot, the saturation level for one whose positive-gain
+    slots are all capped).
 
     guess, when given, is a boundary list in that same form, typically
     this user's previous answer.  It is refilled once and returned as the
     answer if it satisfies the KKT conditions (see _refill_guess);
-    otherwise the scan below runs as if no guess was given.  A malformed
+    otherwise the walk below runs as if no guess was given.  A malformed
     guess raises ValueError.
 
-    Each round scans right endpoints downward from the current goal and
-    keeps the first candidate whose fill is feasible (confirm a boundary)
-    or semi-feasible (run the backward search).  Confirming any boundary
-    resets the goal to the horizon; a backward search whose refill breaks
-    causality lowers the goal to its overflow slot, a restriction that
-    lives only until the next confirmed boundary.
+    From each confirmed boundary a forward tube walk (_close_segment)
+    finds the next one, and that segment is filled once.  Zero-gain slots
+    walk with one finite burn level, above every positive-gain slot's cap
+    plus the whole budget, so they draw only where every positive-gain
+    slot of their segment is capped.  The walk and the fills run on
+    energies divided by a power of two near the mean energy per slot:
+    that scaling is exact in floating point, so p and the heights come
+    back bit for bit, and the absolute tolerances become scale-free.
     """
     k_slots = env.num_slots
     e_tilde = np.asarray(e_tilde, dtype=float)
@@ -479,82 +461,32 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
         warm = _refill_guess(env, e_tilde, guess)
         if warm is not None:
             return warm[0], guess, warm[1]
-    cap = env.power_max
+    total = float(e_tilde[-1]) if k_slots else 0.0
+    scale = 2.0 ** round(math.log2(total / k_slots)) if total > 0.0 else 1.0
+    e = e_tilde / scale
+    bmax, cap = env.battery_max / scale, env.power_max / scale
+    gains = env.gain * scale
+    pos = gains > GAIN_FLOOR
+    inv = np.empty(k_slots)
+    inv[pos] = 1.0 / gains[pos]
+    # the burn level: at or above it every positive-gain slot draws its cap
+    # or more than the whole budget
+    inv[~pos] = (inv[pos].max() if pos.any() else 0.0) + min(cap, total / scale) + 1.0
     p = np.zeros(k_slots)
     confirmed = [(0, BDP)]
     heights = []
-    goal = (k_slots, BDP)
-    # the goal only moves down between confirms, so rounds are bounded
-    max_rounds = 2 * (k_slots + 1) * (k_slots + 2)
-    rounds = 0
-
     while confirmed[-1][0] < k_slots:
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError("boundary search failed to terminate")
         a, kind_a = confirmed[-1]
-        b, kind_b = goal
-        base = float(e_tilde[a - 1]) if a > 0 else 0.0
-        start = env.battery_max if kind_a == BFP else 0.0
-        supply = start + (e_tilde[a:b] - base)
-
-        # Capacity-counting filter: any schedule under the cap consumes at
-        # least target - (k1 - t) * cap by slot t, so a candidate whose
-        # implied battery floor dips negative can be skipped unfilled.
-        pref_min = None
-        if math.isfinite(cap):
-            q = supply - cap * np.arange(1, b - a + 1)
-            pref_min = np.minimum.accumulate(q).tolist()
-
-        # Prefix drain-level filter: skips candidates whose fill provably
-        # overdraws some prefix.  Needs strictly positive gains to price
-        # every slot.
-        gains_scan = env.gain[a:b]
-        skip = None
-        if b - a > 8 and float(np.min(gains_scan)) > GAIN_FLOOR:
-            span = np.arange(1, b - a + 1, dtype=float)
-            targets = supply.copy()
-            if kind_b == BFP:
-                targets[-1] -= env.battery_max
-            np.minimum(targets, cap * span, out=targets)
-            np.maximum(targets, 0.0, out=targets)
-            skip = _scan_skip_flags(1.0 / gains_scan, supply, targets, cap, FEAS_TOL)
-
-        accept = None
-        rescan = None
-        for k1 in range(b, a, -1):
-            kind1 = kind_b if k1 == b else BDP
-            if skip is not None and skip[k1 - a - 1]:
-                continue
-            if pref_min is not None:
-                target = segment_target_energy(a, kind_a, k1, kind1,
-                                               e_tilde, env.battery_max, cap)
-                if pref_min[k1 - a - 1] + (k1 - a) * cap < target - FEAS_TOL:
-                    continue
-            p_seg, height, status, battery = _segment_schedule(
-                env, e_tilde, a, kind_a, k1, kind1)
-            if status == FEASIBLE:
-                accept = (k1, kind1, p_seg, height)
-                break
-            if status == SEMI_FEASIBLE:
-                outcome = _backward_search(env, e_tilde, a, kind_a, battery)
-                if outcome[0] == "accept":
-                    _, k, p_seg, height = outcome
-                    accept = (k, BFP, p_seg, height)
-                else:
-                    rescan = outcome[1]
-                break
-        if accept is not None:
-            k, kind, p_seg, height = accept
-            p[a:k] = p_seg
-            confirmed.append((k, kind))
-            heights.append(height)
-            goal = (k_slots, BDP)
-        elif rescan is not None:
-            goal = (rescan, BFP)
-        else:
-            raise RuntimeError("forward search exhausted all segment endpoints")
-
+        b, kind_b = _close_segment(inv, e, bmax, cap, a, kind_a)
+        status = INFEASIBLE     # an empty segment: the budget dips below zero
+        if b > a:
+            p_seg, height, status, _ = _segment_schedule(gains, e, bmax, cap,
+                                                         a, kind_a, b, kind_b)
+        if status != FEASIBLE:
+            raise RuntimeError("closed segment did not fill feasibly")
+        p[a:b] = p_seg * scale
+        confirmed.append((b, kind_b))
+        heights.append(height * scale)
     return p, confirmed, heights
 
 

@@ -158,11 +158,12 @@ def test_long_fills_go_through_water_fill_segment(monkeypatch):
         return sol
 
     monkeypatch.setattr(su, "water_fill_segment", audited)
+    # a battery of 200 gives this K = 200 draw one 77-slot segment
     rng = np.random.default_rng(8000)
     k = 200
     env = UserEnv(harvest=rng.uniform(0.0, 10.0, k),
                   gain=rng.standard_exponential(k),
-                  battery_max=20.0, power_max=15.0)
+                  battery_max=200.0, power_max=15.0)
     p, _, x, _ = su.solve_single(env)
     assert kkt_certificate(env, p, x).passed
     long_fills = [(t, r) for n, t, r in records if n >= su._VECTOR_FILL_SLOTS]
@@ -234,6 +235,25 @@ def test_solve_single_passes_certificate(env, data):
                     env.battery_max, env.power_max)
     _, _, stale, _ = su.solve_single(other)
     assert_same_solution(su.solve_reduced(env, e_tilde, guess=stale), (p, x, levels))
+
+
+def test_solve_single_is_scale_invariant():
+    # energies times c and gains over c describe the same problem: neither
+    # the boundary list nor the rate may move with c, and nothing may raise
+    rng = np.random.default_rng(41)
+    for i in range(120):
+        k = int(rng.integers(1, 31))
+        harvest = rng.uniform(0.0, 10.0, k)
+        gain = np.where(rng.random(k) < 0.1, 0.0, rng.standard_exponential(k))
+        bmax = (0.0, 5.0, 20.0, math.inf)[i % 4]
+        pmax = (3.0, 15.0, math.inf)[(i // 4) % 3]
+        p, _, x, _ = su.solve_single(env_of(harvest, gain, bmax=bmax, pmax=pmax))
+        rate = float(np.log1p(gain * p).sum())
+        for c in (1e-6, 1e5, 1e8, 1e12):
+            env = env_of(harvest * c, gain / c, bmax=bmax * c, pmax=pmax * c)
+            p_c, _, x_c, _ = su.solve_single(env)
+            assert x_c == x
+            assert float(np.log1p(env.gain * p_c).sum()) == pytest.approx(rate, rel=1e-9)
 
 
 def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
