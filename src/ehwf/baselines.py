@@ -55,15 +55,15 @@ def _staircase(env: UserEnv, guess=None):
     return solve_reduced(unbounded, cumulative_harvest(env.harvest), guess=guess)
 
 
-def staircase_wf(env: UserEnv, with_levels: bool = False):
+def staircase_wf(env: UserEnv):
     """Water-filling under energy causality alone, battery and cap unbounded.
 
     Runs the segment search with both limits at infinity, so only
     depletion points partition the horizon and the water levels step
-    upward over time.  Returns p, or (p, levels) when with_levels is set.
+    upward over time.  Returns p.
     """
-    p, _, levels = _staircase(env)
-    return (p, levels) if with_levels else p
+    p, _, _ = _staircase(env)
+    return p
 
 
 def modified_staircase(env: UserEnv):

@@ -65,7 +65,6 @@ class GenParams:
     harvest_var: float
     battery_max: float
     power_max: float
-    gain_dist: str = "exp1"
     seed: int = 0
 
     def __post_init__(self):
@@ -100,8 +99,6 @@ def gen_scenario(params: GenParams) -> Scenario:
     Each user gets an independent stream spawned from the seed, so adding
     users never shifts the draws of existing ones.
     """
-    if params.gain_dist != "exp1":
-        raise ValueError(f"unknown gain distribution {params.gain_dist!r}")
     harvest = np.empty((params.n_users, params.n_slots))
     gain = np.empty((params.n_users, params.n_slots))
     for n in range(params.n_users):

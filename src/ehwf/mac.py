@@ -66,15 +66,11 @@ class MacSolution:
     user_gains: np.ndarray | None = None
 
 
-def effective_gain(scenario: Scenario, p, n: int, k: int | None = None):
-    """User n's gain per slot, discounted by the other users' interference.
-
-    Returns the full slot vector, or a scalar when k is given.
-    """
+def effective_gain(scenario: Scenario, p, n: int):
+    """User n's gain per slot, discounted by the other users' interference."""
     p = np.asarray(p, dtype=float)
     interference = np.sum(p * scenario.gain, axis=0) - p[n] * scenario.gain[n]
-    eff = scenario.gain[n] / (1.0 + interference)
-    return float(eff[k]) if k is not None else eff
+    return scenario.gain[n] / (1.0 + interference)
 
 
 def _user_env(scenario: Scenario, n: int, gains) -> UserEnv:

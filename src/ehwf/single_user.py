@@ -29,15 +29,14 @@ or falling after the full point that set the maximum (BFP), and at the
 horizon the segment ends where the minimum was last attained.  Zero-gain
 slots walk with one finite burn level above every positive-gain slot's
 cap, so energy is burned on them only where nothing else can take it.
-The walk runs on energies divided by a power of two near the mean energy
-per slot, so its absolute tolerances mean the same at any scale.
+The walk and the warm-start check below run on energies divided by a
+power of two near the mean energy per slot, so their absolute tolerances
+mean the same at any scale.
 
 Every segment, whatever its length, is filled once by water_fill_segment
 and classified by one battery cumsum.  Its water level, and the walk's
-prefix levels, come from one level function that switches on size: a
-scalar breakpoint sweep below _VECTOR_FILL_SLOTS slots, where numpy's
-per-call overhead dominates, and a sorted-array solve from there on,
-where the sweep's per-event Python loop does.
+prefix levels, come from one level function: a sweep over the slots'
+sorted fill and saturation breakpoints that stops at the target.
 
 solve_reduced(env, e_tilde, guess=boundaries) first refills the guessed
 segments once each and returns them untouched when they meet the KKT
@@ -80,13 +79,6 @@ __all__ = [
 
 BDP = "BDP"      # battery-depletion point: level 0, water level may rise after
 BFP = "BFP"      # battery-full point: level at capacity, water level may drop
-
-# Slot count from which _fill_level solves with arrays instead of sweeping
-# breakpoints in Python.  On a 2-vCPU x86 host with numpy 2.4 the sweep
-# takes 3-31 us a call at 5-47 slots, where the array solve takes 36-50 us;
-# at 800 slots it takes 430-760 us against 80-160 us.
-_VECTOR_FILL_SLOTS = 48
-
 
 def _clip_to_battery(env: UserEnv, want):
     """Spend min(want, cap, banked energy) each slot; waste only overflow.
@@ -207,55 +199,34 @@ def _fill_level(inv, cap, target):
     clamp(level - inv, 0, cap), so the total is piecewise linear and
     nondecreasing in the level, with a slope that rises by one where a slot
     starts filling (inv) and drops by one where it saturates (inv + cap).
-    Short spans sweep those breakpoints in plain Python; from
-    _VECTOR_FILL_SLOTS slots on, sorting and searching them as arrays is
-    cheaper than the sweep's per-event loop.  A target at or above the
-    total capacity returns the level where every slot saturates.
+    Both breakpoint streams come out of one sort of inv, and the sweep
+    merges them, a saturation before a start at equal points.  A target at
+    or above the total capacity returns the level where every slot
+    saturates.
     """
-    finite_cap = math.isfinite(cap)
-    if len(inv) < _VECTOR_FILL_SLOTS:
-        vals = inv.tolist()
-        events = [(v, 1) for v in vals]
-        if finite_cap:
-            events += [(v + cap, -1) for v in vals]
-        events.sort()
-        slope = 0
-        total = 0.0
-        prev = events[0][0]
-        for x, delta in events:
-            if x > prev and slope > 0:
-                step = slope * (x - prev)
-                if total + step >= target:
-                    return prev + (target - total) / slope
-                total += step
-            prev = x
-            slope += delta
-        return prev if finite_cap else prev + (target - total) / slope
-
-    v = np.sort(inv)
-    w = np.concatenate(([0.0], np.cumsum(v)))
-    if finite_cap:
-        knots = np.unique(np.concatenate((v, v + cap)))
-        nsat = np.searchsorted(v, knots - cap, side="right")
-    else:
-        knots = np.unique(v)
-        nsat = np.zeros(len(knots), dtype=int)
-    nlt = np.searchsorted(v, knots, side="left")
-    drawn = knots * (nlt - nsat) - (w[nlt] - w[nsat])
-    if finite_cap:
-        drawn = drawn + cap * nsat
-    idx = int(np.searchsorted(drawn, target, side="left"))
-    if idx >= len(knots):
-        if finite_cap:
-            return float(knots[-1])
-        return float(knots[-1] + (target - drawn[-1]) / len(v))
-    if idx == 0:
-        return float(knots[0])
-    lo, hi = float(knots[idx - 1]), float(knots[idx])
-    clo, chi = float(drawn[idx - 1]), float(drawn[idx])
-    if chi <= clo:
-        return hi
-    return lo + (target - clo) * (hi - lo) / (chi - clo)
+    starts = sorted(inv.tolist())
+    ends = [v + cap for v in starts] if math.isfinite(cap) else []
+    n, m = len(starts), len(ends)
+    i = j = slope = 0
+    total = 0.0
+    prev = starts[0]
+    while i < n or j < m:
+        if j < m and (i == n or ends[j] <= starts[i]):
+            x = ends[j]
+            j += 1
+            delta = -1
+        else:
+            x = starts[i]
+            i += 1
+            delta = 1
+        if x > prev and slope > 0:
+            step = slope * (x - prev)
+            if total + step >= target:
+                return prev + (target - total) / slope
+            total += step
+        prev = x
+        slope += delta
+    return prev if m else prev + (target - total) / slope
 
 
 def _classify(p, battery, battery_max, power_max, tol=FEAS_TOL):
@@ -382,7 +353,7 @@ def _checked_guess(guess, k_slots):
     return guess
 
 
-def _refill_guess(env: UserEnv, e_tilde, guess):
+def _refill_guess(gains, e_tilde, bmax, cap, guess):
     """Fill each guessed segment once; (p, heights) if that is the optimum.
 
     Accepts only when every condition of the reduced problem's KKT system
@@ -403,16 +374,15 @@ def _refill_guess(env: UserEnv, e_tilde, guess):
     """
     if guess[-1][1] != BDP:
         return None
-    bmax, cap = env.battery_max, env.power_max
-    p = np.zeros(env.num_slots)
+    p = np.zeros(len(gains))
     heights = []
     for (a, kind_a), (b, kind_b) in zip(guess, guess[1:]):
-        if not env.gain[a:b].min() > GAIN_FLOOR:
+        if not gains[a:b].min() > GAIN_FLOOR:
             return None
         # a slot strictly inside (0, P) also puts the target strictly inside
         # (0, (b-a)*P), so the boundary levels are met exactly
         p_seg, height, status, battery = _segment_schedule(
-            env.gain, e_tilde, bmax, cap, a, kind_a, b, kind_b)
+            gains, e_tilde, bmax, cap, a, kind_a, b, kind_b)
         if status != FEASIBLE:
             return None
         if not ((p_seg > FEAS_TOL) & (p_seg < cap - FEAS_TOL)).any():
@@ -439,6 +409,13 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     positive-gain slot, the saturation level for one whose positive-gain
     slots are all capped).
 
+    e_tilde must hold K finite, nonnegative entries; anything else raises
+    ValueError.  Every fill, the guess check's included, runs on energies
+    divided by a power of two near the mean energy per slot (gains
+    multiplied by it): that scaling is exact in floating point, so p and
+    the heights come back bit for bit, and the absolute tolerances become
+    scale-free.
+
     guess, when given, is a boundary list in that same form, typically
     this user's previous answer.  It is refilled once and returned as the
     answer if it satisfies the KKT conditions (see _refill_guess);
@@ -449,23 +426,25 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     finds the next one, and that segment is filled once.  Zero-gain slots
     walk with one finite burn level, above every positive-gain slot's cap
     plus the whole budget, so they draw only where every positive-gain
-    slot of their segment is capped.  The walk and the fills run on
-    energies divided by a power of two near the mean energy per slot:
-    that scaling is exact in floating point, so p and the heights come
-    back bit for bit, and the absolute tolerances become scale-free.
+    slot of their segment is capped.
     """
     k_slots = env.num_slots
     e_tilde = np.asarray(e_tilde, dtype=float)
-    if guess is not None:
-        guess = _checked_guess(guess, k_slots)
-        warm = _refill_guess(env, e_tilde, guess)
-        if warm is not None:
-            return warm[0], guess, warm[1]
+    if e_tilde.shape != (k_slots,):
+        raise ValueError(f"e_tilde must hold one entry per slot ({k_slots}), "
+                         f"got shape {e_tilde.shape}")
+    if not (np.isfinite(e_tilde).all() and (e_tilde >= 0.0).all()):
+        raise ValueError("e_tilde entries must be finite and nonnegative")
     total = float(e_tilde[-1]) if k_slots else 0.0
     scale = 2.0 ** round(math.log2(total / k_slots)) if total > 0.0 else 1.0
     e = e_tilde / scale
     bmax, cap = env.battery_max / scale, env.power_max / scale
     gains = env.gain * scale
+    if guess is not None:
+        guess = _checked_guess(guess, k_slots)
+        warm = _refill_guess(gains, e, bmax, cap, guess)
+        if warm is not None:
+            return warm[0] * scale, guess, [h * scale for h in warm[1]]
     pos = gains > GAIN_FLOOR
     inv = np.empty(k_slots)
     inv[pos] = 1.0 / gains[pos]

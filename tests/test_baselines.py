@@ -8,8 +8,9 @@ from ehwf.baselines import (balanced_policy, greedy_policy,
                             iterative_modified_staircase, modified_staircase,
                             non_iterative_multiuser, staircase_wf)
 from ehwf.bench import GenParams, gen_scenario
-from ehwf.model import FEASIBLE, Scenario, UserEnv, check_feasible, sum_rate
-from ehwf.single_user import optimal_wastage
+from ehwf.model import (FEASIBLE, Scenario, UserEnv, check_feasible,
+                        cumulative_harvest, sum_rate)
+from ehwf.single_user import optimal_wastage, solve_reduced
 
 from conftest import user_envs
 
@@ -48,11 +49,17 @@ def test_balanced_policy_examples():
     assert np.allclose(p, [0, 2])
 
 
+def staircase_levels(env):
+    # the staircase's water levels: the segment solve with both limits off
+    unbounded = UserEnv(env.harvest, env.gain, math.inf, math.inf)
+    _, _, levels = solve_reduced(unbounded, cumulative_harvest(env.harvest))
+    return levels
+
+
 def test_staircase_wf_examples():
     p = staircase_wf(env_of([1, 3]))
     assert np.allclose(p, [1, 3], atol=1e-9)
-    _, levels = staircase_wf(env_of([1, 3]), with_levels=True)
-    assert np.allclose(levels, [2, 4], atol=1e-9)
+    assert np.allclose(staircase_levels(env_of([1, 3])), [2, 4], atol=1e-9)
 
     p = staircase_wf(env_of([6, 0, 0]))
     assert np.allclose(p, [2, 2, 2], atol=1e-9)
@@ -148,7 +155,7 @@ def test_all_baselines_are_feasible(env):
 @given(user_envs(allow_inf_caps=False))
 @settings(max_examples=60)
 def test_staircase_levels_never_step_down(env):
-    _, levels = staircase_wf(env, with_levels=True)
+    levels = staircase_levels(env)
     active = [lv for lv in levels if lv > 0.0]
     for before, after in zip(active, active[1:]):
         assert after >= before - 1e-7 * max(1.0, before)

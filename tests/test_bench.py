@@ -78,13 +78,6 @@ def test_gen_scenario_user_streams_stable():
     assert np.array_equal(small.gain, big.gain[:2])
 
 
-def test_gen_scenario_unknown_gain_dist():
-    params = GenParams(n_users=1, n_slots=2, harvest_mean=1.0, harvest_var=1.0,
-                       battery_max=1.0, power_max=1.0, gain_dist="rayleigh")
-    with pytest.raises(ValueError):
-        gen_scenario(params)
-
-
 # ---- sweeps ------------------------------------------------------------------
 
 def test_run_experiment_row_structure():

@@ -29,14 +29,14 @@ def test_effective_gain_values():
     sc = scenario_of([[1.0], [2.0]], [[1.0], [1.0]], [5, 5], [5, 5])
     p = np.array([[0.0], [1.0]])
     # single interferer contributing p*H = 1 halves the gain
-    assert effective_gain(sc, p, 0, 0) == pytest.approx(0.5)
+    assert effective_gain(sc, p, 0)[0] == pytest.approx(0.5)
 
     sc1 = scenario_of([[1.0]], [[3.0]], [5], [5])
-    assert effective_gain(sc1, np.zeros((1, 1)), 0, 0) == pytest.approx(3.0)
+    assert effective_gain(sc1, np.zeros((1, 1)), 0)[0] == pytest.approx(3.0)
 
     sc2 = scenario_of([[1.0], [3.0]], [[2.0], [1.0]], [5, 5], [5, 5])
     p2 = np.array([[0.0], [3.0]])
-    assert effective_gain(sc2, p2, 0, 0) == pytest.approx(0.5)
+    assert effective_gain(sc2, p2, 0)[0] == pytest.approx(0.5)
 
 
 def test_effective_gain_vector_matches_scalar():
@@ -46,7 +46,8 @@ def test_effective_gain_vector_matches_scalar():
     for n in range(3):
         vec = effective_gain(sc, p, n)
         for k in range(4):
-            assert vec[k] == pytest.approx(effective_gain(sc, p, n, k))
+            interference = sum(p[m, k] * sc.gain[m, k] for m in range(3) if m != n)
+            assert vec[k] == pytest.approx(sc.gain[n, k] / (1.0 + interference))
 
 
 def test_best_response_single_user_is_solve_single():

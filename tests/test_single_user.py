@@ -121,20 +121,27 @@ def test_water_fill_segment_errors():
 @given(st.data())
 @settings(max_examples=150)
 def test_water_fill_matches_bisection_oracle(data):
-    # short spans take the breakpoint sweep, 48+ positive gains the array
-    # solve; long draws keep zero gains rare so both sides are reached
+    # short and long spans, and spans whose inverse gains sit on a grid of
+    # cap multiples, where one slot saturates exactly where another starts
+    # filling; long draws keep zero gains rare
     k = data.draw(st.one_of(st.integers(min_value=1, max_value=10),
                             st.integers(min_value=48, max_value=120)))
-    gain = st.floats(min_value=1e-6, max_value=10.0)
-    if k <= 10:
-        gain = st.one_of(st.just(0.0), gain)
-    gains = data.draw(st.lists(gain, min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        # powers of two keep every inverse gain and breakpoint exact
+        cap = data.draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
+        steps = data.draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))
+        gains = [1.0 / (m * cap) for m in steps]
+    else:
+        gain = st.floats(min_value=1e-6, max_value=10.0)
+        if k <= 10:
+            gain = st.one_of(st.just(0.0), gain)
+        gains = data.draw(st.lists(gain, min_size=k, max_size=k))
+        cap = data.draw(st.one_of(
+            st.floats(min_value=0.1, max_value=20.0), st.just(math.inf)))
     for i in data.draw(st.lists(st.integers(0, k - 1), max_size=k // 10)):
         gains[i] = 0.0
     if not any(g > 0 for g in gains):
         gains[0] = 1.0
-    cap = data.draw(st.one_of(
-        st.floats(min_value=0.1, max_value=20.0), st.just(math.inf)))
     npos = sum(1 for g in gains if g > 0)
     hi = npos * cap if math.isfinite(cap) else 50.0
     target = data.draw(st.floats(min_value=0.0, max_value=hi))
@@ -166,7 +173,7 @@ def test_long_fills_go_through_water_fill_segment(monkeypatch):
                   battery_max=200.0, power_max=15.0)
     p, _, x, _ = su.solve_single(env)
     assert kkt_certificate(env, p, x).passed
-    long_fills = [(t, r) for n, t, r in records if n >= su._VECTOR_FILL_SLOTS]
+    long_fills = [(t, r) for n, t, r in records if n >= 48]
     assert long_fills
     assert max(r / t for t, r in long_fills) <= 1e-10
 
@@ -257,6 +264,8 @@ def test_solve_single_is_scale_invariant():
 
 
 def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
+    # the guess is checked in the walk's own units: energies times c and
+    # gains over c accept it exactly as at unit scale
     calls = []
     original = su.water_fill_segment
 
@@ -268,16 +277,17 @@ def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
     rng = np.random.default_rng(31)
     for _ in range(40):
         k = int(rng.integers(1, 40))
-        env = UserEnv(harvest=rng.uniform(0.0, 10.0, k),
-                      gain=rng.standard_exponential(k),
-                      battery_max=20.0, power_max=15.0)
-        d, _, _ = su.optimal_wastage(env)
-        e_tilde = su.effective_energy(env, d)
-        cold = su.solve_reduced(env, e_tilde)
-        calls.clear()
-        warm = su.solve_reduced(env, e_tilde, guess=cold[1])
-        assert_same_solution(warm, cold)
-        assert len(calls) == len(cold[1]) - 1
+        harvest, gain = rng.uniform(0.0, 10.0, k), rng.standard_exponential(k)
+        for c in (1.0, 1e-6, 1e5, 1e8, 1e12):
+            env = UserEnv(harvest=harvest * c, gain=gain / c,
+                          battery_max=20.0 * c, power_max=15.0 * c)
+            d, _, _ = su.optimal_wastage(env)
+            e_tilde = su.effective_energy(env, d)
+            cold = su.solve_reduced(env, e_tilde)
+            calls.clear()
+            warm = su.solve_reduced(env, e_tilde, guess=cold[1])
+            assert_same_solution(warm, cold)
+            assert len(calls) == len(cold[1]) - 1, c
 
 
 def test_stale_guess_from_another_instance_gives_cold_result():
@@ -316,7 +326,20 @@ def test_edge_case_guesses_match_cold_result(harvest, gain, bmax, pmax,
     for guess in guesses:
         assert_same_solution(su.solve_reduced(env, e_tilde, guess=guess), cold)
         if falls_back:
-            assert su._refill_guess(env, e_tilde, guess) is None
+            assert su._refill_guess(env.gain, e_tilde, bmax, pmax, guess) is None
+
+
+@pytest.mark.parametrize("e_tilde", [
+    [math.nan, 2.0],        # not a number
+    [1.0, math.inf],        # not finite
+    [-1.0, 2.0],            # a budget below zero
+    [1.0, 2.0, 3.0],        # one entry too many
+    [2.0],                  # one entry too few
+    [[1.0, 2.0]],           # not one-dimensional
+])
+def test_bad_e_tilde_raises(e_tilde):
+    with pytest.raises(ValueError, match="e_tilde"):
+        su.solve_reduced(env_of([1.0, 1.0]), e_tilde)
 
 
 @pytest.mark.parametrize("guess", [
