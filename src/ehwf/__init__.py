@@ -15,7 +15,6 @@ from .model import (
     FeasibilityReport,
     Scenario,
     UserEnv,
-    battery_trace,
     check_feasible,
     cumulative_harvest,
     sum_rate,
@@ -25,7 +24,6 @@ from .single_user import (
     BDP,
     BFP,
     SegmentSolution,
-    classify_segment,
     effective_energy,
     optimal_wastage,
     segment_target_energy,
@@ -35,7 +33,6 @@ from .single_user import (
 )
 from .mac import (
     MacSolution,
-    best_response,
     effective_gain,
     first_iteration_gap_bound,
     iterate_best_response,
@@ -51,9 +48,11 @@ from .baselines import (
 )
 from .verify import (
     EPS_CERT,
+    GAP_TOL_PER_SLOT,
     DualCertificate,
     ReducedPolytope,
     brute_force_tiny,
+    duality_gap,
     first_order_certificate,
     induced_wastage,
     kkt_certificate,
@@ -77,22 +76,23 @@ __all__ = [
     # model
     "FEAS_TOL", "FEASIBLE", "SEMI_FEASIBLE", "INFEASIBLE",
     "Scenario", "UserEnv", "FeasibilityReport",
-    "cumulative_harvest", "battery_trace", "user_battery_trace",
+    "cumulative_harvest", "user_battery_trace",
     "check_feasible", "sum_rate",
     # single user
     "BDP", "BFP", "SegmentSolution", "optimal_wastage", "effective_energy",
-    "segment_target_energy", "water_fill_segment", "classify_segment",
+    "segment_target_energy", "water_fill_segment",
     "solve_reduced", "solve_single",
     # multiple access
-    "MacSolution", "effective_gain", "best_response",
+    "MacSolution", "effective_gain",
     "iterate_best_response", "solve_mac", "first_iteration_gap_bound",
     # baselines
     "greedy_policy", "balanced_policy", "staircase_wf",
     "modified_staircase", "iterative_modified_staircase",
     "non_iterative_multiuser",
     # certificates and oracles
-    "EPS_CERT", "ReducedPolytope", "DualCertificate", "reduce_polytope",
-    "induced_wastage", "kkt_certificate", "first_order_certificate",
+    "EPS_CERT", "GAP_TOL_PER_SLOT", "ReducedPolytope", "DualCertificate",
+    "reduce_polytope", "induced_wastage", "kkt_certificate", "duality_gap",
+    "first_order_certificate",
     "brute_force_tiny", "wastage_minimality_check",
     # benchmarks
     "GenParams", "ExperimentResult", "PRESETS", "truncated_gaussian",

@@ -77,13 +77,14 @@ def modified_staircase(env: UserEnv):
     return p, d
 
 
-def iterative_modified_staircase(scenario: Scenario, eps: float = 1e-5,
-                                 max_iter: int = 50) -> MacSolution:
+def iterative_modified_staircase(scenario: Scenario, max_iter: int = 50) -> MacSolution:
     """Round-robin sweeps where each response is the modified staircase.
 
     Each user's staircase is warm-started from its depletion points in the
-    previous sweep, as solve_mac does.  The solution's d is the wastage of
-    each user's last clipped response.
+    previous sweep, as solve_mac does.  Its fixed point is not optimal, so
+    the sweeps stop once the sum rate changes by at most 1e-5 nats, or
+    after max_iter.  The solution's d is the wastage of each user's last
+    clipped response.
     """
     stairs = [None] * scenario.num_users
 
@@ -92,7 +93,8 @@ def iterative_modified_staircase(scenario: Scenario, eps: float = 1e-5,
         p_n, d_n, _ = _clip_to_battery(env, stair)
         return p_n, d_n
 
-    return iterate_best_response(scenario, respond, eps=eps, max_iter=max_iter)
+    return iterate_best_response(
+        scenario, respond, lambda p, gain: abs(gain) <= 1e-5, max_iter)
 
 
 _POLICIES = {

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import iterative_modified_staircase, non_iterative_multiuser
-from .mac import DEFAULT_EPS, DEFAULT_MAX_ITER, _user_env, solve_mac
+from .mac import _user_env, solve_mac
 from .model import Scenario, sum_rate
 from .verify import first_order_certificate, kkt_certificate
 
@@ -203,17 +203,18 @@ def _trial_seed(root_seed: int, trial: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_policy(policy: str, scenario: Scenario, eps: float = DEFAULT_EPS,
-                max_iter: int = DEFAULT_MAX_ITER):
+def _run_policy(policy: str, scenario: Scenario, max_iter: int | None = None):
     """One policy on one instance: (p, iterations, solution or None).
 
-    The solution is the MacSolution of the two iterative policies; the
-    one-shot policies have none and count as one iteration.
+    The solution is the MacSolution of the two iterative policies (their
+    own sweep budgets unless max_iter is set); the one-shot policies have
+    none and count as one iteration.
     """
+    budget = {} if max_iter is None else {"max_iter": max_iter}
     if policy == "optimal":
-        sol = solve_mac(scenario, eps=eps, max_iter=max_iter)
+        sol = solve_mac(scenario, **budget)
     elif policy == "staircase-iter":
-        sol = iterative_modified_staircase(scenario, eps=eps, max_iter=max_iter)
+        sol = iterative_modified_staircase(scenario, **budget)
     else:
         return non_iterative_multiuser(policy, scenario), 1, None
     return sol.p, sol.iterations, sol
@@ -296,11 +297,12 @@ def run_experiment(config, trials: int | None = None,
 def _cmd_solve(args) -> int:
     with open(args.infile) as fh:
         scenario = Scenario.from_json(fh.read())
-    p, iterations, sol = _run_policy(args.policy, scenario, eps=args.eps,
-                                     max_iter=args.max_iter)
+    p, iterations, sol = _run_policy(args.policy, scenario, args.max_iter)
     for n in range(scenario.num_users):
         print(f"p[{n}]: " + " ".join(f"{v:.9g}" for v in p[n]))
     print(f"iterations: {iterations}")
+    if sol is not None:
+        print(f"converged: {'yes' if sol.converged else 'no'}")
     print(f"sum_rate_nats: {sum_rate(scenario, p):.9g}")
     if not args.certify:
         return 0
@@ -310,9 +312,9 @@ def _cmd_solve(args) -> int:
         for n in range(scenario.num_users):
             env = _user_env(scenario, n, sol.user_gains[n])
             ok = ok and kkt_certificate(env, p[n], sol.user_boundaries[n]).passed
-    fo_ok, worst = first_order_certificate(scenario, p)
+    fo_ok, gap = first_order_certificate(scenario, p)
     ok = ok and fo_ok
-    print(f"worst_directional_derivative: {worst:.9g}")
+    print(f"duality_gap: {gap:.9g}")
     print(f"certificate: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -361,9 +363,8 @@ def cli_main(argv=None) -> int:
     p_solve.add_argument("--in", dest="infile", required=True,
                          help="scenario JSON path")
     p_solve.add_argument("--policy", choices=POLICIES, default="optimal")
-    p_solve.add_argument("--eps", type=float, default=1e-5,
-                         help="convergence threshold on the sum rate")
-    p_solve.add_argument("--max-iter", type=int, default=50)
+    p_solve.add_argument("--max-iter", type=int, default=None,
+                         help="sweep budget (default: the solver's own)")
     p_solve.add_argument("--certify", action="store_true",
                          help="check optimality certificates, exit 1 on FAIL")
     p_solve.set_defaults(func=_cmd_solve)

@@ -3,7 +3,6 @@
 Contents
 --------
 effective_gain            a user's gain discounted by the others' interference
-best_response             one user's optimal schedule against fixed others
 iterate_best_response     generic round-robin sweep loop with a stop rule
 solve_mac                 the full multi-user solver
 first_iteration_gap_bound worst-case nats between sweep 1 and the optimum
@@ -13,7 +12,8 @@ Each user's subproblem against the others' fixed schedules is exactly the
 single-user problem with the gain replaced by the effective gain, so one
 sweep is N single-user solves.  The sum rate never decreases across a
 best response, and at a fixed point the joint schedule is globally
-optimal.
+optimal; solve_mac stops once its duality gap (verify.duality_gap) is
+within tol nats of it.
 
 Later sweeps mostly only polish the rate: a user's segment boundaries
 settle long before its levels do.  So solve_mac hands each user's previous
@@ -30,18 +30,19 @@ import numpy as np
 
 from .model import Scenario, UserEnv, sum_rate
 from .single_user import effective_energy, optimal_wastage, solve_reduced
+from .verify import GAP_TOL_PER_SLOT, duality_gap
 
 __all__ = [
     "MacSolution",
     "effective_gain",
-    "best_response",
     "iterate_best_response",
     "solve_mac",
     "first_iteration_gap_bound",
 ]
 
-DEFAULT_EPS = 1e-5
-DEFAULT_MAX_ITER = 50
+# Sweeps to the default tol on 27,300 five-user, 20-slot instances: mean
+# 9.6, four above 1,000, the slowest 2,005.
+MAX_ITER = 5000
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,12 @@ class MacSolution:
     """Multi-user result: schedules plus the per-sweep objective trace.
 
     iterations counts completed sweeps (the trace length); converged is
-    whether the objective change fell below the threshold before the sweep
-    budget ran out.  user_boundaries / user_levels / user_gains hold each
-    user's segment structure and the effective gains from its last update,
-    for certificate checking; they are None for solvers that do not
-    produce them.
+    whether the stop test passed within the sweep budget.  gap is
+    solve_mac's duality gap of p (None for the staircase iteration).
+    user_boundaries / user_levels / user_gains hold each user's segment
+    structure and the effective gains from its last update, for
+    certificate checking; they are None for solvers that do not produce
+    them.
     """
 
     p: np.ndarray
@@ -61,6 +63,7 @@ class MacSolution:
     trace: np.ndarray
     iterations: int
     converged: bool
+    gap: float | None = None
     user_boundaries: list | None = None
     user_levels: list | None = None
     user_gains: np.ndarray | None = None
@@ -78,28 +81,20 @@ def _user_env(scenario: Scenario, n: int, gains) -> UserEnv:
                    float(scenario.battery_max[n]), float(scenario.power_max[n]))
 
 
-def best_response(scenario: Scenario, p, n: int) -> np.ndarray:
-    """User n's optimal schedule holding every other user's schedule fixed."""
-    env = _user_env(scenario, n, effective_gain(scenario, p, n))
-    d_star, _, _ = optimal_wastage(env)
-    p_n, _, _ = solve_reduced(env, effective_energy(env, d_star))
-    return p_n
-
-
-def iterate_best_response(scenario: Scenario, responder,
-                          eps: float = DEFAULT_EPS,
-                          max_iter: int = DEFAULT_MAX_ITER) -> MacSolution:
-    """Round-robin sweeps of a per-user responder until the rate settles.
+def iterate_best_response(scenario: Scenario, responder, stop,
+                          max_iter: int) -> MacSolution:
+    """Round-robin sweeps of a per-user responder until stop says so.
 
     responder(env, n) takes the user's effective-gain environment and
     returns that user's new (p_n, d_n) slot vectors; the solution's d holds
     each user's wastage from its last response.  Sweeps run in user-index
-    order; the loop stops when the sum rate changes by at most eps between
-    consecutive sweeps, or after max_iter sweeps.  The objective trace
-    starts from the all-zero schedule (value 0 before sweep 1).
+    order; the loop ends when stop(p, rate_gain), given the schedule and
+    the sum rate's change in the sweep, returns True (converged) or after
+    max_iter sweeps.  The objective trace starts from the all-zero
+    schedule (value 0 before sweep 1).
     """
-    if eps <= 0 or max_iter < 1:
-        raise ValueError("eps must be positive and max_iter at least 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     p = np.zeros_like(scenario.harvest)
     d = np.zeros_like(scenario.harvest)
     trace = []
@@ -111,7 +106,7 @@ def iterate_best_response(scenario: Scenario, responder,
             p[n], d[n] = responder(env, n)
         v = sum_rate(scenario, p)
         trace.append(v)
-        if abs(v - v_prev) <= eps:
+        if stop(p, v - v_prev):
             converged = True
             break
         v_prev = v
@@ -120,17 +115,23 @@ def iterate_best_response(scenario: Scenario, responder,
                        iterations=len(trace), converged=converged)
 
 
-def solve_mac(scenario: Scenario, eps: float = DEFAULT_EPS,
-              max_iter: int = DEFAULT_MAX_ITER) -> MacSolution:
+def solve_mac(scenario: Scenario, tol: float | None = None,
+              max_iter: int = MAX_ITER) -> MacSolution:
     """Maximum-sum-rate schedule for all users via best-response sweeps.
 
     Per-user wastage is fixed once up front (it does not depend on the
     others), then each sweep re-solves every user against the latest
     schedules, warm-started from that user's boundaries in the previous
-    sweep (solve_reduced's guess).  The returned solution carries each
-    user's segment boundaries, water levels, and effective gains from its
-    final update.
+    sweep (solve_reduced's guess).  Sweeps stop once the duality gap of p
+    is at most tol nats (default GAP_TOL_PER_SLOT per slot) or after
+    max_iter; converged is gap <= tol.  The solution carries each user's
+    segment boundaries, water levels, and effective gains from its final
+    update.
     """
+    if tol is None:
+        tol = GAP_TOL_PER_SLOT * scenario.num_slots
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     n_users = scenario.num_users
     d = np.zeros_like(scenario.harvest)
     e_tilde = np.zeros_like(scenario.harvest)
@@ -149,8 +150,19 @@ def solve_mac(scenario: Scenario, eps: float = DEFAULT_EPS,
         snap_gains[n] = env.gain
         return p_n, d[n]
 
-    sol = iterate_best_response(scenario, respond, eps=eps, max_iter=max_iter)
-    return replace(sol, user_boundaries=boundaries, user_levels=levels,
+    gaps = []
+
+    def stop(p, rate_gain):
+        # a gain above tol shows the iterates are still moving: skip the gap
+        if rate_gain > tol:
+            return False
+        gaps.append(duality_gap(scenario, p))
+        return gaps[-1] <= tol
+
+    sol = iterate_best_response(scenario, respond, stop, max_iter)
+    gap = gaps[-1] if sol.converged else duality_gap(scenario, sol.p)
+    return replace(sol, converged=gap <= tol, gap=gap,
+                   user_boundaries=boundaries, user_levels=levels,
                    user_gains=snap_gains)
 
 

@@ -5,7 +5,7 @@ Contents
 Scenario, UserEnv     immutable problem data (per-slot harvest/gain, caps)
 FeasibilityReport     outcome of a strict constraint check
 cumulative_harvest    per-slot increments -> running totals
-battery_trace         end-of-slot battery levels for one user, no clamping
+user_battery_trace    end-of-slot battery levels for one user, no clamping
 check_feasible        classify a (transmission, wastage) pair
 sum_rate              the objective, in nats
 
@@ -32,7 +32,6 @@ __all__ = [
     "UserEnv",
     "FeasibilityReport",
     "cumulative_harvest",
-    "battery_trace",
     "user_battery_trace",
     "check_feasible",
     "sum_rate",
@@ -259,11 +258,6 @@ def user_battery_trace(harvest, p, d=None) -> np.ndarray:
             raise ValueError("d must have one entry per slot")
         total -= np.cumsum(d)
     return total
-
-
-def battery_trace(scenario: Scenario, user: int, p, d) -> np.ndarray:
-    """End-of-slot battery levels for one user of a scenario."""
-    return user_battery_trace(scenario.harvest[user], p, d)
 
 
 def check_feasible(scenario: Scenario, p, d, tol: float = FEAS_TOL) -> FeasibilityReport:

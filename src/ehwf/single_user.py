@@ -6,7 +6,6 @@ optimal_wastage        minimal-total-wastage forward recurrence
 effective_energy       cumulative harvest net of wastage
 segment_target_energy  energy a boundary pair forces through its segment
 water_fill_segment     capped water-filling at one constant level
-classify_segment       feasible / semi-feasible / infeasible for a segment
 solve_reduced          forward tube walk for the segment boundaries,
                        optionally warm-started from a guessed boundary list
 solve_single           the full pipeline: wastage, then boundary search
@@ -72,7 +71,6 @@ __all__ = [
     "effective_energy",
     "segment_target_energy",
     "water_fill_segment",
-    "classify_segment",
     "solve_reduced",
     "solve_single",
 ]
@@ -239,20 +237,6 @@ def _classify(p, battery, battery_max, power_max, tol=FEAS_TOL):
     return FEASIBLE
 
 
-def classify_segment(p, e_tilde, battery_max, power_max,
-                     base_energy=0.0, start_level=0.0, tol=FEAS_TOL) -> str:
-    """Classify a segment allocation against the battery bounds.
-
-    p and e_tilde are the segment's slice of the allocation and of the
-    cumulative effective energy; base_energy and start_level describe the
-    left boundary (cumulative energy already seen, battery carried in).
-    Semi-feasible means the only violations are levels above battery_max.
-    """
-    p = np.asarray(p, dtype=float)
-    battery = start_level + (np.asarray(e_tilde, dtype=float) - base_energy) - np.cumsum(p)
-    return _classify(p, battery, battery_max, power_max, tol)
-
-
 def _segment_schedule(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     """Fill segment (a, b] for the given boundary kinds and classify it.
 
@@ -399,6 +383,21 @@ def _refill_guess(gains, e_tilde, bmax, cap, guess):
     return p, heights
 
 
+def _check_reachable(e_tilde, battery_max, power_max):
+    """Raise ValueError unless some schedule meets the budget e_tilde.
+
+    cumsum(p) must stay in [e_k - B, e_k] and grow by 0 to P a slot, so
+    its reachable interval goes [lo, hi] -> [max(lo, e_k - B), min(hi +
+    P, e_k)] from [0, 0]; an empty one (beyond FEAS_TOL) has no schedule.
+    """
+    lo = hi = 0.0
+    for k, e_k in enumerate(e_tilde.tolist()):
+        lo, hi = max(lo, e_k - battery_max), min(hi + power_max, e_k)
+        if lo > hi + FEAS_TOL:
+            raise ValueError(f"e_tilde is unreachable: no schedule within the "
+                             f"cap and the battery meets it at slot {k}")
+
+
 def solve_reduced(env: UserEnv, e_tilde, guess=None):
     """Optimal transmission schedule for a fixed cumulative energy budget.
 
@@ -409,12 +408,12 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     positive-gain slot, the saturation level for one whose positive-gain
     slots are all capped).
 
-    e_tilde must hold K finite, nonnegative entries; anything else raises
-    ValueError.  Every fill, the guess check's included, runs on energies
-    divided by a power of two near the mean energy per slot (gains
-    multiplied by it): that scaling is exact in floating point, so p and
-    the heights come back bit for bit, and the absolute tolerances become
-    scale-free.
+    e_tilde must hold K finite, nonnegative entries that some schedule
+    can meet; anything else raises ValueError.  Every fill, the guess
+    check's included, runs on energies divided by a power of two near the
+    mean energy per slot (gains multiplied by it): that scaling is exact
+    in floating point, so p and the heights come back bit for bit, and the
+    absolute tolerances become scale-free.
 
     guess, when given, is a boundary list in that same form, typically
     this user's previous answer.  It is refilled once and returned as the
@@ -462,6 +461,8 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
             p_seg, height, status, _ = _segment_schedule(gains, e, bmax, cap,
                                                          a, kind_a, b, kind_b)
         if status != FEASIBLE:
+            # only a budget no schedule meets gets here; say so
+            _check_reachable(e, bmax, cap)
             raise RuntimeError("closed segment did not fill feasibly")
         p[a:b] = p_seg * scale
         confirmed.append((b, kind_b))

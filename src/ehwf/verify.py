@@ -2,14 +2,16 @@
 
 Contents
 --------
-ReducedPolytope          one user's feasible set with wastage eliminated
+ReducedPolytope          one user's feasible set, wastage eliminated
 reduce_polytope          build it from a UserEnv
 induced_wastage          a concrete wastage schedule for a given p, if any
 kkt_certificate          structural optimality check for one user
-first_order_certificate  global check: no sampled feasible direction improves
+duality_gap              Frank-Wolfe gap: an upper bound on f* - f(p)
+first_order_certificate  global check: the duality gap is within tolerance
 brute_force_tiny         refined grid search for instances with N*K <= 6
 wastage_minimality_check no feasible pair wastes less than the greedy total
 DualCertificate          per-condition results of kkt_certificate
+GAP_TOL_PER_SLOT         default gap tolerance per slot, shared with solve_mac
 
 Eliminating the wastage variables: a wastage schedule making p feasible
 exists iff the cumulative consumption respects causality
@@ -19,6 +21,10 @@ The window family comes from requiring the running maximum of the
 wastage lower bounds E_j - B_max - C_j to stay below the upper bound
 E_k - C_k; that is exactly the condition for a nondecreasing cumulative
 wastage to fit between them.
+
+The reduced set is what one flow network delivers (harvest in, a battery
+of capacity B_max between slots, cap P out, free discard), a polymatroid,
+so Edmonds' greedy maximises a linear function over it exactly.
 """
 
 from __future__ import annotations
@@ -30,15 +36,16 @@ import numpy as np
 
 from .model import FEAS_TOL, GAIN_FLOOR, Scenario, UserEnv, cumulative_harvest
 from .single_user import effective_energy, optimal_wastage
-from .baselines import balanced_policy, greedy_policy
 
 __all__ = [
     "EPS_CERT",
+    "GAP_TOL_PER_SLOT",
     "ReducedPolytope",
     "DualCertificate",
     "reduce_polytope",
     "induced_wastage",
     "kkt_certificate",
+    "duality_gap",
     "first_order_certificate",
     "brute_force_tiny",
     "wastage_minimality_check",
@@ -47,6 +54,10 @@ __all__ = [
 # Relative tolerance on water-level equalities; downstream of the exact
 # segment fill, so residuals this large mean a genuinely broken level.
 EPS_CERT = 1e-7
+
+# Default duality-gap tolerance in nats per slot, for the certificate and
+# for solve_mac's stop rule alike.
+GAP_TOL_PER_SLOT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,30 @@ class ReducedPolytope:
 
     def contains(self, p, tol: float = FEAS_TOL) -> bool:
         return self.violation(p) <= tol
+
+    def max_linear(self, c) -> np.ndarray:
+        """A member q maximising c . q, by Edmonds' greedy.
+
+        In decreasing c > 0, each q_k is raised as far as the cap, the
+        causality of later slots and the battery windows allow: with h =
+        cumsum(q) - cum_energy, by min(P, min(0, B + min_{j<k} h_j) -
+        max_{m>=k} h_m).
+        """
+        c = np.asarray(c, dtype=float).tolist()
+        n = len(c)
+        h = (-self.cum_energy).tolist()
+        q = [0.0] * n
+        for k in sorted(range(n), key=c.__getitem__, reverse=True):
+            if not c[k] > 0.0:
+                break
+            step = min(self.power_max,
+                       min(0.0, self.battery_max + min(h[:k], default=0.0))
+                       - max(h[k:]))
+            if step > 0.0:
+                q[k] = step
+                for m in range(k, n):
+                    h[m] += step
+        return np.array(q)
 
 
 def reduce_polytope(env: UserEnv) -> ReducedPolytope:
@@ -296,84 +331,37 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
                            zero_active=zero_active, boundaries=tuple(boundaries))
 
 
-def _forward_sample(env: UserEnv, fractions) -> np.ndarray:
-    # simulate the battery forward, spending the given fraction of what the
-    # cap and the bank allow; overflow is implicitly wasted
-    p = np.zeros(env.num_slots)
-    level = 0.0
-    for k in range(env.num_slots):
-        avail = level + env.harvest[k]
-        p[k] = fractions[k] * min(env.power_max, avail)
-        level = min(avail - p[k], env.battery_max)
-    return p
+def duality_gap(scenario: Scenario, p) -> float:
+    """Frank-Wolfe gap sum_n max_q grad_n . (q - p_n) of p, in nats.
 
-
-def first_order_certificate(scenario: Scenario, p, num_samples: int = 64,
-                            tol: float | None = None, rng=None):
-    """Test global optimality of p against sampled feasible directions.
-
-    The objective is concave over a convex product set, so p is optimal
-    iff no feasible point has a positive directional derivative from p.
-    Samples mix scaled copies, baseline schedules, random forward
-    simulations, and single-coordinate pushes.  Returns (passed, worst
-    directional derivative); raises when p itself is infeasible.
+    q ranges over user n's reduced polytope and grad is the sum rate's
+    gradient at p.  For a feasible p (not checked) it bounds f* - f(p)
+    from above (Jaggi, "Revisiting Frank-Wolfe", ICML 2013).
     """
     p = np.asarray(p, dtype=float)
-    n_users, n_slots = scenario.num_users, scenario.num_slots
-    if tol is None:
-        tol = 1e-6 * n_slots
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    envs = [scenario.user(n) for n in range(n_users)]
-    for n, env in enumerate(envs):
-        if reduce_polytope(env).violation(p[n]) > FEAS_TOL:
-            raise ValueError(f"schedule of user {n} is infeasible")
-
     grad = scenario.gain / (1.0 + np.sum(p * scenario.gain, axis=0))
+    cum_energy = cumulative_harvest(scenario.harvest)
+    gap = 0.0
+    for n in range(scenario.num_users):
+        poly = ReducedPolytope(cum_energy[n], float(scenario.battery_max[n]),
+                               float(scenario.power_max[n]))
+        gap += float(grad[n] @ (poly.max_linear(grad[n]) - p[n]))
+    return gap
 
-    worst = -np.inf
 
-    def consider(q):
-        nonlocal worst
-        worst = max(worst, float(np.sum(grad * (q - p))))
+def first_order_certificate(scenario: Scenario, p, tol: float | None = None):
+    """Test global optimality of p: (gap <= tol, gap) with duality_gap.
 
-    for t in (0.0, 0.25, 0.5, 0.75):
-        consider(t * p)
-    consider(np.stack([greedy_policy(env)[0] for env in envs]))
-    consider(np.stack([balanced_policy(env)[0] for env in envs]))
-
-    # battery traces under the induced wastage bound the coordinate pushes
-    batteries = []
-    for n, env in enumerate(envs):
-        d_n = induced_wastage(env, p[n])
-        batteries.append(effective_energy(env, d_n) - np.cumsum(p[n]))
-
-    n_random = max(0, num_samples - 6)
-    for i in range(n_random):
-        if i % 2 == 0:
-            # vertex-biased forward simulation for every user
-            q = np.empty_like(p)
-            for n, env in enumerate(envs):
-                u = rng.random(n_slots)
-                f = rng.random(n_slots)
-                f[u < 0.25] = 0.0
-                f[u > 0.75] = 1.0
-                q[n] = _forward_sample(env, f)
-            consider(q)
-        else:
-            # push one coordinate as far as the battery allows
-            n = int(rng.integers(n_users))
-            k = int(rng.integers(n_slots))
-            q = p.copy()
-            if rng.random() < 0.5:
-                slack = float(np.min(batteries[n][k:]))
-                q[n, k] += max(0.0, min(envs[n].power_max - p[n, k], slack))
-            else:
-                q[n, k] -= p[n, k] * (1.0 if rng.random() < 0.5 else rng.random())
-            consider(q)
-
-    return worst <= tol, worst
+    tol defaults to GAP_TOL_PER_SLOT per slot; an infeasible p raises.
+    """
+    p = np.asarray(p, dtype=float)
+    if tol is None:
+        tol = GAP_TOL_PER_SLOT * scenario.num_slots
+    for n in range(scenario.num_users):
+        if reduce_polytope(scenario.user(n)).violation(p[n]) > FEAS_TOL:
+            raise ValueError(f"schedule of user {n} is infeasible")
+    gap = duality_gap(scenario, p)
+    return gap <= tol, gap
 
 
 def brute_force_tiny(scenario: Scenario, grid_resolution: float = 1e-6):

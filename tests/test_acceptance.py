@@ -96,9 +96,9 @@ def test_criterion_3_certificates_pass_everywhere(converged_mac_batch):
     worst_joint = -math.inf
     worst_single = -math.inf
     for scenario, sol in converged_mac_batch:
-        ok, dd = first_order_certificate(scenario, sol.p)
+        ok, gap = first_order_certificate(scenario, sol.p)
         assert ok
-        worst_joint = max(worst_joint, dd)
+        worst_joint = max(worst_joint, gap)
         for n in range(scenario.num_users):
             env = UserEnv(harvest=scenario.harvest[n], gain=sol.user_gains[n],
                           battery_max=float(scenario.battery_max[n]),
@@ -109,21 +109,21 @@ def test_criterion_3_certificates_pass_everywhere(converged_mac_batch):
         env0 = scenario.user(0)
         p0, _, x0, _ = solve_single(env0)
         assert kkt_certificate(env0, p0, x0).passed
-        ok0, dd0 = first_order_certificate(Scenario.single_user(env0),
-                                           p0[None, :])
+        ok0, gap0 = first_order_certificate(Scenario.single_user(env0),
+                                            p0[None, :])
         assert ok0
-        worst_single = max(worst_single, dd0)
+        worst_single = max(worst_single, gap0)
 
-    # greedy on a lopsided channel leaves an improving direction on the table
+    # greedy on a lopsided channel leaves rate on the table
     env = UserEnv(harvest=np.array([5.0, 0.0]), gain=np.array([0.1, 10.0]),
                   battery_max=100.0, power_max=100.0)
     _, p_greedy, _ = optimal_wastage(env)
-    ok, dd = first_order_certificate(Scenario.single_user(env),
-                                     p_greedy[None, :])
-    assert not ok and dd > 0.0
+    ok, gap = first_order_certificate(Scenario.single_user(env),
+                                      p_greedy[None, :])
+    assert not ok and gap > 0.0
     print(f"criterion 3 PASS: certificates hold on 500 converged five-user "
-          f"instances (worst joint dd {worst_joint:.2e}, worst single-user dd "
-          f"{worst_single:.2e}, tol 2e-5); greedy flagged with dd {dd:.2f} > 0")
+          f"instances (worst joint gap {worst_joint:.2e}, worst single-user gap "
+          f"{worst_single:.2e}, tol 2e-5); greedy flagged with gap {gap:.2f} > 0")
 
 
 def test_criterion_4_wastage_minimality_and_reschedule():

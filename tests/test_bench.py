@@ -202,8 +202,22 @@ def test_cli_solve_certify(tmp_path, capsys):
     rc = cli_main(["solve", "--in", str(path), "--certify"])
     out = capsys.readouterr().out
     assert rc == 0
+    assert "converged: yes" in out
     assert "certificate: PASS" in out
+    assert "duality_gap:" in out
     assert "sum_rate_nats:" in out
+
+
+def test_cli_solve_reports_unconverged_solve(tmp_path, capsys):
+    path = tmp_path / "sc.json"
+    assert cli_main(["gen", "--n", "3", "--k", "6", "--seed", "3",
+                     "--out", str(path)]) == 0
+    capsys.readouterr()
+    rc = cli_main(["solve", "--in", str(path), "--max-iter", "1", "--certify"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "converged: no" in out
+    assert "certificate: FAIL" in out
 
 
 def test_cli_solve_baseline_policy(tmp_path, capsys):

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehwf.mac import (best_response, effective_gain, first_iteration_gap_bound,
+from ehwf.baselines import iterative_modified_staircase
+from ehwf.mac import (effective_gain, first_iteration_gap_bound,
                       iterate_best_response, solve_mac)
 from ehwf.model import Scenario, UserEnv, sum_rate
-from ehwf.single_user import solve_single
-from ehwf.verify import brute_force_tiny
+from ehwf.single_user import (effective_energy, optimal_wastage, solve_reduced,
+                              solve_single)
+from ehwf.verify import brute_force_tiny, duality_gap
 
 from conftest import finite_energy, finite_gain
 
@@ -23,6 +25,15 @@ def random_scenario(rng, n, k, bmax=20.0, pmax=15.0):
     return scenario_of(rng.uniform(0, 10, (n, k)),
                        rng.exponential(1.0, (n, k)),
                        np.full(n, bmax), np.full(n, pmax))
+
+
+def best_response(sc, p, n):
+    # user n's optimal schedule against the others' fixed schedules: the
+    # single-user solve on its effective gains
+    env = UserEnv(sc.harvest[n], effective_gain(sc, p, n),
+                  float(sc.battery_max[n]), float(sc.power_max[n]))
+    d_star, _, _ = optimal_wastage(env)
+    return solve_reduced(env, effective_energy(env, d_star))[0]
 
 
 def test_effective_gain_values():
@@ -120,21 +131,34 @@ def test_solve_mac_trace_is_monotone():
 
 
 def test_solve_mac_fixed_point():
-    # a value gap of eps only pins the schedule to ~sqrt(eps), so converge
+    # a value gap of tol only pins the schedule to ~sqrt(tol), so converge
     # far below the target parameter tolerance before testing stationarity
     rng = np.random.default_rng(8)
     sc = random_scenario(rng, 3, 8)
-    sol = solve_mac(sc, eps=1e-13, max_iter=300)
+    sol = solve_mac(sc, tol=1e-13, max_iter=300)
     assert sol.converged
     for n in range(3):
         again = best_response(sc, sol.p, n)
         assert np.max(np.abs(again - sol.p[n])) < 1e-6
 
 
+def test_solve_mac_stops_on_the_duality_gap():
+    rng = np.random.default_rng(13)
+    sc = random_scenario(rng, 5, 20)
+    sol = solve_mac(sc)
+    assert sol.converged
+    assert sol.gap == duality_gap(sc, sol.p) <= 1e-6 * 20
+    # one sweep leaves a gap; the budget runs out and the solution says so
+    first = solve_mac(sc, max_iter=1)
+    assert not first.converged
+    assert first.gap == duality_gap(sc, first.p) > 1e-6 * 20
+    assert iterative_modified_staircase(sc).gap is None
+
+
 def test_solve_mac_respects_max_iter():
     rng = np.random.default_rng(9)
     sc = random_scenario(rng, 3, 6)
-    sol = solve_mac(sc, eps=1e-300, max_iter=4)
+    sol = solve_mac(sc, tol=1e-300, max_iter=4)
     assert sol.iterations == 4
     assert not sol.converged
 
@@ -142,7 +166,7 @@ def test_solve_mac_respects_max_iter():
 def test_solve_mac_rejects_bad_arguments():
     sc = scenario_of([[1.0]], [[1.0]], [1], [1])
     with pytest.raises(ValueError):
-        solve_mac(sc, eps=0.0)
+        solve_mac(sc, tol=0.0)
     with pytest.raises(ValueError):
         solve_mac(sc, max_iter=0)
 
@@ -151,7 +175,8 @@ def test_iterate_best_response_generic_loop():
     rng = np.random.default_rng(10)
     sc = random_scenario(rng, 2, 4)
     sol = iterate_best_response(
-        sc, lambda env, n: (np.zeros(env.num_slots), np.zeros(env.num_slots)))
+        sc, lambda env, n: (np.zeros(env.num_slots), np.zeros(env.num_slots)),
+        lambda p, rate_gain: abs(rate_gain) <= 1e-5, max_iter=50)
     assert not sol.p.any()
     assert sol.converged
     assert sol.iterations == 1            # zero schedule matches V(0) = 0

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehwf.model import (FEASIBLE, INFEASIBLE, SEMI_FEASIBLE, Scenario, UserEnv,
-                        battery_trace, check_feasible, cumulative_harvest,
-                        sum_rate, user_battery_trace)
+                        check_feasible, cumulative_harvest, sum_rate,
+                        user_battery_trace)
 from ehwf.single_user import optimal_wastage
 
 import _oracles
@@ -30,17 +30,16 @@ def test_cumulative_harvest_values():
 
 
 def test_battery_trace_values():
-    sc = scenario_1u([10, 2])
-    assert battery_trace(sc, 0, [4, 4], [3, 0]).tolist() == [3, 1]
+    assert user_battery_trace([10, 2], [4, 4], [3, 0]).tolist() == [3, 1]
     # zero consumption leaves the cumulative harvest
-    assert battery_trace(sc, 0, [0, 0], [0, 0]).tolist() == [10, 12]
+    assert user_battery_trace([10, 2], [0, 0], [0, 0]).tolist() == [10, 12]
     assert user_battery_trace([1], [2], [0]).tolist() == [-1]
 
 
 def test_battery_trace_shape_errors():
     sc = scenario_1u([1, 2])
     with pytest.raises(ValueError):
-        battery_trace(sc, 0, [1], [0, 0])
+        user_battery_trace([1, 2], [1], [0, 0])
     with pytest.raises(ValueError):
         check_feasible(sc, np.zeros((1, 3)), np.zeros((1, 2)))
 
@@ -218,6 +217,6 @@ def test_feasible_implies_battery_in_bounds(env, data):
     sc = Scenario.single_user(env)
     report = check_feasible(sc, p[None, :], np.array(d)[None, :])
     assert report.status == FEASIBLE
-    levels = battery_trace(sc, 0, p, d)
+    levels = user_battery_trace(env.harvest, p, d)
     assert (levels >= -1e-9).all()
     assert (levels <= env.battery_max + 1e-9).all()

@@ -182,9 +182,14 @@ def test_long_fills_go_through_water_fill_segment(monkeypatch):
 
 def test_classify_segment_statuses():
     e = np.array([2.0, 4.0])
-    assert su.classify_segment([1.0, 1.0], e, 5.0, 10.0) == FEASIBLE
-    assert su.classify_segment([0.0, 0.0], e, 3.5, 10.0) == SEMI_FEASIBLE
-    assert su.classify_segment([2.1, 0.0], e, 5.0, 10.0) == INFEASIBLE
+
+    def classify(p, battery_max, power_max):
+        p = np.array(p)
+        return su._classify(p, e - np.cumsum(p), battery_max, power_max)
+
+    assert classify([1.0, 1.0], 5.0, 10.0) == FEASIBLE
+    assert classify([0.0, 0.0], 3.5, 10.0) == SEMI_FEASIBLE
+    assert classify([2.1, 0.0], 5.0, 10.0) == INFEASIBLE
 
 
 # ---- full single-user solve --------------------------------------------------
@@ -340,6 +345,15 @@ def test_edge_case_guesses_match_cold_result(harvest, gain, bmax, pmax,
 def test_bad_e_tilde_raises(e_tilde):
     with pytest.raises(ValueError, match="e_tilde"):
         su.solve_reduced(env_of([1.0, 1.0]), e_tilde)
+
+
+@pytest.mark.parametrize("bmax, pmax, e_tilde", [
+    (0.0, 100.0, [2.0, 1.0]),     # with no battery, a budget that falls
+    (20.0, 1.0, [0.0, 100.0]),    # more than the cap can spend in time
+])
+def test_unreachable_e_tilde_raises(bmax, pmax, e_tilde):
+    with pytest.raises(ValueError, match="e_tilde is unreachable"):
+        su.solve_reduced(env_of([1.0, 1.0], bmax=bmax, pmax=pmax), e_tilde)
 
 
 @pytest.mark.parametrize("guess", [

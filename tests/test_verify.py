@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from ehwf.model import Scenario, UserEnv, check_feasible, sum_rate
 from ehwf.single_user import optimal_wastage, solve_single
-from ehwf.verify import (brute_force_tiny, first_order_certificate,
-                         induced_wastage, kkt_certificate, reduce_polytope,
+from ehwf.verify import (ReducedPolytope, brute_force_tiny, duality_gap,
+                         first_order_certificate, induced_wastage,
+                         kkt_certificate, reduce_polytope,
                          wastage_minimality_check)
 
 import _oracles
@@ -110,14 +112,78 @@ def test_kkt_certificate_rejects_malformed_boundaries():
         kkt_certificate(env, [1.0, 1.0], [(0, "BDP"), (1, "BDP")])
 
 
+# ---- exact linear maximiser and duality gap ------------------------------------
+
+def _lp_max(poly, c):
+    # max c.q over the reduced polytope, written out row by row for HiGHS
+    k = c.size
+    lower = np.tril(np.ones((k, k)))
+    rows, rhs = list(lower), list(poly.cum_energy)
+    if math.isfinite(poly.battery_max):
+        for j in range(k):
+            for m in range(j + 1, k):
+                rows.append(lower[m] - lower[j])
+                rhs.append(poly.cum_energy[m] - poly.cum_energy[j] + poly.battery_max)
+    cap = poly.power_max if math.isfinite(poly.power_max) else None
+    res = linprog(-c, A_ub=np.array(rows), b_ub=np.array(rhs),
+                  bounds=[(0.0, cap)] * k, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_max_linear_matches_linprog():
+    rng = np.random.default_rng(21)
+    for i in range(300):
+        k = int(rng.integers(1, 25))
+        harvest = rng.uniform(0.0, 10.0, k) * (rng.random(k) > 0.2)
+        if i % 10 == 0:
+            harvest[:] = 0.0
+        c = rng.exponential(1.0, k) * (rng.random(k) > 0.2)
+        c[rng.random(k) < 0.1] *= -1.0
+        poly = ReducedPolytope(np.cumsum(harvest), (0.0, 0.5, 5.0, 20.0, math.inf)[i % 5],
+                               (1.0, 3.0, 15.0, math.inf)[(i // 5) % 4])
+        q = poly.max_linear(c)
+        assert poly.contains(q)
+        want = _lp_max(poly, c)
+        assert abs(float(c @ q) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def _forward_schedule(env, rng):
+    # spend a random fraction of what the cap and the bank allow, often all
+    # or nothing; overflow is wasted, so the schedule is feasible
+    p = np.zeros(env.num_slots)
+    level = 0.0
+    for k in range(env.num_slots):
+        avail = level + env.harvest[k]
+        u = rng.random()
+        frac = 0.0 if u < 0.25 else 1.0 if u > 0.75 else rng.random()
+        p[k] = frac * min(env.power_max, avail)
+        level = min(avail - p[k], env.battery_max)
+    return p
+
+
+def test_duality_gap_bounds_grid_suboptimality():
+    rng = np.random.default_rng(22)
+    for i in range(24):
+        n, k = ((1, 2), (1, 3), (2, 1), (2, 2))[i % 4]
+        sc = Scenario(harvest=rng.uniform(0.0, 6.0, (n, k)),
+                      gain=rng.exponential(1.0, (n, k)),
+                      battery_max=np.full(n, (0.5, 2.0, 20.0)[i % 3]),
+                      power_max=np.full(n, (1.0, 4.0)[(i // 3) % 2]))
+        _, v_grid = brute_force_tiny(sc)
+        for _ in range(5):
+            p = np.stack([_forward_schedule(sc.user(m), rng) for m in range(n)])
+            assert duality_gap(sc, p) >= v_grid - sum_rate(sc, p) - 1e-9
+
+
 # ---- first-order certificate ----------------------------------------------------
 
 def test_first_order_accepts_solver_output():
     env = env_of([3, 0, 0], bmax=5.0, pmax=10.0)
     p, _, _, _ = solve_single(env)
-    ok, worst = first_order_certificate(Scenario.single_user(env), p[None, :])
+    ok, gap = first_order_certificate(Scenario.single_user(env), p[None, :])
     assert ok
-    assert worst <= 1e-6 * 3
+    assert gap <= 1e-6 * 3
 
 
 def test_first_order_finds_greedy_improvement():
@@ -125,18 +191,18 @@ def test_first_order_finds_greedy_improvement():
     # slot is an improving feasible direction
     env = env_of([5, 0], gain=[0.1, 10.0], bmax=100.0, pmax=100.0)
     p_greedy = optimal_wastage(env)[1]
-    ok, worst = first_order_certificate(Scenario.single_user(env),
-                                        p_greedy[None, :])
+    ok, gap = first_order_certificate(Scenario.single_user(env),
+                                      p_greedy[None, :])
     assert not ok
-    assert worst > 1.0
+    assert gap > 1.0
 
 
 def test_first_order_zero_harvest_vacuous():
     sc = Scenario(harvest=np.zeros((1, 3)), gain=np.ones((1, 3)),
                   battery_max=np.array([5.0]), power_max=np.array([5.0]))
-    ok, worst = first_order_certificate(sc, np.zeros((1, 3)))
+    ok, gap = first_order_certificate(sc, np.zeros((1, 3)))
     assert ok
-    assert worst <= 0.0 + 1e-12
+    assert gap <= 0.0 + 1e-12
 
 
 def test_first_order_rejects_infeasible_input():
