@@ -58,15 +58,18 @@ def _as_float_array(x, name, ndim):
     return arr
 
 
-def _check_entries(harvest, gain, battery_max, power_max):
-    # NaN passes every ordered comparison, so it is rejected explicitly.
-    # Infinite caps stay allowed: they mean "no limit".
+def _check_entries(harvest, gain, caps):
+    # One pass per array when all is well (NaN fails both comparisons); the
+    # message is worked out only on failure.  Infinite caps mean "no limit".
+    if (((harvest >= 0) & (harvest < math.inf)).all()
+            and ((gain >= 0) & (gain < math.inf)).all()
+            and not any(map(math.isnan, caps))):
+        return
     if not (np.isfinite(harvest).all() and np.isfinite(gain).all()):
         raise ValueError("harvest and gain entries must be finite")
-    if np.isnan(battery_max).any() or np.isnan(power_max).any():
+    if any(map(math.isnan, caps)):
         raise ValueError("battery_max and power_max must not be NaN")
-    if (harvest < 0).any() or (gain < 0).any():
-        raise ValueError("harvest and gain entries must be nonnegative")
+    raise ValueError("harvest and gain entries must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class UserEnv:
         gain = _as_float_array(self.gain, "gain", 1)
         if harvest.shape != gain.shape:
             raise ValueError("harvest and gain must have the same length")
-        _check_entries(harvest, gain, self.battery_max, self.power_max)
+        _check_entries(harvest, gain, (self.battery_max, self.power_max))
         if self.battery_max < 0 or self.power_max < 0:
             raise ValueError("battery_max and power_max must be nonnegative")
         harvest.setflags(write=False)
@@ -135,7 +138,7 @@ class Scenario:
             raise ValueError("gain shape does not match harvest shape")
         if battery_max.shape != (n,) or power_max.shape != (n,):
             raise ValueError("battery_max and power_max must have one entry per user")
-        _check_entries(harvest, gain, battery_max, power_max)
+        _check_entries(harvest, gain, battery_max.tolist() + power_max.tolist())
         if (battery_max <= 0).any() or (power_max <= 0).any():
             raise ValueError("battery_max and power_max must be positive")
         for arr, nm in ((harvest, "harvest"), (gain, "gain"),

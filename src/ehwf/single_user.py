@@ -33,9 +33,14 @@ power of two near the mean energy per slot, so their absolute tolerances
 mean the same at any scale.
 
 Every segment, whatever its length, is filled once by water_fill_segment
-and classified by one battery cumsum.  Its water level, and the walk's
-prefix levels, come from one level function: a sweep over the slots'
-sorted fill and saturation breakpoints that stops at the target.
+and classified by one running battery sum.  Its water level, and the
+walk's prefix levels, come from one level function: a sweep over the
+slots' sorted fill and saturation breakpoints that stops at the target.
+That layer (fill, level, target, classification, warm-start check) runs
+on Python floats converted once per solve: its segments are a few slots
+long, where a numpy call costs more than its arithmetic.  Python's float
+operations are numpy's elementwise ones and the running battery sums add
+in np.cumsum's order, so results are bit for bit those of array code.
 
 solve_reduced(env, e_tilde, guess=boundaries) first refills the guessed
 segments once each and returns them untouched when they meet the KKT
@@ -85,10 +90,11 @@ def _clip_to_battery(env: UserEnv, want):
     (p, d, battery): consumption, wastage and end-of-slot battery level.
     """
     bmax, cap = env.battery_max, env.power_max
-    wants = np.broadcast_to(want, env.harvest.shape).tolist()
+    harvest = env.harvest.tolist()
+    wants = want.tolist() if isinstance(want, np.ndarray) else [float(want)] * len(harvest)
     p, d, battery = [], [], []
     level = 0.0
-    for h, w in zip(env.harvest.tolist(), wants):
+    for h, w in zip(harvest, wants):
         avail = level + h
         p_k = min(w, cap, avail)
         level = avail - p_k
@@ -123,9 +129,9 @@ def segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max)
     Boundary slots use the 1-based convention: boundary a is the end of
     slot a, so the segment covers slots a+1 .. b.  A BFP start adds a
     battery's worth of stored energy; a BFP end leaves one behind.  The
-    per-slot cap bounds the total at (b-a) * power_max.
+    per-slot cap bounds the total at (b-a) * power_max.  e_tilde is a
+    list or an array.
     """
-    e_tilde = np.asarray(e_tilde, dtype=float)
     e_a = e_tilde[a - 1] if a > 0 else 0.0
     e_b = e_tilde[b - 1]
     swing = (battery_max if kind_a == BFP else 0.0) \
@@ -147,7 +153,7 @@ class SegmentSolution:
 
     @property
     def height(self) -> float:
-        return 0.0 if not np.isfinite(self.w) else 1.0 / self.w
+        return 0.0 if not math.isfinite(self.w) else 1.0 / self.w
 
 
 def water_fill_segment(gains, target_energy, power_max) -> SegmentSolution:
@@ -155,45 +161,46 @@ def water_fill_segment(gains, target_energy, power_max) -> SegmentSolution:
 
     Solves sum_k min(P, max(0, L - 1/gain_k)) = target_energy for the level
     L exactly (see _fill_level).  Zero-gain slots always get 0, as do slots
-    whose gain is too small to invert.  Returns p and w = 1/L.
+    whose gain is too small to invert.  gains is a list of floats or an
+    array.  Returns p (an array) and w = 1/L.
     """
-    gains = np.asarray(gains, dtype=float)
+    if not isinstance(gains, list):
+        gains = np.asarray(gains, dtype=float).tolist()
     cap = float(power_max)
     target = float(target_energy)
-    p = np.zeros(gains.size)
     if target <= 0.0:
-        return SegmentSolution(p=p, w=np.inf)
+        return SegmentSolution(p=np.zeros(len(gains)), w=math.inf)
 
-    pos = gains > GAIN_FLOOR
-    npos = int(np.count_nonzero(pos))
+    inv = [1.0 / g for g in gains if g > GAIN_FLOOR]
+    npos = len(inv)
     if npos == 0:
         raise ValueError("cannot water-fill positive energy over all-zero gains")
     if math.isfinite(cap):
-        if target > gains.size * cap + FEAS_TOL:
+        if target > len(gains) * cap + FEAS_TOL:
             raise ValueError("target energy exceeds segment capacity")
         if target > npos * cap + FEAS_TOL:
             raise ValueError("target energy exceeds positive-gain slot capacity")
         target = min(target, npos * cap)
 
-    inv = 1.0 / gains[pos]
     level = _fill_level(inv, cap, target)
-    p[pos] = np.minimum(np.maximum(level - inv, 0.0), cap)
+    p = [min(max(level - 1.0 / g, 0.0), cap) if g > GAIN_FLOOR else 0.0
+         for g in gains]
     # One exact correction pass: spread the float residual over the slots
     # strictly between the bounds, where the level actually moves mass.
-    resid = target - math.fsum(p.tolist())
+    resid = target - math.fsum(p)
     if resid != 0.0:
-        interior = (p > 0.0) & (p < cap)
-        n_int = int(np.count_nonzero(interior))
-        if n_int:
-            p[interior] += resid / n_int
-            np.minimum(np.maximum(p, 0.0, out=p), cap, out=p)
-    return SegmentSolution(p=p, w=1.0 / level)
+        interior = [i for i, x in enumerate(p) if 0.0 < x < cap]
+        if interior:
+            step = resid / len(interior)
+            for i in interior:
+                p[i] = min(max(p[i] + step, 0.0), cap)
+    return SegmentSolution(p=np.array(p), w=1.0 / level)
 
 
 def _fill_level(inv, cap, target):
     """Smallest water level whose total draw over these slots reaches target.
 
-    inv holds the inverse gains (an array, target > 0); each slot draws
+    inv holds the inverse gains (a list, target > 0); each slot draws
     clamp(level - inv, 0, cap), so the total is piecewise linear and
     nondecreasing in the level, with a slope that rises by one where a slot
     starts filling (inv) and drops by one where it saturates (inv + cap).
@@ -202,7 +209,7 @@ def _fill_level(inv, cap, target):
     or above the total capacity returns the level where every slot
     saturates.
     """
-    starts = sorted(inv.tolist())
+    starts = sorted(inv)
     ends = [v + cap for v in starts] if math.isfinite(cap) else []
     n, m = len(starts), len(ends)
     i = j = slope = 0
@@ -230,9 +237,9 @@ def _fill_level(inv, cap, target):
 def _classify(p, battery, battery_max, power_max, tol=FEAS_TOL):
     # the one segment status rule: p out of [0, P] or a negative battery is
     # infeasible; a battery above capacity alone is semi-feasible
-    if p.min() < -tol or p.max() > power_max + tol or battery.min() < -tol:
+    if min(p) < -tol or max(p) > power_max + tol or min(battery) < -tol:
         return INFEASIBLE
-    if battery.max() > battery_max + tol:
+    if max(battery) > battery_max + tol:
         return SEMI_FEASIBLE
     return FEASIBLE
 
@@ -240,24 +247,28 @@ def _classify(p, battery, battery_max, power_max, tol=FEAS_TOL):
 def _segment_schedule(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     """Fill segment (a, b] for the given boundary kinds and classify it.
 
-    Returns (p_segment, height, status, battery).  Energy the boundary
+    gains and e_tilde are lists of floats.  Returns (p_segment, height,
+    status, battery), the first and last as lists.  Energy the boundary
     condition forces through the segment beyond what its positive-gain
     slots carry under the cap is burned evenly on its zero-gain slots; it
     contributes no rate either way.
     """
     target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max)
     gains = gains[a:b]
-    zero = gains <= GAIN_FLOOR
-    npos = b - a - int(np.count_nonzero(zero))
+    npos = sum(g > GAIN_FLOOR for g in gains)
     fill_target = min(target, npos * power_max) if npos else 0.0
     sol = water_fill_segment(gains, fill_target, power_max)
-    p_seg = sol.p
+    p_seg = sol.p.tolist()
     surplus = target - fill_target
     if surplus > 0.0:
-        p_seg[zero] = surplus / (b - a - npos)
-    base = float(e_tilde[a - 1]) if a > 0 else 0.0
+        burn = surplus / (b - a - npos)
+        p_seg = [x if g > GAIN_FLOOR else burn for g, x in zip(gains, p_seg)]
+    base = e_tilde[a - 1] if a > 0 else 0.0
     start = battery_max if kind_a == BFP else 0.0
-    battery = start + (e_tilde[a:b] - base) - np.cumsum(p_seg)
+    battery, drawn = [], 0.0
+    for e_k, p_k in zip(e_tilde[a:b], p_seg):
+        drawn += p_k
+        battery.append(start + (e_k - base) - drawn)
     return p_seg, sol.height, _classify(p_seg, battery, battery_max, power_max), battery
 
 
@@ -310,12 +321,12 @@ def _close_segment(inv, e_tilde, battery_max, power_max, a, kind_a):
             return a + lo_at, BFP
         if at_hi >= u - FEAS_TOL:
             if at_hi > u + FEAS_TOL:
-                hi = _fill_level(inv[:j + 1], power_max, u)
+                hi = _fill_level(inv[:j + 1].tolist(), power_max, u)
                 draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
             hi_at = j + 1
         if at_lo <= l + FEAS_TOL:
             if at_lo < l - FEAS_TOL:
-                lo = _fill_level(inv[:j + 1], power_max, l)
+                lo = _fill_level(inv[:j + 1].tolist(), power_max, l)
                 draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
             lo_at = j + 1
 
@@ -354,14 +365,15 @@ def _refill_guess(gains, e_tilde, bmax, cap, guess):
     segment.  Where a level is flat or a battery bound is touched inside a
     segment, several lists describe one schedule (B = 0 is the extreme
     case), and the walk, which gives ties to the later prefix, may have
-    chosen another; such guesses fall back.  Returns None otherwise.
+    chosen another; such guesses fall back.  gains and e_tilde are lists
+    of floats, and so is the p returned.  Returns None otherwise.
     """
     if guess[-1][1] != BDP:
         return None
-    p = np.zeros(len(gains))
+    p = []
     heights = []
     for (a, kind_a), (b, kind_b) in zip(guess, guess[1:]):
-        if not gains[a:b].min() > GAIN_FLOOR:
+        if not min(gains[a:b]) > GAIN_FLOOR:
             return None
         # a slot strictly inside (0, P) also puts the target strictly inside
         # (0, (b-a)*P), so the boundary levels are met exactly
@@ -369,16 +381,15 @@ def _refill_guess(gains, e_tilde, bmax, cap, guess):
             gains, e_tilde, bmax, cap, a, kind_a, b, kind_b)
         if status != FEASIBLE:
             return None
-        if not ((p_seg > FEAS_TOL) & (p_seg < cap - FEAS_TOL)).any():
+        if not any(FEAS_TOL < x < cap - FEAS_TOL for x in p_seg):
             return None
-        inner = battery[:-1]
-        if not ((inner > FEAS_TOL) & (inner < bmax - FEAS_TOL)).all():
+        if not all(FEAS_TOL < x < bmax - FEAS_TOL for x in battery[:-1]):
             return None
         if heights:
             rise = (height - heights[-1]) * (1.0 if kind_a == BDP else -1.0)
             if not rise > FEAS_TOL * max(1.0, heights[-1]):
                 return None
-        p[a:b] = p_seg
+        p += p_seg
         heights.append(height)
     return p, heights
 
@@ -391,7 +402,7 @@ def _check_reachable(e_tilde, battery_max, power_max):
     P, e_k)] from [0, 0]; an empty one (beyond FEAS_TOL) has no schedule.
     """
     lo = hi = 0.0
-    for k, e_k in enumerate(e_tilde.tolist()):
+    for k, e_k in enumerate(e_tilde):
         lo, hi = max(lo, e_k - battery_max), min(hi + power_max, e_k)
         if lo > hi + FEAS_TOL:
             raise ValueError(f"e_tilde is unreachable: no schedule within the "
@@ -432,25 +443,28 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     if e_tilde.shape != (k_slots,):
         raise ValueError(f"e_tilde must hold one entry per slot ({k_slots}), "
                          f"got shape {e_tilde.shape}")
-    if not (np.isfinite(e_tilde).all() and (e_tilde >= 0.0).all()):
+    if not ((e_tilde >= 0.0) & (e_tilde < math.inf)).all():
         raise ValueError("e_tilde entries must be finite and nonnegative")
     total = float(e_tilde[-1]) if k_slots else 0.0
     scale = 2.0 ** round(math.log2(total / k_slots)) if total > 0.0 else 1.0
     e = e_tilde / scale
     bmax, cap = env.battery_max / scale, env.power_max / scale
     gains = env.gain * scale
+    # segments are filled and checked on Python floats: the same IEEE
+    # operations as numpy's, without a numpy call per few-slot segment
+    gain_list, e_list = gains.tolist(), e.tolist()
     if guess is not None:
         guess = _checked_guess(guess, k_slots)
-        warm = _refill_guess(gains, e, bmax, cap, guess)
+        warm = _refill_guess(gain_list, e_list, bmax, cap, guess)
         if warm is not None:
-            return warm[0] * scale, guess, [h * scale for h in warm[1]]
+            return np.array(warm[0]) * scale, guess, [h * scale for h in warm[1]]
     pos = gains > GAIN_FLOOR
     inv = np.empty(k_slots)
     inv[pos] = 1.0 / gains[pos]
     # the burn level: at or above it every positive-gain slot draws its cap
     # or more than the whole budget
     inv[~pos] = (inv[pos].max() if pos.any() else 0.0) + min(cap, total / scale) + 1.0
-    p = np.zeros(k_slots)
+    p = []
     confirmed = [(0, BDP)]
     heights = []
     while confirmed[-1][0] < k_slots:
@@ -458,16 +472,16 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
         b, kind_b = _close_segment(inv, e, bmax, cap, a, kind_a)
         status = INFEASIBLE     # an empty segment: the budget dips below zero
         if b > a:
-            p_seg, height, status, _ = _segment_schedule(gains, e, bmax, cap,
-                                                         a, kind_a, b, kind_b)
+            p_seg, height, status, _ = _segment_schedule(
+                gain_list, e_list, bmax, cap, a, kind_a, b, kind_b)
         if status != FEASIBLE:
             # only a budget no schedule meets gets here; say so
-            _check_reachable(e, bmax, cap)
+            _check_reachable(e_list, bmax, cap)
             raise RuntimeError("closed segment did not fill feasibly")
-        p[a:b] = p_seg * scale
+        p += p_seg
         confirmed.append((b, kind_b))
         heights.append(height * scale)
-    return p, confirmed, heights
+    return np.array(p) * scale, confirmed, heights
 
 
 def solve_single(env: UserEnv):

@@ -2,10 +2,15 @@
 
 Everything here is written the slow, obvious way on purpose: plain loops,
 bisection instead of breakpoint sweeps, no shared code with the package.
-If the library and these disagree, trust neither and investigate.
+If the library and these disagree, trust neither and investigate.  The
+one exception is wf_array_reference, the package's earlier numpy segment
+fill, kept as it was to hold the current fill to the same bits.
 """
 
 import math
+import sys
+
+import numpy as np
 
 
 def cumulative_loop(harvest):
@@ -105,3 +110,75 @@ def overflow_wastage_loop(harvest, battery_max, p):
         level -= dk
         d.append(dk)
     return d
+
+
+# The package's constants, restated so this file shares no code with it.
+GAIN_FLOOR = 1.0 / sys.float_info.max
+FEAS_TOL = 1e-9
+
+
+def wf_array_reference(gains, target_energy, power_max):
+    """The numpy segment fill that the list-based water_fill_segment replaced.
+
+    Kept unchanged, with its level sweep, as the bit-for-bit reference: the
+    list fill performs the same IEEE operations in the same order, so p and
+    w must match exactly, not just closely.  Returns (p, w).
+    """
+    gains = np.asarray(gains, dtype=float)
+    cap = float(power_max)
+    target = float(target_energy)
+    p = np.zeros(gains.size)
+    if target <= 0.0:
+        return p, np.inf
+
+    pos = gains > GAIN_FLOOR
+    npos = int(np.count_nonzero(pos))
+    if npos == 0:
+        raise ValueError("cannot water-fill positive energy over all-zero gains")
+    if math.isfinite(cap):
+        if target > gains.size * cap + FEAS_TOL:
+            raise ValueError("target energy exceeds segment capacity")
+        if target > npos * cap + FEAS_TOL:
+            raise ValueError("target energy exceeds positive-gain slot capacity")
+        target = min(target, npos * cap)
+
+    inv = 1.0 / gains[pos]
+    level = _array_fill_level(inv, cap, target)
+    p[pos] = np.minimum(np.maximum(level - inv, 0.0), cap)
+    # One exact correction pass: spread the float residual over the slots
+    # strictly between the bounds, where the level actually moves mass.
+    resid = target - math.fsum(p.tolist())
+    if resid != 0.0:
+        interior = (p > 0.0) & (p < cap)
+        n_int = int(np.count_nonzero(interior))
+        if n_int:
+            p[interior] += resid / n_int
+            np.minimum(np.maximum(p, 0.0, out=p), cap, out=p)
+    return p, 1.0 / level
+
+
+def _array_fill_level(inv, cap, target):
+    # the merged breakpoint sweep over an array of inverse gains
+    starts = sorted(inv.tolist())
+    ends = [v + cap for v in starts] if math.isfinite(cap) else []
+    n, m = len(starts), len(ends)
+    i = j = slope = 0
+    total = 0.0
+    prev = starts[0]
+    while i < n or j < m:
+        if j < m and (i == n or ends[j] <= starts[i]):
+            x = ends[j]
+            j += 1
+            delta = -1
+        else:
+            x = starts[i]
+            i += 1
+            delta = 1
+        if x > prev and slope > 0:
+            step = slope * (x - prev)
+            if total + step >= target:
+                return prev + (target - total) / slope
+            total += step
+        prev = x
+        slope += delta
+    return prev if m else prev + (target - total) / slope

@@ -118,12 +118,11 @@ def test_water_fill_segment_errors():
         su.water_fill_segment(np.ones(2), 11.0, 5.0)
 
 
-@given(st.data())
-@settings(max_examples=150)
-def test_water_fill_matches_bisection_oracle(data):
+def draw_fill_case(data):
     # short and long spans, and spans whose inverse gains sit on a grid of
     # cap multiples, where one slot saturates exactly where another starts
-    # filling; long draws keep zero gains rare
+    # filling; long draws keep zero gains rare.  Returns (gains, cap, hi),
+    # hi the most energy the positive-gain slots take (50 with no cap).
     k = data.draw(st.one_of(st.integers(min_value=1, max_value=10),
                             st.integers(min_value=48, max_value=120)))
     if data.draw(st.booleans()):
@@ -144,11 +143,52 @@ def test_water_fill_matches_bisection_oracle(data):
         gains[0] = 1.0
     npos = sum(1 for g in gains if g > 0)
     hi = npos * cap if math.isfinite(cap) else 50.0
+    return gains, cap, hi
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_water_fill_matches_bisection_oracle(data):
+    gains, cap, hi = draw_fill_case(data)
     target = data.draw(st.floats(min_value=0.0, max_value=hi))
     sol = su.water_fill_segment(np.array(gains), target, cap)
     ref = _oracles.wf_bisection(gains, target, cap)
     assert np.allclose(sol.p, ref, atol=1e-6)
     assert abs(math.fsum(sol.p.tolist()) - min(target, hi)) <= 1e-10 * max(1.0, target)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_list_fill_matches_array_fill_bit_for_bit(data):
+    # the fill runs on Python floats; the numpy fill it replaced is the
+    # reference, and every bit of p and w must agree, for list and array
+    # gains alike
+    gains, cap, hi = draw_fill_case(data)
+    target = data.draw(st.one_of(st.just(0.0), st.just(hi),
+                                 st.floats(min_value=0.0, max_value=hi)))
+    want_p, want_w = _oracles.wf_array_reference(np.array(gains), target, cap)
+    for arg in (np.array(gains), list(gains)):
+        sol = su.water_fill_segment(arg, target, cap)
+        assert type(sol.p) is np.ndarray
+        assert sol.p.tobytes() == want_p.tobytes()
+        assert float.hex(sol.w) == float.hex(want_w)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=12),
+       st.data())
+def test_segment_target_energy_list_matches_array(steps, data):
+    e_tilde = np.cumsum(steps).tolist()
+    k = len(e_tilde)
+    a = data.draw(st.integers(0, k - 1))
+    b = data.draw(st.integers(a + 1, k))
+    kind_a, kind_b = data.draw(st.tuples(st.sampled_from([su.BDP, su.BFP]),
+                                         st.sampled_from([su.BDP, su.BFP])))
+    bmax = data.draw(st.sampled_from([0.0, 0.5, 5.0, 20.0]))
+    cap = data.draw(st.sampled_from([0.25, 3.0, 15.0, math.inf]))
+    got = su.segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
+    want = su.segment_target_energy(a, kind_a, b, kind_b, np.array(e_tilde), bmax, cap)
+    assert type(got) is float
+    assert float.hex(got) == float.hex(want)
 
 
 def test_long_fills_go_through_water_fill_segment(monkeypatch):
@@ -331,7 +371,8 @@ def test_edge_case_guesses_match_cold_result(harvest, gain, bmax, pmax,
     for guess in guesses:
         assert_same_solution(su.solve_reduced(env, e_tilde, guess=guess), cold)
         if falls_back:
-            assert su._refill_guess(env.gain, e_tilde, bmax, pmax, guess) is None
+            assert su._refill_guess(env.gain.tolist(), e_tilde.tolist(),
+                                    bmax, pmax, guess) is None
 
 
 @pytest.mark.parametrize("e_tilde", [
