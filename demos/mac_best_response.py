@@ -1,11 +1,13 @@
 """Three transmitters sharing a channel: watch the best-response sweeps.
 
 Each sweep re-solves every user's single-user problem against the
-interference of the others' current schedules.  The sum rate climbs,
-the increments shrink geometrically, and the sweeps stop once the exact
-duality gap (an upper bound on the nats left on the table) is within
-tolerance; the joint schedule then passes both the gap certificate and
-each user's structural certificate.
+interference of the others' current schedules, and between sweeps a
+line search extrapolates along the last sweep's move.  The sum rate
+climbs (the table lists it after each sweep; a gain includes the line
+search before that sweep), and the sweeps stop once the exact duality
+gap (an upper bound on the nats left on the table) is within tolerance;
+the joint schedule then passes both the gap certificate and each user's
+structural certificate.
 """
 
 import numpy as np

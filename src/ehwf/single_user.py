@@ -32,15 +32,16 @@ The walk and the warm-start check below run on energies divided by a
 power of two near the mean energy per slot, so their absolute tolerances
 mean the same at any scale.
 
-Every segment, whatever its length, is filled once by water_fill_segment
-and classified by one running battery sum.  Its water level, and the
-walk's prefix levels, come from one level function: a sweep over the
-slots' sorted fill and saturation breakpoints that stops at the target.
-That layer (fill, level, target, classification, warm-start check) runs
-on Python floats converted once per solve: its segments are a few slots
-long, where a numpy call costs more than its arithmetic.  Python's float
-operations are numpy's elementwise ones and the running battery sums add
-in np.cumsum's order, so results are bit for bit those of array code.
+Every segment, whatever its length, is filled once by _fill (which
+water_fill_segment wraps) and checked by one pass, _segment_status.  Its
+water level, and the walk's prefix levels, come from one level function:
+a sweep over the slots' sorted fill and saturation breakpoints that
+stops at the target.  That layer (fill, level, target, classification,
+warm-start check) runs on Python floats converted once per solve: its
+segments are a few slots long, where a numpy call costs more than its
+arithmetic.  Python's float operations are numpy's elementwise ones and
+the running battery sums add in np.cumsum's order, so results are bit
+for bit those of array code.
 
 solve_reduced(env, e_tilde, guess=boundaries) first refills the guessed
 segments once each and returns them untouched when they meet the KKT
@@ -166,10 +167,16 @@ def water_fill_segment(gains, target_energy, power_max) -> SegmentSolution:
     """
     if not isinstance(gains, list):
         gains = np.asarray(gains, dtype=float).tolist()
+    p, w = _fill(gains, target_energy, power_max)
+    return SegmentSolution(p=np.array(p), w=w)
+
+
+def _fill(gains, target_energy, power_max):
+    """water_fill_segment on a list: (p list, w); every fill calls it by name."""
     cap = float(power_max)
     target = float(target_energy)
     if target <= 0.0:
-        return SegmentSolution(p=np.zeros(len(gains)), w=math.inf)
+        return [0.0] * len(gains), math.inf
 
     inv = [1.0 / g for g in gains if g > GAIN_FLOOR]
     npos = len(inv)
@@ -194,7 +201,7 @@ def water_fill_segment(gains, target_energy, power_max) -> SegmentSolution:
             step = resid / len(interior)
             for i in interior:
                 p[i] = min(max(p[i] + step, 0.0), cap)
-    return SegmentSolution(p=np.array(p), w=1.0 / level)
+    return p, 1.0 / level
 
 
 def _fill_level(inv, cap, target):
@@ -234,42 +241,48 @@ def _fill_level(inv, cap, target):
     return prev if m else prev + (target - total) / slope
 
 
-def _classify(p, battery, battery_max, power_max, tol=FEAS_TOL):
-    # the one segment status rule: p out of [0, P] or a negative battery is
-    # infeasible; a battery above capacity alone is semi-feasible
-    if min(p) < -tol or max(p) > power_max + tol or min(battery) < -tol:
-        return INFEASIBLE
-    if max(battery) > battery_max + tol:
-        return SEMI_FEASIBLE
-    return FEASIBLE
+def _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max, tol=FEAS_TOL):
+    """One pass over the filled segment from boundary a: (status, settled).
+
+    status is the one segment status rule: p out of [0, P] or a negative
+    battery is infeasible, a battery above capacity alone semi-feasible.
+    settled is _refill_guess's margins: a slot more than tol inside (0, P)
+    and the battery more than tol inside (0, B) after all but the last.
+    """
+    base = e_tilde[a - 1] if a > 0 else 0.0
+    start = battery_max if kind_a == BFP else 0.0
+    status, free, inside, drawn, level = FEASIBLE, False, True, 0.0, None
+    for e_k, p_k in zip(e_tilde[a:a + len(p_seg)], p_seg):
+        inside = inside and (level is None or tol < level < battery_max - tol)
+        drawn += p_k
+        level = start + (e_k - base) - drawn
+        if p_k < -tol or p_k > power_max + tol or level < -tol:
+            return INFEASIBLE, False
+        if level > battery_max + tol:
+            status = SEMI_FEASIBLE
+        free = free or tol < p_k < power_max - tol
+    return status, free and inside
 
 
 def _segment_schedule(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     """Fill segment (a, b] for the given boundary kinds and classify it.
 
-    gains and e_tilde are lists of floats.  Returns (p_segment, height,
-    status, battery), the first and last as lists.  Energy the boundary
-    condition forces through the segment beyond what its positive-gain
-    slots carry under the cap is burned evenly on its zero-gain slots; it
-    contributes no rate either way.
+    gains and e_tilde are lists of floats; returns (p_segment list, height,
+    status).  Energy the boundary condition forces through the segment
+    beyond what its positive-gain slots carry under the cap is burned
+    evenly on its zero-gain slots, at no rate either way.
     """
     target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max)
     gains = gains[a:b]
     npos = sum(g > GAIN_FLOOR for g in gains)
     fill_target = min(target, npos * power_max) if npos else 0.0
-    sol = water_fill_segment(gains, fill_target, power_max)
-    p_seg = sol.p.tolist()
+    p_seg, w = _fill(gains, fill_target, power_max)
     surplus = target - fill_target
     if surplus > 0.0:
         burn = surplus / (b - a - npos)
         p_seg = [x if g > GAIN_FLOOR else burn for g, x in zip(gains, p_seg)]
-    base = e_tilde[a - 1] if a > 0 else 0.0
-    start = battery_max if kind_a == BFP else 0.0
-    battery, drawn = [], 0.0
-    for e_k, p_k in zip(e_tilde[a:b], p_seg):
-        drawn += p_k
-        battery.append(start + (e_k - base) - drawn)
-    return p_seg, sol.height, _classify(p_seg, battery, battery_max, power_max), battery
+    status, _ = _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max)
+    return p_seg, 0.0 if not math.isfinite(w) else 1.0 / w, status
 
 
 def _close_segment(inv, e_tilde, battery_max, power_max, a, kind_a):
@@ -377,14 +390,11 @@ def _refill_guess(gains, e_tilde, bmax, cap, guess):
             return None
         # a slot strictly inside (0, P) also puts the target strictly inside
         # (0, (b-a)*P), so the boundary levels are met exactly
-        p_seg, height, status, battery = _segment_schedule(
-            gains, e_tilde, bmax, cap, a, kind_a, b, kind_b)
-        if status != FEASIBLE:
+        target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
+        p_seg, w = _fill(gains[a:b], target, cap)
+        if _segment_status(p_seg, e_tilde, a, kind_a, bmax, cap) != (FEASIBLE, True):
             return None
-        if not any(FEAS_TOL < x < cap - FEAS_TOL for x in p_seg):
-            return None
-        if not all(FEAS_TOL < x < bmax - FEAS_TOL for x in battery[:-1]):
-            return None
+        height = 1.0 / w        # finite: a slot inside (0, P) drew energy
         if heights:
             rise = (height - heights[-1]) * (1.0 if kind_a == BDP else -1.0)
             if not rise > FEAS_TOL * max(1.0, heights[-1]):
@@ -446,7 +456,8 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     if not ((e_tilde >= 0.0) & (e_tilde < math.inf)).all():
         raise ValueError("e_tilde entries must be finite and nonnegative")
     total = float(e_tilde[-1]) if k_slots else 0.0
-    scale = 2.0 ** round(math.log2(total / k_slots)) if total > 0.0 else 1.0
+    mean = total / k_slots if k_slots else 0.0     # 0 for a subnormal total too
+    scale = 2.0 ** round(math.log2(mean)) if mean > 0.0 else 1.0
     e = e_tilde / scale
     bmax, cap = env.battery_max / scale, env.power_max / scale
     gains = env.gain * scale
@@ -472,7 +483,7 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
         b, kind_b = _close_segment(inv, e, bmax, cap, a, kind_a)
         status = INFEASIBLE     # an empty segment: the budget dips below zero
         if b > a:
-            p_seg, height, status, _ = _segment_schedule(
+            p_seg, height, status = _segment_schedule(
                 gain_list, e_list, bmax, cap, a, kind_a, b, kind_b)
         if status != FEASIBLE:
             # only a budget no schedule meets gets here; say so

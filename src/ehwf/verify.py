@@ -338,6 +338,11 @@ def duality_gap(scenario: Scenario, p) -> float:
     gradient at p.  For a feasible p (not checked) it bounds f* - f(p)
     from above (Jaggi, "Revisiting Frank-Wolfe", ICML 2013).
     """
+    return _capped_gap(scenario, p, np.inf)
+
+
+def _capped_gap(scenario: Scenario, p, limit: float) -> float:
+    # duality_gap summed in user order, returned once it exceeds limit
     p = np.asarray(p, dtype=float)
     grad = scenario.gain / (1.0 + np.sum(p * scenario.gain, axis=0))
     cum_energy = cumulative_harvest(scenario.harvest)
@@ -346,6 +351,8 @@ def duality_gap(scenario: Scenario, p) -> float:
         poly = ReducedPolytope(cum_energy[n], float(scenario.battery_max[n]),
                                float(scenario.power_max[n]))
         gap += float(grad[n] @ (poly.max_linear(grad[n]) - p[n]))
+        if gap > limit:
+            break
     return gap
 
 

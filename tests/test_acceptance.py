@@ -338,16 +338,16 @@ def test_criterion_9_gradient_and_fill_residuals(monkeypatch):
 
     # audit every level solve across a mixed solver workload
     records = []
-    original = ehwf.single_user.water_fill_segment
+    original = ehwf.single_user._fill
 
     def audited(gains, target_energy, power_max):
-        sol = original(gains, target_energy, power_max)
+        p, w = original(gains, target_energy, power_max)
         target = float(target_energy)
         if target > 0.0:
-            records.append((target, abs(target - float(np.sum(sol.p)))))
-        return sol
+            records.append((target, abs(target - float(np.sum(p)))))
+        return p, w
 
-    monkeypatch.setattr(ehwf.single_user, "water_fill_segment", audited)
+    monkeypatch.setattr(ehwf.single_user, "_fill", audited)
     for i in range(60):
         solve_single(_random_user(i, 30, seed=9000))
     for i in range(20):

@@ -1,15 +1,21 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ehwf.mac as mac
 from ehwf.baselines import iterative_modified_staircase
+from ehwf.bench import GenParams, gen_scenario
 from ehwf.mac import (effective_gain, first_iteration_gap_bound,
                       iterate_best_response, solve_mac)
-from ehwf.model import Scenario, UserEnv, sum_rate
+from ehwf.model import Scenario, UserEnv, check_feasible, sum_rate
 from ehwf.single_user import (effective_energy, optimal_wastage, solve_reduced,
                               solve_single)
-from ehwf.verify import brute_force_tiny, duality_gap
+from ehwf.verify import (brute_force_tiny, duality_gap, first_order_certificate,
+                         kkt_certificate)
 
 from conftest import finite_energy, finite_gain
 
@@ -158,8 +164,10 @@ def test_solve_mac_stops_on_the_duality_gap():
 def test_solve_mac_respects_max_iter():
     rng = np.random.default_rng(9)
     sc = random_scenario(rng, 3, 6)
-    sol = solve_mac(sc, tol=1e-300, max_iter=4)
-    assert sol.iterations == 4
+    # at sweep 4 this instance sits on its optimum up to rounding (a gap
+    # of -1.5e-16, which meets any tol), so stop the budget one sweep short
+    sol = solve_mac(sc, tol=1e-300, max_iter=3)
+    assert sol.iterations == 3
     assert not sol.converged
 
 
@@ -234,3 +242,72 @@ def test_solve_mac_gap_bound_property(data):
                   battery_max=np.full(n, 10.0), power_max=np.full(n, 8.0))
     sol = solve_mac(sc)
     assert sol.trace[-1] - sol.trace[0] <= first_iteration_gap_bound(n, k) + 1e-9
+
+
+def user_certificates(sc, sol):
+    # each user's KKT check against the gains of its own last response
+    return [kkt_certificate(UserEnv(sc.harvest[n], sol.user_gains[n],
+                                    float(sc.battery_max[n]),
+                                    float(sc.power_max[n])),
+                            sol.p[n], sol.user_boundaries[n]).passed
+            for n in range(sc.num_users)]
+
+
+def test_solve_mac_closes_the_slow_tail():
+    # round-robin sweeps without the line search took 2,005 sweeps here
+    sc = gen_scenario(GenParams(n_users=5, n_slots=20, harvest_mean=6.0,
+                                harvest_var=3.5, battery_max=20.0,
+                                power_max=15.0, seed=17692172790995075766))
+    sol = solve_mac(sc)
+    assert sol.converged
+    assert sol.iterations <= 100
+    assert all(user_certificates(sc, sol))
+    assert first_order_certificate(sc, sol.p)[0]
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_line_search_steps_raise_the_rate_inside_the_tube(data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    k = data.draw(st.integers(min_value=1, max_value=5))
+    harvest = np.array(data.draw(st.lists(
+        st.lists(finite_energy, min_size=k, max_size=k), min_size=n, max_size=n)))
+    gain = np.array(data.draw(st.lists(
+        st.lists(finite_gain, min_size=k, max_size=k), min_size=n, max_size=n)))
+    bmax = data.draw(st.lists(st.sampled_from([0.5, 3.0, 20.0, math.inf]),
+                              min_size=n, max_size=n))
+    pmax = data.draw(st.lists(st.sampled_from([2.0, 8.0, math.inf]),
+                              min_size=n, max_size=n))
+    sc = scenario_of(harvest, gain, bmax, pmax)
+    steps = []
+    line_search = mac._line_search
+
+    def recorded(scenario, e_tilde, p_prev, p, rate):
+        before = p.copy()
+        after = line_search(scenario, e_tilde, p_prev, p, rate)
+        steps.append((before, p.copy(), rate, after))
+        return after
+
+    with mock.patch.object(mac, "_line_search", recorded):
+        sol = solve_mac(sc, max_iter=20)
+    for before, after, rate, stepped_rate in steps:
+        if np.array_equal(before, after):
+            assert stepped_rate == rate
+            continue
+        assert stepped_rate > rate
+        assert stepped_rate == sum_rate(sc, after)
+        # a step keeps a feasible sweep feasible under solve_mac's wastage
+        if check_feasible(sc, before, sol.d).ok:
+            assert check_feasible(sc, after, sol.d).ok
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_capped_solve_mac_passes_user_certificates(max_iter):
+    # the returned p is always a full sweep, never a line-search step, so
+    # each user's schedule is its best response to user_gains
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        sc = random_scenario(rng, 4, 12)
+        sol = solve_mac(sc, max_iter=max_iter)
+        assert sol.iterations <= max_iter
+        assert all(user_certificates(sc, sol))

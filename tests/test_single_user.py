@@ -191,20 +191,19 @@ def test_segment_target_energy_list_matches_array(steps, data):
     assert float.hex(got) == float.hex(want)
 
 
-def test_long_fills_go_through_water_fill_segment(monkeypatch):
-    # every segment fill, long ones included, is one water_fill_segment call
+def test_long_fills_go_through_the_one_fill(monkeypatch):
+    # every segment fill, long ones included, is one _fill call
     records = []
-    original = su.water_fill_segment
+    original = su._fill
 
     def audited(gains, target_energy, power_max):
-        sol = original(gains, target_energy, power_max)
+        p, w = original(gains, target_energy, power_max)
         target = float(target_energy)
         if target > 0.0:
-            records.append((len(gains), target,
-                            abs(target - math.fsum(sol.p.tolist()))))
-        return sol
+            records.append((len(gains), target, abs(target - math.fsum(p))))
+        return p, w
 
-    monkeypatch.setattr(su, "water_fill_segment", audited)
+    monkeypatch.setattr(su, "_fill", audited)
     # a battery of 200 gives this K = 200 draw one 77-slot segment
     rng = np.random.default_rng(8000)
     k = 200
@@ -224,8 +223,10 @@ def test_classify_segment_statuses():
     e = np.array([2.0, 4.0])
 
     def classify(p, battery_max, power_max):
-        p = np.array(p)
-        return su._classify(p, e - np.cumsum(p), battery_max, power_max)
+        # segment (0, 2] from a BDP: the battery is e - cumsum(p)
+        status, _ = su._segment_status(p, e.tolist(), 0, su.BDP,
+                                       battery_max, power_max)
+        return status
 
     assert classify([1.0, 1.0], 5.0, 10.0) == FEASIBLE
     assert classify([0.0, 0.0], 3.5, 10.0) == SEMI_FEASIBLE
@@ -312,13 +313,13 @@ def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
     # the guess is checked in the walk's own units: energies times c and
     # gains over c accept it exactly as at unit scale
     calls = []
-    original = su.water_fill_segment
+    original = su._fill
 
     def counted(*args):
         calls.append(len(args[0]))
         return original(*args)
 
-    monkeypatch.setattr(su, "water_fill_segment", counted)
+    monkeypatch.setattr(su, "_fill", counted)
     rng = np.random.default_rng(31)
     for _ in range(40):
         k = int(rng.integers(1, 40))
