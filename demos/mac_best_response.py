@@ -6,8 +6,8 @@ line search extrapolates along the last sweep's move.  The sum rate
 climbs (the table lists it after each sweep; a gain includes the line
 search before that sweep), and the sweeps stop once the exact duality
 gap (an upper bound on the nats left on the table) is within tolerance;
-the joint schedule then passes both the gap certificate and each user's
-structural certificate.
+the joint schedule then passes both the joint gap certificate and each
+user's duality-gap certificate on its own effective-gain problem.
 """
 
 import numpy as np
@@ -58,7 +58,7 @@ for n in range(scenario.num_users):
     env = UserEnv(harvest=env.harvest, gain=sol.user_gains[n],
                   battery_max=env.battery_max, power_max=env.power_max)
     cert = kkt_certificate(env, sol.p[n], sol.user_boundaries[n])
-    print(f"user {n}: structural certificate "
+    print(f"user {n}: duality-gap certificate "
           f"{'PASS' if cert.passed else 'FAIL'}, "
           f"{len(sol.user_boundaries[n]) - 1} segments")
 

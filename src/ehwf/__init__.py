@@ -47,7 +47,6 @@ from .baselines import (
     staircase_wf,
 )
 from .verify import (
-    EPS_CERT,
     GAP_TOL_PER_SLOT,
     DualCertificate,
     ReducedPolytope,
@@ -90,7 +89,7 @@ __all__ = [
     "modified_staircase", "iterative_modified_staircase",
     "non_iterative_multiuser",
     # certificates and oracles
-    "EPS_CERT", "GAP_TOL_PER_SLOT", "ReducedPolytope", "DualCertificate",
+    "GAP_TOL_PER_SLOT", "ReducedPolytope", "DualCertificate",
     "reduce_polytope", "induced_wastage", "kkt_certificate", "duality_gap",
     "first_order_certificate",
     "brute_force_tiny", "wastage_minimality_check",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .model import Scenario, UserEnv, sum_rate
 from .single_user import effective_energy, optimal_wastage, solve_reduced
-from .verify import GAP_TOL_PER_SLOT, _capped_gap, duality_gap
+from .verify import GAP_TOL_PER_SLOT, _capped_gap, _user_polytopes, duality_gap
 
 __all__ = [
     "MacSolution",
@@ -160,13 +160,14 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
         snap_gains[n] = env.gain
         return p_n, d[n]
 
+    polytopes = _user_polytopes(scenario)
     gaps = []
 
     def stop(p, rate_gain):
         # a gain above tol shows p still moving; user gaps are >= 0, so a sum past tol fails
         if rate_gain > tol:
             return False
-        gaps.append(_capped_gap(scenario, p, tol))
+        gaps.append(_capped_gap(scenario, polytopes, p, tol))
         return gaps[-1] <= tol
 
     sol = iterate_best_response(scenario, respond, stop, max_iter,

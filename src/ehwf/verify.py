@@ -5,12 +5,12 @@ Contents
 ReducedPolytope          one user's feasible set, wastage eliminated
 reduce_polytope          build it from a UserEnv
 induced_wastage          a concrete wastage schedule for a given p, if any
-kkt_certificate          structural optimality check for one user
+kkt_certificate          one user's feasibility and exact gap on its own problem
 duality_gap              Frank-Wolfe gap: an upper bound on f* - f(p)
 first_order_certificate  global check: the duality gap is within tolerance
 brute_force_tiny         refined grid search for instances with N*K <= 6
 wastage_minimality_check no feasible pair wastes less than the greedy total
-DualCertificate          per-condition results of kkt_certificate
+DualCertificate          kkt_certificate's two conditions and their residuals
 GAP_TOL_PER_SLOT         default gap tolerance per slot, shared with solve_mac
 
 Eliminating the wastage variables: a wastage schedule making p feasible
@@ -30,15 +30,15 @@ so Edmonds' greedy maximises a linear function over it exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FEAS_TOL, GAIN_FLOOR, Scenario, UserEnv, cumulative_harvest
-from .single_user import effective_energy, optimal_wastage
+from .model import FEAS_TOL, Scenario, UserEnv, cumulative_harvest
+from .single_user import optimal_wastage
 
 __all__ = [
-    "EPS_CERT",
     "GAP_TOL_PER_SLOT",
     "ReducedPolytope",
     "DualCertificate",
@@ -50,10 +50,6 @@ __all__ = [
     "brute_force_tiny",
     "wastage_minimality_check",
 ]
-
-# Relative tolerance on water-level equalities; downstream of the exact
-# segment fill, so residuals this large mean a genuinely broken level.
-EPS_CERT = 1e-7
 
 # Default duality-gap tolerance in nats per slot, for the certificate and
 # for solve_mac's stop rule alike.
@@ -74,8 +70,14 @@ class ReducedPolytope:
     power_max: float
 
     def violation(self, p) -> float:
-        """Largest constraint violation of p; 0 when p is a member."""
-        p = np.asarray(p, dtype=float)
+        """Largest constraint violation of p; 0 when p is a member.
+
+        A non-finite entry is an infinite violation; a p of another length
+        than the horizon raises ValueError.
+        """
+        p = _schedule(p, self.cum_energy.shape)
+        if not np.isfinite(p).all():
+            return math.inf
         worst = max(0.0, float((-p).max()), float((p - self.power_max).max()))
         h = np.cumsum(p) - self.cum_energy
         worst = max(worst, float(h.max()))
@@ -112,6 +114,22 @@ class ReducedPolytope:
                     h[m] += step
         return np.array(q)
 
+    def gap(self, c, p) -> float:
+        """Frank-Wolfe gap c . (q - p) of p, with q = max_linear(c).
+
+        For a member p and c the gradient of a concave f at p, it bounds
+        max f - f(p) from above (Jaggi, "Revisiting Frank-Wolfe", ICML 2013).
+        """
+        return float(c @ (self.max_linear(c) - p))
+
+
+def _schedule(p, shape) -> np.ndarray:
+    """p as a float array of the given shape; any other shape raises."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != shape:
+        raise ValueError(f"schedule has shape {p.shape}, expected {shape}")
+    return p
+
 
 def reduce_polytope(env: UserEnv) -> ReducedPolytope:
     """The wastage-eliminated feasible set of one user's schedules."""
@@ -124,10 +142,10 @@ def induced_wastage(env: UserEnv, p):
     """A wastage schedule making (p, d) feasible, or None when p is not.
 
     Wastes battery overflow where it occurs; by construction this d exists
-    iff p is in the reduced polytope.
+    iff p is in the reduced polytope, so a non-finite p has none.
     """
-    p = np.asarray(p, dtype=float)
-    if (p < -FEAS_TOL).any() or (p > env.power_max + FEAS_TOL).any():
+    p = _schedule(p, (env.num_slots,))
+    if not ((p >= -FEAS_TOL) & (p <= env.power_max + FEAS_TOL)).all():
         return None
     d = np.zeros(env.num_slots)
     level = 0.0
@@ -142,44 +160,25 @@ def induced_wastage(env: UserEnv, p):
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Outcome of the structural optimality check for one user.
+    """Outcome of kkt_certificate for one user.
 
-    conditions maps each check to (passed, residual); slot_levels is the
-    implied water level per slot (nan where the segment leaves it free);
-    cap_active / zero_active flag where the box bounds bind; boundaries
-    classifies each boundary slot from the battery as BDP, BFP, or
-    interior.
+    conditions maps "feasible" and "duality-gap" to (passed, residual):
+    the schedule's largest constraint violation and its Frank-Wolfe gap in
+    nats.
     """
 
     passed: bool
     conditions: dict
-    slot_levels: np.ndarray
-    cap_active: np.ndarray
-    zero_active: np.ndarray
-    boundaries: tuple
 
     def to_json_dict(self) -> dict:
         return {
             "passed": self.passed,
             "conditions": {k: {"passed": ok, "residual": res}
                            for k, (ok, res) in self.conditions.items()},
-            "slot_levels": [None if np.isnan(v) else float(v)
-                            for v in self.slot_levels],
-            "cap_active": [bool(v) for v in self.cap_active],
-            "zero_active": [bool(v) for v in self.zero_active],
-            "boundaries": [[int(s), str(lbl)] for s, lbl in self.boundaries],
         }
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
-
-
-def _finite_scale(*vals) -> float:
-    scale = 1.0
-    for v in vals:
-        if np.isfinite(v):
-            scale = max(scale, abs(float(v)))
-    return scale
 
 
 def _validate_boundary_set(x, n_slots):
@@ -198,137 +197,30 @@ def _validate_boundary_set(x, n_slots):
         raise ValueError("boundary set must span slot 0 through the horizon")
     if any(b <= a for a, b in zip(slots, slots[1:])):
         raise ValueError("boundary slots must be strictly increasing")
-    return slots
 
 
 def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
-    """Check that p has the optimal structure for the given segmentation.
+    """Certify p optimal for one user's own problem, max sum ln(1 + g p).
 
-    Conditions, each reported with its worst residual:
-      feasible        p admits a wastage schedule (reduced polytope);
-      segment-levels  inside each segment the uncapped, nonzero slots share
-                      one water level, capped slots sit at or above it and
-                      zeroed slots at or below it;
-      level-ordering  across a boundary the level may rise only where the
-                      battery is empty and fall only where it is full;
-      no-idle-slack   no slot below its cap is followed by a battery that
-                      never depletes (such a slot could consume more).
+    x, the solver's boundary list, is checked for form only.  Conditions,
+    each with its residual:
+      feasible     p lies in the reduced polytope (its largest violation);
+      duality-gap  the Frank-Wolfe gap of p under the gradient g / (1 + g p)
+                   is at most GAP_TOL_PER_SLOT per slot.
+    The gap is first_order_certificate's on this user alone; on effective
+    gains it is that user's term of duality_gap.  A pass bounds what p
+    leaves of the optimum by GAP_TOL_PER_SLOT * K nats.
     """
-    p = np.asarray(p, dtype=float)
-    n_slots = env.num_slots
-    slots = _validate_boundary_set(x, n_slots)
-
+    _validate_boundary_set(x, env.num_slots)
+    p = _schedule(p, (env.num_slots,))
     poly = reduce_polytope(env)
-    feas_resid = poly.violation(p)
-    feas_ok = feas_resid <= FEAS_TOL
-
-    # battery of the reduced problem: effective energy net of consumption
-    d_star, _, _ = optimal_wastage(env)
-    battery = effective_energy(env, d_star) - np.cumsum(p)
-
-    cap = env.power_max
-    bmax = env.battery_max
-    tol_p = EPS_CERT * _finite_scale(cap)
-    cap_active = p >= cap - tol_p
-    zero_active = p <= tol_p
-    pos_gain = env.gain > GAIN_FLOOR
-    inv = np.full(n_slots, np.nan)
-    inv[pos_gain] = 1.0 / env.gain[pos_gain]
-
-    # Per-segment feasible level intervals [lo, hi]; a pinned slot is an
-    # equality, an active bound is one-sided.
-    seg_lo, seg_hi, seg_tol = [], [], []
-    slot_levels = np.full(n_slots, np.nan)
-    resid_levels = 0.0
-    for a, b in zip(slots[:-1], slots[1:]):
-        sl = slice(a, b)
-        considered = pos_gain[sl]
-        pinned = (p[sl] + inv[sl])[considered & ~cap_active[sl] & ~zero_active[sl]]
-        lo, hi = -np.inf, np.inf
-        at_cap = considered & cap_active[sl]
-        if at_cap.any():
-            lo = float(np.max(cap + inv[sl][at_cap]))
-        at_zero = considered & zero_active[sl] & ~cap_active[sl]
-        if at_zero.any():
-            hi = float(np.min(inv[sl][at_zero]))
-        if pinned.size:
-            lo = max(lo, float(pinned.max()))
-            hi = min(hi, float(pinned.min()))
-        scale = _finite_scale(lo, hi)
-        if lo > hi:
-            resid_levels = max(resid_levels, (lo - hi) / scale)
-        if pinned.size:
-            slot_levels[sl] = float(np.mean(pinned))
-        elif np.isfinite(lo) and np.isfinite(hi):
-            slot_levels[sl] = 0.5 * (lo + hi)
-        elif np.isfinite(lo) or np.isfinite(hi):
-            slot_levels[sl] = lo if np.isfinite(lo) else hi
-        seg_lo.append(lo)
-        seg_hi.append(hi)
-        seg_tol.append(EPS_CERT * scale)
-    levels_ok = resid_levels <= EPS_CERT
-
-    # Walk the reachable level interval across boundaries: empty battery
-    # lets the level rise, full battery lets it fall, anything else pins it.
-    tol_b = FEAS_TOL * _finite_scale(bmax)
-    boundaries = [(slots[0], "BDP")]
-    resid_order = 0.0
-    reach_lo = seg_lo[0] - seg_tol[0]
-    reach_hi = seg_hi[0] + seg_tol[0]
-    for i in range(1, len(slots) - 1):
-        s = slots[i]
-        beta = float(battery[s - 1])
-        can_up = beta <= tol_b
-        can_down = np.isfinite(bmax) and beta >= bmax - tol_b
-        if can_up and can_down:
-            label = "BDP" if beta <= bmax - beta else "BFP"
-        elif can_up:
-            label = "BDP"
-        elif can_down:
-            label = "BFP"
-        else:
-            label = "interior"
-        boundaries.append((s, label))
-
-        pre_lo = 0.0 if can_down else reach_lo
-        pre_hi = np.inf if can_up else reach_hi
-        nxt_lo = max(pre_lo, seg_lo[i] - seg_tol[i])
-        nxt_hi = min(pre_hi, seg_hi[i] + seg_tol[i])
-        if nxt_lo > nxt_hi:
-            resid_order = max(resid_order,
-                              (nxt_lo - nxt_hi) / _finite_scale(nxt_lo, nxt_hi))
-            nxt_lo = seg_lo[i] - seg_tol[i]    # restart from the segment itself
-            nxt_hi = seg_hi[i] + seg_tol[i]
-            if nxt_lo > nxt_hi:
-                nxt_lo = nxt_hi = 0.5 * (nxt_lo + nxt_hi)
-        reach_lo, reach_hi = nxt_lo, nxt_hi
-    order_ok = resid_order <= EPS_CERT
-
-    last_beta = float(battery[-1])
-    if last_beta <= tol_b:
-        boundaries.append((n_slots, "BDP"))
-    elif np.isfinite(bmax) and last_beta >= bmax - tol_b:
-        boundaries.append((n_slots, "BFP"))
-    else:
-        boundaries.append((n_slots, "interior"))
-
-    # A slot under its cap whose battery never empties afterwards could
-    # simply transmit more; the optimum has no such slack.
-    suffix_min = np.minimum.accumulate(battery[::-1])[::-1]
-    idle = pos_gain & ~cap_active & (suffix_min > tol_b)
-    resid_idle = float(suffix_min[idle].max()) if idle.any() else 0.0
-    idle_ok = not idle.any()
-
-    conditions = {
-        "feasible": (bool(feas_ok), float(feas_resid)),
-        "segment-levels": (bool(levels_ok), float(resid_levels)),
-        "level-ordering": (bool(order_ok), float(resid_order)),
-        "no-idle-slack": (bool(idle_ok), float(resid_idle)),
-    }
-    passed = feas_ok and levels_ok and order_ok and idle_ok
-    return DualCertificate(passed=passed, conditions=conditions,
-                           slot_levels=slot_levels, cap_active=cap_active,
-                           zero_active=zero_active, boundaries=tuple(boundaries))
+    violation = poly.violation(p)
+    gap = poly.gap(env.gain / (1.0 + env.gain * p), p)
+    feasible = violation <= FEAS_TOL
+    gap_ok = gap <= GAP_TOL_PER_SLOT * env.num_slots
+    return DualCertificate(passed=feasible and gap_ok,
+                           conditions={"feasible": (feasible, violation),
+                                       "duality-gap": (gap_ok, gap)})
 
 
 def duality_gap(scenario: Scenario, p) -> float:
@@ -336,21 +228,27 @@ def duality_gap(scenario: Scenario, p) -> float:
 
     q ranges over user n's reduced polytope and grad is the sum rate's
     gradient at p.  For a feasible p (not checked) it bounds f* - f(p)
-    from above (Jaggi, "Revisiting Frank-Wolfe", ICML 2013).
+    from above.
     """
-    return _capped_gap(scenario, p, np.inf)
+    p = _schedule(p, scenario.harvest.shape)
+    return _capped_gap(scenario, _user_polytopes(scenario), p, math.inf)
 
 
-def _capped_gap(scenario: Scenario, p, limit: float) -> float:
-    # duality_gap summed in user order, returned once it exceeds limit
-    p = np.asarray(p, dtype=float)
-    grad = scenario.gain / (1.0 + np.sum(p * scenario.gain, axis=0))
+def _user_polytopes(scenario: Scenario) -> list:
+    """Every user's ReducedPolytope, in user order."""
     cum_energy = cumulative_harvest(scenario.harvest)
+    return [ReducedPolytope(cum_energy[n], float(scenario.battery_max[n]),
+                            float(scenario.power_max[n]))
+            for n in range(scenario.num_users)]
+
+
+def _capped_gap(scenario: Scenario, polytopes, p, limit: float) -> float:
+    # duality_gap summed in user order, returned once it exceeds limit; p
+    # is a float array of the scenario's shape
+    grad = scenario.gain / (1.0 + np.sum(p * scenario.gain, axis=0))
     gap = 0.0
-    for n in range(scenario.num_users):
-        poly = ReducedPolytope(cum_energy[n], float(scenario.battery_max[n]),
-                               float(scenario.power_max[n]))
-        gap += float(grad[n] @ (poly.max_linear(grad[n]) - p[n]))
+    for n, poly in enumerate(polytopes):
+        gap += poly.gap(grad[n], p[n])
         if gap > limit:
             break
     return gap
@@ -359,15 +257,17 @@ def _capped_gap(scenario: Scenario, p, limit: float) -> float:
 def first_order_certificate(scenario: Scenario, p, tol: float | None = None):
     """Test global optimality of p: (gap <= tol, gap) with duality_gap.
 
-    tol defaults to GAP_TOL_PER_SLOT per slot; an infeasible p raises.
+    tol defaults to GAP_TOL_PER_SLOT per slot; an infeasible p, one with a
+    non-finite entry, or one of another shape than the scenario raises.
     """
-    p = np.asarray(p, dtype=float)
+    p = _schedule(p, scenario.harvest.shape)
     if tol is None:
         tol = GAP_TOL_PER_SLOT * scenario.num_slots
-    for n in range(scenario.num_users):
-        if reduce_polytope(scenario.user(n)).violation(p[n]) > FEAS_TOL:
+    polytopes = _user_polytopes(scenario)
+    for n, poly in enumerate(polytopes):
+        if poly.violation(p[n]) > FEAS_TOL:
             raise ValueError(f"schedule of user {n} is infeasible")
-    gap = duality_gap(scenario, p)
+    gap = _capped_gap(scenario, polytopes, p, math.inf)
     return gap <= tol, gap
 
 

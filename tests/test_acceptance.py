@@ -103,12 +103,17 @@ def test_criterion_3_certificates_pass_everywhere(converged_mac_batch):
             env = UserEnv(harvest=scenario.harvest[n], gain=sol.user_gains[n],
                           battery_max=float(scenario.battery_max[n]),
                           power_max=float(scenario.power_max[n]))
-            assert kkt_certificate(env, sol.p[n], sol.user_boundaries[n]).passed
+            cert = kkt_certificate(env, sol.p[n], sol.user_boundaries[n])
+            assert cert.passed
+            # each user's own response is exact to rounding
+            assert cert.conditions["duality-gap"][1] <= 1e-10 * env.num_slots
 
         # the same machinery on a plain single-user solve of user 0
         env0 = scenario.user(0)
         p0, _, x0, _ = solve_single(env0)
-        assert kkt_certificate(env0, p0, x0).passed
+        cert0 = kkt_certificate(env0, p0, x0)
+        assert cert0.passed
+        assert cert0.conditions["duality-gap"][1] <= 1e-10 * env0.num_slots
         ok0, gap0 = first_order_certificate(Scenario.single_user(env0),
                                             p0[None, :])
         assert ok0

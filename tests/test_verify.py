@@ -71,7 +71,7 @@ def test_polytope_membership_matches_constructive_wastage(env, data):
             env.harvest, env.battery_max, p) is None
 
 
-# ---- structural certificate ----------------------------------------------------
+# ---- per-user certificate ----------------------------------------------------
 
 def test_kkt_certificate_accepts_solver_output():
     env = env_of([1, 3])
@@ -81,8 +81,7 @@ def test_kkt_certificate_accepts_solver_output():
     assert all(ok for ok, _ in cert.conditions.values())
     payload = cert.to_json_dict()
     assert payload["passed"] is True
-    assert set(payload["conditions"]) == {"feasible", "segment-levels",
-                                          "level-ordering", "no-idle-slack"}
+    assert set(payload["conditions"]) == {"feasible", "duality-gap"}
 
 
 def test_kkt_certificate_rejects_causality_violation():
@@ -99,7 +98,8 @@ def test_kkt_certificate_rejects_level_drop_inside_slack_battery():
     env = env_of([4, 0], bmax=50.0, pmax=50.0)
     cert = kkt_certificate(env, [3.0, 1.0], [(0, "BDP"), (1, "BDP"), (2, "BDP")])
     assert not cert.passed
-    assert not cert.conditions["level-ordering"][0]
+    ok, gap = cert.conditions["duality-gap"]
+    assert not ok and gap == pytest.approx(0.75)
 
 
 def test_kkt_certificate_rejects_malformed_boundaries():
@@ -110,6 +110,74 @@ def test_kkt_certificate_rejects_malformed_boundaries():
         kkt_certificate(env, [1.0, 1.0], [(0, "BDP"), (2, "XXX")])
     with pytest.raises(ValueError):
         kkt_certificate(env, [1.0, 1.0], [(0, "BDP"), (1, "BDP")])
+
+
+def test_kkt_certificate_rejects_suboptimal_schedule_in_huge_battery():
+    # 0.0516 nats below the optimum; with B = 1e9 a battery tolerance
+    # scaled by B (FEAS_TOL * B, one unit of energy) would call it empty
+    env = env_of([0.0, 3.3197667629756413, 4.537572101969677],
+                 gain=[0.8535866353982413, 2.399622378861894, 0.6997365470026274],
+                 bmax=1e9, pmax=8.0)
+    _, _, x, _ = solve_single(env)
+    cert = kkt_certificate(env, [0.0, 3.2497013821762546, 4.345726187270887], x)
+    assert not cert.passed
+    assert cert.conditions["feasible"][0]
+    ok, gap = cert.conditions["duality-gap"]
+    assert not ok and gap > 0.05
+
+
+def _user_rate(env, p):
+    return float(np.log1p(env.gain * p).sum())
+
+
+@given(user_envs(), st.floats(min_value=0.1, max_value=1e9),
+       st.sampled_from(["greedy", "vertex"]),
+       st.floats(min_value=0.0, max_value=1.0), st.data())
+def test_kkt_certificate_pass_bounds_the_shortfall(env, bmax, toward, t, data):
+    # p' on the segment from the optimum to another feasible schedule: a
+    # pass means p' is within the certificate's tolerance of the optimum
+    env = UserEnv(env.harvest, env.gain, bmax, env.power_max)
+    p_star, _, x, _ = solve_single(env)
+    if toward == "greedy":
+        q = optimal_wastage(env)[1]
+    else:
+        k = env.num_slots
+        c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+        q = reduce_polytope(env).max_linear(c)
+    p = p_star + t * (q - p_star)
+    if kkt_certificate(env, p, x).passed:
+        shortfall = _user_rate(env, p_star) - _user_rate(env, p)
+        assert shortfall <= 1e-6 * env.num_slots + 1e-12
+
+
+def test_non_finite_schedules_are_infeasible():
+    env = env_of([1, 3], bmax=10.0, pmax=10.0)
+    _, _, x, _ = solve_single(env)
+    nan_p = [math.nan, 3.0]
+    assert reduce_polytope(env).violation(nan_p) == math.inf
+    assert not reduce_polytope(env).contains(nan_p)
+    cert = kkt_certificate(env, nan_p, x)
+    assert not cert.passed and not cert.conditions["feasible"][0]
+    with pytest.raises(ValueError, match="schedule of user 0 is infeasible"):
+        first_order_certificate(Scenario.single_user(env), np.array([nan_p]))
+    assert induced_wastage(env, nan_p) is None
+    assert induced_wastage(env, [math.inf, 0.0]) is None
+
+
+def test_wrong_length_schedules_raise():
+    env = env_of([1, 3], bmax=10.0, pmax=10.0)
+    _, _, x, _ = solve_single(env)
+    for p in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            kkt_certificate(env, p, x)
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            reduce_polytope(env).violation(p)
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            induced_wastage(env, p)
+        with pytest.raises(ValueError, match=r"expected \(1, 2\)"):
+            first_order_certificate(Scenario.single_user(env), np.array([p]))
+        with pytest.raises(ValueError, match=r"expected \(1, 2\)"):
+            duality_gap(Scenario.single_user(env), np.array([p]))
 
 
 # ---- exact linear maximiser and duality gap ------------------------------------
