@@ -23,7 +23,6 @@ from .model import (
 from .single_user import (
     BDP,
     BFP,
-    SegmentSolution,
     effective_energy,
     optimal_wastage,
     segment_target_energy,
@@ -78,7 +77,7 @@ __all__ = [
     "cumulative_harvest", "user_battery_trace",
     "check_feasible", "sum_rate",
     # single user
-    "BDP", "BFP", "SegmentSolution", "optimal_wastage", "effective_energy",
+    "BDP", "BFP", "optimal_wastage", "effective_energy",
     "segment_target_energy", "water_fill_segment",
     "solve_reduced", "solve_single",
     # multiple access

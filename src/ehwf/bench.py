@@ -70,19 +70,23 @@ class GenParams:
     def __post_init__(self):
         if self.n_users < 1 or self.n_slots < 1:
             raise ValueError("need at least one user and one slot")
-        if self.harvest_mean < 0:
-            raise ValueError("harvest_mean must be nonnegative")
-        if self.harvest_var <= 0:
-            raise ValueError("harvest_var must be positive")
+        if not 0.0 <= self.harvest_mean < math.inf:
+            raise ValueError("harvest_mean must be finite and nonnegative")
+        if not 0.0 < self.harvest_var < math.inf:
+            raise ValueError("harvest_var must be finite and positive")
 
 
 def truncated_gaussian(mean: float, var: float, rng, size=None):
     """Normal(mean, var) draws redrawn until nonnegative.
 
-    Scalar when size is None, else a 1-D array of that length.
+    Scalar when size is None, else a 1-D array of that length.  The mean
+    must be finite and nonnegative (a negative one could take forever to
+    draw) and the variance finite and positive; NaN is neither.
     """
-    if var <= 0:
-        raise ValueError("variance must be positive")
+    if not 0.0 <= mean < math.inf:
+        raise ValueError("mean must be finite and nonnegative")
+    if not 0.0 < var < math.inf:
+        raise ValueError("variance must be finite and positive")
     sigma = math.sqrt(var)
     n = 1 if size is None else int(size)
     out = rng.normal(mean, sigma, size=n)

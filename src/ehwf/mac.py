@@ -27,13 +27,14 @@ cold solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import Scenario, UserEnv, sum_rate
 from .single_user import effective_energy, optimal_wastage, solve_reduced
-from .verify import GAP_TOL_PER_SLOT, _capped_gap, _user_polytopes, duality_gap
+from .verify import GAP_TOL_PER_SLOT, _capped_gap, _user_polytopes
 
 __all__ = [
     "MacSolution",
@@ -56,10 +57,9 @@ class MacSolution:
     are the sweeps' own, before any line search.  converged is whether
     the stop test passed within the sweep budget.  gap is solve_mac's
     duality gap of p (None for the staircase iteration).
-    user_boundaries / user_levels / user_gains hold each user's segment
-    structure and the effective gains from its last update, for
-    certificate checking; they are None for solvers that do not produce
-    them.
+    user_boundaries / user_gains hold each user's segment boundary list
+    and the effective gains from its last update, for certificate
+    checking; they are None for solvers that do not produce them.
     """
 
     p: np.ndarray
@@ -69,7 +69,6 @@ class MacSolution:
     converged: bool
     gap: float | None = None
     user_boundaries: list | None = None
-    user_levels: list | None = None
     user_gains: np.ndarray | None = None
 
 
@@ -135,8 +134,7 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
     is at most tol nats (default GAP_TOL_PER_SLOT per slot) or after
     max_iter; converged is gap <= tol.  The guesses survive _line_search's
     moves, as the KKT check keeps them safe.  The solution carries each
-    user's segment boundaries, water levels, and effective gains from its
-    final update.
+    user's segment boundaries and effective gains from its final update.
     """
     if tol is None:
         tol = GAP_TOL_PER_SLOT * scenario.num_slots
@@ -151,12 +149,10 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
         e_tilde[n] = effective_energy(env, d[n])
 
     boundaries = [None] * n_users
-    levels = [None] * n_users
     snap_gains = np.array(scenario.gain, dtype=float, copy=True)
 
     def respond(env, n):
-        p_n, boundaries[n], levels[n] = solve_reduced(env, e_tilde[n],
-                                                      guess=boundaries[n])
+        p_n, boundaries[n], _ = solve_reduced(env, e_tilde[n], guess=boundaries[n])
         snap_gains[n] = env.gain
         return p_n, d[n]
 
@@ -172,10 +168,9 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
 
     sol = iterate_best_response(scenario, respond, stop, max_iter,
                                 lambda *args: _line_search(scenario, e_tilde, *args))
-    gap = gaps[-1] if sol.converged else duality_gap(scenario, sol.p)
+    gap = gaps[-1] if sol.converged else _capped_gap(scenario, polytopes, sol.p, math.inf)
     return replace(sol, converged=gap <= tol, gap=gap,
-                   user_boundaries=boundaries, user_levels=levels,
-                   user_gains=snap_gains)
+                   user_boundaries=boundaries, user_gains=snap_gains)
 
 
 def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> float:

@@ -263,8 +263,8 @@ def user_battery_trace(harvest, p, d=None) -> np.ndarray:
     return total
 
 
-def check_feasible(scenario: Scenario, p, d, tol: float = FEAS_TOL) -> FeasibilityReport:
-    """Check every constraint of the schedule pair (p, d) at tolerance tol.
+def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
+    """Check every constraint of the schedule pair (p, d) within FEAS_TOL.
 
     Constraints per user and slot: 0 <= p <= power_max, d >= 0, and the
     battery level stays within [0, battery_max].
@@ -275,6 +275,7 @@ def check_feasible(scenario: Scenario, p, d, tol: float = FEAS_TOL) -> Feasibili
     if p.shape != shape or d.shape != shape:
         raise ValueError(f"schedules must have shape {shape}")
 
+    tol = FEAS_TOL
     violations = []
     for n in range(scenario.num_users):
         cap = scenario.power_max[n]

@@ -5,7 +5,8 @@ Contents
 optimal_wastage        minimal-total-wastage forward recurrence
 effective_energy       cumulative harvest net of wastage
 segment_target_energy  energy a boundary pair forces through its segment
-water_fill_segment     capped water-filling at one constant level
+water_fill_segment     capped water-filling at one constant level, on lists;
+                       every segment fill calls it
 solve_reduced          forward tube walk for the segment boundaries,
                        optionally warm-started from a guessed boundary list
 solve_single           the full pipeline: wastage, then boundary search
@@ -32,16 +33,16 @@ The walk and the warm-start check below run on energies divided by a
 power of two near the mean energy per slot, so their absolute tolerances
 mean the same at any scale.
 
-Every segment, whatever its length, is filled once by _fill (which
-water_fill_segment wraps) and checked by one pass, _segment_status.  Its
-water level, and the walk's prefix levels, come from one level function:
-a sweep over the slots' sorted fill and saturation breakpoints that
-stops at the target.  That layer (fill, level, target, classification,
-warm-start check) runs on Python floats converted once per solve: its
-segments are a few slots long, where a numpy call costs more than its
-arithmetic.  Python's float operations are numpy's elementwise ones and
-the running battery sums add in np.cumsum's order, so results are bit
-for bit those of array code.
+Every segment, whatever its length, is filled once by water_fill_segment
+and checked by one pass, _segment_status: feasible or not, and the
+warm-start margins.  Its water level, and the walk's prefix levels, come
+from one level function: a sweep over the slots' sorted fill and
+saturation breakpoints that stops at the target.  That layer (fill,
+level, target, feasibility, warm-start check) runs on Python floats
+converted once per solve: its segments are a few slots long, where a
+numpy call costs more than its arithmetic.  Python's float operations
+are numpy's elementwise ones and the running battery sums add in
+np.cumsum's order, so results are bit for bit those of array code.
 
 solve_reduced(env, e_tilde, guess=boundaries) first refills the guessed
 segments once each and returns them untouched when they meet the KKT
@@ -55,24 +56,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    FEAS_TOL,
-    FEASIBLE,
-    GAIN_FLOOR,
-    INFEASIBLE,
-    SEMI_FEASIBLE,
-    UserEnv,
-    cumulative_harvest,
-)
+from .model import FEAS_TOL, GAIN_FLOOR, UserEnv, cumulative_harvest
 
 __all__ = [
     "BDP",
     "BFP",
-    "SegmentSolution",
     "optimal_wastage",
     "effective_energy",
     "segment_target_energy",
@@ -141,40 +132,17 @@ def segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max)
     return float(max(0.0, min((b - a) * power_max, supply)))
 
 
-@dataclass(frozen=True)
-class SegmentSolution:
-    """One segment's allocation p and its water level dual w.
+def water_fill_segment(gains: list, target, cap):
+    """Allocate target across slots at one water level, capped per slot.
 
-    The water level as a height is 1/w; w = +inf is the sentinel for an
-    empty segment (no positive allocation), whose height reads as 0.
+    Solves sum_k min(cap, max(0, L - 1/gain_k)) = target for the level L
+    exactly (see _fill_level).  Zero-gain slots always get 0, as do slots
+    whose gain is too small to invert.  gains is a list of floats; returns
+    (p, w), p a list and w = 1/L (+inf for a zero target).  Every segment
+    fill calls it by name.
     """
-
-    p: np.ndarray
-    w: float
-
-    @property
-    def height(self) -> float:
-        return 0.0 if not math.isfinite(self.w) else 1.0 / self.w
-
-
-def water_fill_segment(gains, target_energy, power_max) -> SegmentSolution:
-    """Allocate target_energy across slots at one water level, capped per slot.
-
-    Solves sum_k min(P, max(0, L - 1/gain_k)) = target_energy for the level
-    L exactly (see _fill_level).  Zero-gain slots always get 0, as do slots
-    whose gain is too small to invert.  gains is a list of floats or an
-    array.  Returns p (an array) and w = 1/L.
-    """
-    if not isinstance(gains, list):
-        gains = np.asarray(gains, dtype=float).tolist()
-    p, w = _fill(gains, target_energy, power_max)
-    return SegmentSolution(p=np.array(p), w=w)
-
-
-def _fill(gains, target_energy, power_max):
-    """water_fill_segment on a list: (p list, w); every fill calls it by name."""
-    cap = float(power_max)
-    target = float(target_energy)
+    cap = float(cap)
+    target = float(target)
     if target <= 0.0:
         return [0.0] * len(gains), math.inf
 
@@ -241,34 +209,34 @@ def _fill_level(inv, cap, target):
     return prev if m else prev + (target - total) / slope
 
 
-def _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max, tol=FEAS_TOL):
-    """One pass over the filled segment from boundary a: (status, settled).
+def _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max):
+    """One pass over the filled segment from boundary a: (feasible, settled).
 
-    status is the one segment status rule: p out of [0, P] or a negative
-    battery is infeasible, a battery above capacity alone semi-feasible.
-    settled is _refill_guess's margins: a slot more than tol inside (0, P)
-    and the battery more than tol inside (0, B) after all but the last.
+    feasible: p stays in [0, P] and the battery in [0, B], both within
+    FEAS_TOL.  settled is _refill_guess's margins: a slot more than
+    FEAS_TOL inside (0, P) and the battery more than FEAS_TOL inside
+    (0, B) after all but the last.
     """
+    tol = FEAS_TOL
     base = e_tilde[a - 1] if a > 0 else 0.0
     start = battery_max if kind_a == BFP else 0.0
-    status, free, inside, drawn, level = FEASIBLE, False, True, 0.0, None
+    free, inside, drawn, level = False, True, 0.0, None
     for e_k, p_k in zip(e_tilde[a:a + len(p_seg)], p_seg):
         inside = inside and (level is None or tol < level < battery_max - tol)
         drawn += p_k
         level = start + (e_k - base) - drawn
-        if p_k < -tol or p_k > power_max + tol or level < -tol:
-            return INFEASIBLE, False
-        if level > battery_max + tol:
-            status = SEMI_FEASIBLE
+        if (p_k < -tol or p_k > power_max + tol
+                or level < -tol or level > battery_max + tol):
+            return False, False
         free = free or tol < p_k < power_max - tol
-    return status, free and inside
+    return True, free and inside
 
 
 def _segment_schedule(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     """Fill segment (a, b] for the given boundary kinds and classify it.
 
     gains and e_tilde are lists of floats; returns (p_segment list, height,
-    status).  Energy the boundary condition forces through the segment
+    feasible).  Energy the boundary condition forces through the segment
     beyond what its positive-gain slots carry under the cap is burned
     evenly on its zero-gain slots, at no rate either way.
     """
@@ -276,13 +244,13 @@ def _segment_schedule(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind
     gains = gains[a:b]
     npos = sum(g > GAIN_FLOOR for g in gains)
     fill_target = min(target, npos * power_max) if npos else 0.0
-    p_seg, w = _fill(gains, fill_target, power_max)
+    p_seg, w = water_fill_segment(gains, fill_target, power_max)
     surplus = target - fill_target
     if surplus > 0.0:
         burn = surplus / (b - a - npos)
         p_seg = [x if g > GAIN_FLOOR else burn for g, x in zip(gains, p_seg)]
-    status, _ = _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max)
-    return p_seg, 0.0 if not math.isfinite(w) else 1.0 / w, status
+    feasible, _ = _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max)
+    return p_seg, 0.0 if not math.isfinite(w) else 1.0 / w, feasible
 
 
 def _close_segment(inv, e_tilde, battery_max, power_max, a, kind_a):
@@ -344,21 +312,25 @@ def _close_segment(inv, e_tilde, battery_max, power_max, a, kind_a):
             lo_at = j + 1
 
 
-def _checked_guess(guess, k_slots):
-    # a boundary list in solve_reduced's own output form, or ValueError
+def _checked_boundaries(x, k_slots):
+    """x as a boundary list in solve_reduced's own output form, or ValueError.
+
+    The one check of a boundary list, for solve_reduced's guess and for
+    verify.kkt_certificate.
+    """
     try:
-        guess = [(int(slot), kind) for slot, kind in guess]
+        x = [(int(slot), kind) for slot, kind in x]
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"guess must be a list of (slot, kind) pairs: {exc}") from None
-    if not guess or guess[0] != (0, BDP):
-        raise ValueError("guess must start at (0, BDP)")
-    if guess[-1][0] != k_slots:
-        raise ValueError(f"guess must end at slot {k_slots}")
-    if any(b <= a for (a, _), (b, _) in zip(guess, guess[1:])):
-        raise ValueError("guess slots must be strictly increasing")
-    if any(kind not in (BDP, BFP) for _, kind in guess):
-        raise ValueError("guess kinds must be BDP or BFP")
-    return guess
+        raise ValueError(f"boundary list must hold (slot, kind) pairs: {exc}") from None
+    if not x or x[0] != (0, BDP):
+        raise ValueError("boundary list must start at (0, BDP)")
+    if x[-1][0] != k_slots:
+        raise ValueError(f"boundary list must end at slot {k_slots}")
+    if any(b <= a for (a, _), (b, _) in zip(x, x[1:])):
+        raise ValueError("boundary list slots must be strictly increasing")
+    if any(kind not in (BDP, BFP) for _, kind in x):
+        raise ValueError("boundary list kinds must be BDP or BFP")
+    return x
 
 
 def _refill_guess(gains, e_tilde, bmax, cap, guess):
@@ -391,8 +363,8 @@ def _refill_guess(gains, e_tilde, bmax, cap, guess):
         # a slot strictly inside (0, P) also puts the target strictly inside
         # (0, (b-a)*P), so the boundary levels are met exactly
         target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
-        p_seg, w = _fill(gains[a:b], target, cap)
-        if _segment_status(p_seg, e_tilde, a, kind_a, bmax, cap) != (FEASIBLE, True):
+        p_seg, w = water_fill_segment(gains[a:b], target, cap)
+        if _segment_status(p_seg, e_tilde, a, kind_a, bmax, cap) != (True, True):
             return None
         height = 1.0 / w        # finite: a slot inside (0, P) drew energy
         if heights:
@@ -465,7 +437,7 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     # operations as numpy's, without a numpy call per few-slot segment
     gain_list, e_list = gains.tolist(), e.tolist()
     if guess is not None:
-        guess = _checked_guess(guess, k_slots)
+        guess = _checked_boundaries(guess, k_slots)
         warm = _refill_guess(gain_list, e_list, bmax, cap, guess)
         if warm is not None:
             return np.array(warm[0]) * scale, guess, [h * scale for h in warm[1]]
@@ -481,11 +453,11 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     while confirmed[-1][0] < k_slots:
         a, kind_a = confirmed[-1]
         b, kind_b = _close_segment(inv, e, bmax, cap, a, kind_a)
-        status = INFEASIBLE     # an empty segment: the budget dips below zero
-        if b > a:
-            p_seg, height, status = _segment_schedule(
+        feasible = b > a        # an empty segment: the budget dips below zero
+        if feasible:
+            p_seg, height, feasible = _segment_schedule(
                 gain_list, e_list, bmax, cap, a, kind_a, b, kind_b)
-        if status != FEASIBLE:
+        if not feasible:
             # only a budget no schedule meets gets here; say so
             _check_reachable(e_list, bmax, cap)
             raise RuntimeError("closed segment did not fill feasibly")

@@ -6,12 +6,13 @@ ReducedPolytope          one user's feasible set, wastage eliminated
 reduce_polytope          build it from a UserEnv
 induced_wastage          a concrete wastage schedule for a given p, if any
 kkt_certificate          one user's feasibility and exact gap on its own problem
+                         (its boundary list checked as solve_reduced's guess is)
 duality_gap              Frank-Wolfe gap: an upper bound on f* - f(p)
-first_order_certificate  global check: the duality gap is within tolerance
+first_order_certificate  global check: the duality gap is within GAP_TOL_PER_SLOT*K
 brute_force_tiny         refined grid search for instances with N*K <= 6
 wastage_minimality_check no feasible pair wastes less than the greedy total
 DualCertificate          kkt_certificate's two conditions and their residuals
-GAP_TOL_PER_SLOT         default gap tolerance per slot, shared with solve_mac
+GAP_TOL_PER_SLOT         gap tolerance per slot, shared with solve_mac's default
 
 Eliminating the wastage variables: a wastage schedule making p feasible
 exists iff the cumulative consumption respects causality
@@ -29,14 +30,13 @@ so Edmonds' greedy maximises a linear function over it exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import FEAS_TOL, Scenario, UserEnv, cumulative_harvest
-from .single_user import optimal_wastage
+from .single_user import _checked_boundaries, optimal_wastage
 
 __all__ = [
     "GAP_TOL_PER_SLOT",
@@ -51,8 +51,8 @@ __all__ = [
     "wastage_minimality_check",
 ]
 
-# Default duality-gap tolerance in nats per slot, for the certificate and
-# for solve_mac's stop rule alike.
+# Duality-gap tolerance in nats per slot, for the certificates and for
+# solve_mac's default stop rule alike.
 GAP_TOL_PER_SLOT = 1e-6
 
 
@@ -87,8 +87,8 @@ class ReducedPolytope:
         worst = max(worst, float((h - running_min - self.battery_max).max()))
         return worst
 
-    def contains(self, p, tol: float = FEAS_TOL) -> bool:
-        return self.violation(p) <= tol
+    def contains(self, p) -> bool:
+        return self.violation(p) <= FEAS_TOL
 
     def max_linear(self, c) -> np.ndarray:
         """A member q maximising c . q, by Edmonds' greedy.
@@ -170,40 +170,14 @@ class DualCertificate:
     passed: bool
     conditions: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "conditions": {k: {"passed": ok, "residual": res}
-                           for k, (ok, res) in self.conditions.items()},
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
-
-def _validate_boundary_set(x, n_slots):
-    if not x:
-        raise ValueError("boundary set is empty")
-    slots = []
-    for item in x:
-        try:
-            slot, kind = item
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed boundary entry {item!r}") from exc
-        if kind not in ("BDP", "BFP"):
-            raise ValueError(f"unknown boundary kind {kind!r}")
-        slots.append(int(slot))
-    if slots[0] != 0 or slots[-1] != n_slots:
-        raise ValueError("boundary set must span slot 0 through the horizon")
-    if any(b <= a for a, b in zip(slots, slots[1:])):
-        raise ValueError("boundary slots must be strictly increasing")
-
 
 def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
     """Certify p optimal for one user's own problem, max sum ln(1 + g p).
 
-    x, the solver's boundary list, is checked for form only.  Conditions,
-    each with its residual:
+    x, the solver's boundary list, is checked for form only, by the check
+    solve_reduced applies to a guess: a list that does not run from
+    (0, BDP) to slot K raises ValueError.  Conditions, each with its
+    residual:
       feasible     p lies in the reduced polytope (its largest violation);
       duality-gap  the Frank-Wolfe gap of p under the gradient g / (1 + g p)
                    is at most GAP_TOL_PER_SLOT per slot.
@@ -211,7 +185,7 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
     gains it is that user's term of duality_gap.  A pass bounds what p
     leaves of the optimum by GAP_TOL_PER_SLOT * K nats.
     """
-    _validate_boundary_set(x, env.num_slots)
+    _checked_boundaries(x, env.num_slots)
     p = _schedule(p, (env.num_slots,))
     poly = reduce_polytope(env)
     violation = poly.violation(p)
@@ -254,24 +228,22 @@ def _capped_gap(scenario: Scenario, polytopes, p, limit: float) -> float:
     return gap
 
 
-def first_order_certificate(scenario: Scenario, p, tol: float | None = None):
+def first_order_certificate(scenario: Scenario, p):
     """Test global optimality of p: (gap <= tol, gap) with duality_gap.
 
-    tol defaults to GAP_TOL_PER_SLOT per slot; an infeasible p, one with a
+    tol is GAP_TOL_PER_SLOT per slot; an infeasible p, one with a
     non-finite entry, or one of another shape than the scenario raises.
     """
     p = _schedule(p, scenario.harvest.shape)
-    if tol is None:
-        tol = GAP_TOL_PER_SLOT * scenario.num_slots
     polytopes = _user_polytopes(scenario)
     for n, poly in enumerate(polytopes):
         if poly.violation(p[n]) > FEAS_TOL:
             raise ValueError(f"schedule of user {n} is infeasible")
     gap = _capped_gap(scenario, polytopes, p, math.inf)
-    return gap <= tol, gap
+    return gap <= GAP_TOL_PER_SLOT * scenario.num_slots, gap
 
 
-def brute_force_tiny(scenario: Scenario, grid_resolution: float = 1e-6):
+def brute_force_tiny(scenario: Scenario):
     """Grid search with shrinking refinement; the oracle for tiny instances.
 
     Candidates are the incumbent plus one shared set of symmetric offsets
@@ -280,8 +252,8 @@ def brute_force_tiny(scenario: Scenario, grid_resolution: float = 1e-6):
     grids lose them once a window clips and can stall short of the
     optimum); clamping puts the box faces themselves on the lattice.  The
     width halves when no candidate improves, and a converged incumbent is
-    rescanned at a ladder of widths before the result is trusted.
-    Returns (best schedule, best value).
+    rescanned at a ladder of widths before the result is trusted; the
+    descent stops at width 1e-6.  Returns (best schedule, best value).
     """
     n_users, n_slots = scenario.num_users, scenario.num_slots
     n_axes = n_users * n_slots
@@ -331,7 +303,7 @@ def brute_force_tiny(scenario: Scenario, grid_resolution: float = 1e-6):
                     best_v, best_p = v, q
                 width *= 0.5
             center = best_p
-            if width <= grid_resolution:
+            if width <= 1e-6:
                 break
         return best_v, best_p
 

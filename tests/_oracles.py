@@ -118,11 +118,12 @@ FEAS_TOL = 1e-9
 
 
 def wf_array_reference(gains, target_energy, power_max):
-    """The numpy segment fill that the list-based water_fill_segment replaced.
+    """The numpy segment fill that the list fill water_fill_segment replaced.
 
-    Kept unchanged, with its level sweep, as the bit-for-bit reference: the
-    list fill performs the same IEEE operations in the same order, so p and
-    w must match exactly, not just closely.  Returns (p, w).
+    Kept unchanged, with its level sweep, as the bit-for-bit reference:
+    water_fill_segment, which takes and returns lists, performs the same
+    IEEE operations in the same order, so p and w must match exactly, not
+    just closely.  gains is an array; returns (p array, w).
     """
     gains = np.asarray(gains, dtype=float)
     cap = float(power_max)

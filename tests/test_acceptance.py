@@ -343,7 +343,7 @@ def test_criterion_9_gradient_and_fill_residuals(monkeypatch):
 
     # audit every level solve across a mixed solver workload
     records = []
-    original = ehwf.single_user._fill
+    original = ehwf.single_user.water_fill_segment
 
     def audited(gains, target_energy, power_max):
         p, w = original(gains, target_energy, power_max)
@@ -352,7 +352,7 @@ def test_criterion_9_gradient_and_fill_residuals(monkeypatch):
             records.append((target, abs(target - float(np.sum(p)))))
         return p, w
 
-    monkeypatch.setattr(ehwf.single_user, "_fill", audited)
+    monkeypatch.setattr(ehwf.single_user, "water_fill_segment", audited)
     for i in range(60):
         solve_single(_random_user(i, 30, seed=9000))
     for i in range(20):

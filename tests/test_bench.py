@@ -39,8 +39,10 @@ def test_truncated_gaussian_scalar_and_reproducible():
     b = truncated_gaussian(2.0, 4.0, np.random.default_rng(7))
     assert isinstance(a, float)
     assert a == b
-    with pytest.raises(ValueError):
-        truncated_gaussian(2.0, 0.0, np.random.default_rng(7))
+    for mean, var in ((2.0, 0.0), (-40.0, 1.0), (-1e-9, 1.0), (math.nan, 1.0),
+                      (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)):
+        with pytest.raises(ValueError):
+            truncated_gaussian(mean, var, np.random.default_rng(7))
 
 
 def test_gen_params_validation():
@@ -50,9 +52,11 @@ def test_gen_params_validation():
     with pytest.raises(ValueError):
         GenParams(n_users=1, n_slots=3, harvest_mean=1.0, harvest_var=0.0,
                   battery_max=1.0, power_max=1.0)
-    with pytest.raises(ValueError):
-        GenParams(n_users=1, n_slots=3, harvest_mean=-1.0, harvest_var=1.0,
-                  battery_max=1.0, power_max=1.0)
+    for mean, var in ((-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                      (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            GenParams(n_users=1, n_slots=3, harvest_mean=mean, harvest_var=var,
+                      battery_max=1.0, power_max=1.0)
 
 
 def test_gen_scenario_shapes_and_determinism():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehwf.single_user as su
-from ehwf.model import FEASIBLE, INFEASIBLE, SEMI_FEASIBLE, UserEnv
+from ehwf.model import UserEnv
 from ehwf.verify import kkt_certificate
 
 import _oracles
@@ -92,30 +92,30 @@ def test_segment_target_energy_never_negative():
 # ---- segment water filling ---------------------------------------------------
 
 def test_water_fill_segment_values():
-    sol = su.water_fill_segment(np.array([1.0, 1.0]), 2.0, 10.0)
-    assert np.allclose(sol.p, [1.0, 1.0], atol=1e-9)
-    assert sol.w == pytest.approx(0.5)
+    p, w = su.water_fill_segment([1.0, 1.0], 2.0, 10.0)
+    assert np.allclose(p, [1.0, 1.0], atol=1e-9)
+    assert w == pytest.approx(0.5)
 
-    sol = su.water_fill_segment(np.array([2.0, 1.0]), 1.0, 10.0)
-    assert np.allclose(sol.p, [0.75, 0.25], atol=1e-9)
-    assert sol.w == pytest.approx(0.8)
+    p, w = su.water_fill_segment([2.0, 1.0], 1.0, 10.0)
+    assert np.allclose(p, [0.75, 0.25], atol=1e-9)
+    assert w == pytest.approx(0.8)
 
-    sol = su.water_fill_segment(np.array([2.0, 1.0]), 1.0, 0.6)
-    assert np.allclose(sol.p, [0.6, 0.4], atol=1e-9)
-    assert sol.w == pytest.approx(1.0 / 1.4)
+    p, w = su.water_fill_segment([2.0, 1.0], 1.0, 0.6)
+    assert np.allclose(p, [0.6, 0.4], atol=1e-9)
+    assert w == pytest.approx(1.0 / 1.4)
 
 
 def test_water_fill_segment_zero_target_sentinel():
-    sol = su.water_fill_segment(np.array([1.0, 2.0]), 0.0, 5.0)
-    assert not sol.p.any()
-    assert sol.height == 0.0
+    p, w = su.water_fill_segment([1.0, 2.0], 0.0, 5.0)
+    assert p == [0.0, 0.0]
+    assert w == math.inf
 
 
 def test_water_fill_segment_errors():
     with pytest.raises(ValueError):
-        su.water_fill_segment(np.zeros(2), 1.0, 5.0)
+        su.water_fill_segment([0.0, 0.0], 1.0, 5.0)
     with pytest.raises(ValueError):
-        su.water_fill_segment(np.ones(2), 11.0, 5.0)
+        su.water_fill_segment([1.0, 1.0], 11.0, 5.0)
 
 
 def draw_fill_case(data):
@@ -151,27 +151,25 @@ def draw_fill_case(data):
 def test_water_fill_matches_bisection_oracle(data):
     gains, cap, hi = draw_fill_case(data)
     target = data.draw(st.floats(min_value=0.0, max_value=hi))
-    sol = su.water_fill_segment(np.array(gains), target, cap)
+    p, _ = su.water_fill_segment(gains, target, cap)
     ref = _oracles.wf_bisection(gains, target, cap)
-    assert np.allclose(sol.p, ref, atol=1e-6)
-    assert abs(math.fsum(sol.p.tolist()) - min(target, hi)) <= 1e-10 * max(1.0, target)
+    assert np.allclose(p, ref, atol=1e-6)
+    assert abs(math.fsum(p) - min(target, hi)) <= 1e-10 * max(1.0, target)
 
 
 @given(st.data())
 @settings(max_examples=150)
 def test_list_fill_matches_array_fill_bit_for_bit(data):
     # the fill runs on Python floats; the numpy fill it replaced is the
-    # reference, and every bit of p and w must agree, for list and array
-    # gains alike
+    # reference, and every bit of p and w must agree
     gains, cap, hi = draw_fill_case(data)
     target = data.draw(st.one_of(st.just(0.0), st.just(hi),
                                  st.floats(min_value=0.0, max_value=hi)))
     want_p, want_w = _oracles.wf_array_reference(np.array(gains), target, cap)
-    for arg in (np.array(gains), list(gains)):
-        sol = su.water_fill_segment(arg, target, cap)
-        assert type(sol.p) is np.ndarray
-        assert sol.p.tobytes() == want_p.tobytes()
-        assert float.hex(sol.w) == float.hex(want_w)
+    p, w = su.water_fill_segment(list(gains), target, cap)
+    assert type(p) is list
+    assert np.array(p).tobytes() == want_p.tobytes()
+    assert float.hex(w) == float.hex(want_w)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=12),
@@ -192,9 +190,9 @@ def test_segment_target_energy_list_matches_array(steps, data):
 
 
 def test_long_fills_go_through_the_one_fill(monkeypatch):
-    # every segment fill, long ones included, is one _fill call
+    # every segment fill, long ones included, is one water_fill_segment call
     records = []
-    original = su._fill
+    original = su.water_fill_segment
 
     def audited(gains, target_energy, power_max):
         p, w = original(gains, target_energy, power_max)
@@ -203,7 +201,7 @@ def test_long_fills_go_through_the_one_fill(monkeypatch):
             records.append((len(gains), target, abs(target - math.fsum(p))))
         return p, w
 
-    monkeypatch.setattr(su, "_fill", audited)
+    monkeypatch.setattr(su, "water_fill_segment", audited)
     # a battery of 200 gives this K = 200 draw one 77-slot segment
     rng = np.random.default_rng(8000)
     k = 200
@@ -222,15 +220,16 @@ def test_long_fills_go_through_the_one_fill(monkeypatch):
 def test_classify_segment_statuses():
     e = np.array([2.0, 4.0])
 
-    def classify(p, battery_max, power_max):
+    def feasible(p, battery_max, power_max):
         # segment (0, 2] from a BDP: the battery is e - cumsum(p)
-        status, _ = su._segment_status(p, e.tolist(), 0, su.BDP,
-                                       battery_max, power_max)
-        return status
+        ok, _ = su._segment_status(p, e.tolist(), 0, su.BDP,
+                                   battery_max, power_max)
+        return ok
 
-    assert classify([1.0, 1.0], 5.0, 10.0) == FEASIBLE
-    assert classify([0.0, 0.0], 3.5, 10.0) == SEMI_FEASIBLE
-    assert classify([2.1, 0.0], 5.0, 10.0) == INFEASIBLE
+    assert feasible([1.0, 1.0], 5.0, 10.0) is True
+    assert feasible([0.0, 0.0], 3.5, 10.0) is False    # battery above capacity
+    assert feasible([2.1, 0.0], 5.0, 10.0) is False    # battery below zero
+    assert feasible([1.0, 1.0], 5.0, 0.5) is False     # above the cap
 
 
 # ---- full single-user solve --------------------------------------------------
@@ -315,13 +314,13 @@ def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
     # the guess is checked in the walk's own units: energies times c and
     # gains over c accept it exactly as at unit scale
     calls = []
-    original = su._fill
+    original = su.water_fill_segment
 
     def counted(*args):
         calls.append(len(args[0]))
         return original(*args)
 
-    monkeypatch.setattr(su, "_fill", counted)
+    monkeypatch.setattr(su, "water_fill_segment", counted)
     rng = np.random.default_rng(31)
     for _ in range(40):
         k = int(rng.integers(1, 40))
@@ -412,10 +411,13 @@ def test_unreachable_e_tilde_raises(bmax, pmax, e_tilde):
     [(0, su.BDP), 4],
 ])
 def test_malformed_guess_raises(guess):
+    # one boundary-list check serves both of its callers
     env = env_of([3.0, 1.0, 4.0, 2.0], [1.0, 0.5, 2.0, 1.5], bmax=5.0, pmax=10.0)
     d, _, _ = su.optimal_wastage(env)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="boundary list"):
         su.solve_reduced(env, su.effective_energy(env, d), guess=guess)
+    with pytest.raises(ValueError, match="boundary list"):
+        kkt_certificate(env, np.zeros(4), guess)
 
 
 @given(user_envs(allow_inf_caps=False))
