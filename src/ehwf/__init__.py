@@ -11,12 +11,12 @@ from .model import (
     FEAS_TOL,
     FEASIBLE,
     INFEASIBLE,
-    SEMI_FEASIBLE,
     FeasibilityReport,
     Scenario,
     UserEnv,
     check_feasible,
     cumulative_harvest,
+    energy_scale,
     sum_rate,
     user_battery_trace,
 )
@@ -72,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "FEAS_TOL", "FEASIBLE", "SEMI_FEASIBLE", "INFEASIBLE",
+    "FEAS_TOL", "FEASIBLE", "INFEASIBLE", "energy_scale",
     "Scenario", "UserEnv", "FeasibilityReport",
     "cumulative_harvest", "user_battery_trace",
     "check_feasible", "sum_rate",

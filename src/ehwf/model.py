@@ -3,14 +3,21 @@
 Contents
 --------
 Scenario, UserEnv     immutable problem data (per-slot harvest/gain, caps)
-FeasibilityReport     outcome of a strict constraint check
+FeasibilityReport     outcome of a constraint check
+energy_scale          the power of two every feasibility tolerance scales by
 cumulative_harvest    per-slot increments -> running totals
 user_battery_trace    end-of-slot battery levels for one user, no clamping
-check_feasible        classify a (transmission, wastage) pair
+check_feasible        check a (transmission, wastage) pair
 sum_rate              the objective, in nats
 
 Energy is stored per slot (increments); cumulative views are derived on
 demand so the two representations cannot drift apart.
+
+The problem has no unit of energy: harvest, caps and schedules times s
+with gains over s is the same problem.  So no check compares energies
+against an absolute number.  Each allows FEAS_TOL times energy_scale of
+the energies it checks: the solver's of its budget, the checkers' of the
+user's cumulative harvest.
 """
 
 from __future__ import annotations
@@ -26,19 +33,21 @@ __all__ = [
     "FEAS_TOL",
     "GAIN_FLOOR",
     "FEASIBLE",
-    "SEMI_FEASIBLE",
     "INFEASIBLE",
     "Scenario",
     "UserEnv",
     "FeasibilityReport",
+    "energy_scale",
     "cumulative_harvest",
     "user_battery_trace",
     "check_feasible",
     "sum_rate",
 ]
 
-# Absolute tolerance for every constraint comparison.  Floating-point water
-# levels routinely land exactly on a constraint boundary, so exact tests are
+# Relative tolerance for every constraint comparison: a check allows
+# FEAS_TOL times energy_scale of its energies, so the same schedule in
+# another unit gets the same verdict.  Floating-point water levels
+# routinely land exactly on a constraint boundary, so exact tests are
 # unreliable.
 FEAS_TOL = 1e-9
 
@@ -47,8 +56,19 @@ FEAS_TOL = 1e-9
 GAIN_FLOOR = 1.0 / sys.float_info.max
 
 FEASIBLE = "feasible"
-SEMI_FEASIBLE = "semi-feasible"      # only battery-capacity overshoots
 INFEASIBLE = "infeasible"
+
+
+def energy_scale(cum_energy) -> float:
+    """The power of two nearest the mean energy per slot of a cumulative series.
+
+    1 when the series is empty or its total is 0.  Dividing by a power of
+    two is exact in floating point; FEAS_TOL times this scale is the
+    tolerance of every feasibility check.
+    """
+    k_slots = len(cum_energy)
+    mean = float(cum_energy[-1]) / k_slots if k_slots else 0.0  # 0 for a subnormal total too
+    return 2.0 ** round(math.log2(mean)) if mean > 0.0 else 1.0
 
 
 def _as_float_array(x, name, ndim):
@@ -59,16 +79,19 @@ def _as_float_array(x, name, ndim):
 
 
 def _check_entries(harvest, gain, caps):
-    # One pass per array when all is well (NaN fails both comparisons); the
-    # message is worked out only on failure.  Infinite caps mean "no limit".
+    # One pass per array when all is well (NaN fails every comparison); the
+    # message is worked out only on failure.  A zero cap forces slot-by-slot
+    # spending and an infinite one means "no limit".
     if (((harvest >= 0) & (harvest < math.inf)).all()
             and ((gain >= 0) & (gain < math.inf)).all()
-            and not any(map(math.isnan, caps))):
+            and all(cap >= 0 for cap in caps)):
         return
     if not (np.isfinite(harvest).all() and np.isfinite(gain).all()):
         raise ValueError("harvest and gain entries must be finite")
     if any(map(math.isnan, caps)):
         raise ValueError("battery_max and power_max must not be NaN")
+    if any(cap < 0 for cap in caps):
+        raise ValueError("battery_max and power_max must be nonnegative")
     raise ValueError("harvest and gain entries must be nonnegative")
 
 
@@ -101,8 +124,6 @@ class UserEnv:
         if harvest.shape != gain.shape:
             raise ValueError("harvest and gain must have the same length")
         _check_entries(harvest, gain, (self.battery_max, self.power_max))
-        if self.battery_max < 0 or self.power_max < 0:
-            raise ValueError("battery_max and power_max must be nonnegative")
         harvest.setflags(write=False)
         gain.setflags(write=False)
         object.__setattr__(self, "harvest", harvest)
@@ -120,7 +141,8 @@ class Scenario:
     """An immutable N-user, K-slot problem instance.
 
     harvest[n, k] and gain[n, k] are per-slot values for user n;
-    battery_max[n] and power_max[n] are per-user caps (strictly positive).
+    battery_max[n] and power_max[n] are per-user caps, each nonnegative
+    or infinite as in UserEnv.
     """
 
     harvest: np.ndarray
@@ -139,8 +161,6 @@ class Scenario:
         if battery_max.shape != (n,) or power_max.shape != (n,):
             raise ValueError("battery_max and power_max must have one entry per user")
         _check_entries(harvest, gain, battery_max.tolist() + power_max.tolist())
-        if (battery_max <= 0).any() or (power_max <= 0).any():
-            raise ValueError("battery_max and power_max must be positive")
         for arr, nm in ((harvest, "harvest"), (gain, "gain"),
                         (battery_max, "battery_max"), (power_max, "power_max")):
             arr.setflags(write=False)
@@ -223,11 +243,10 @@ def _cap_from_json(cap) -> float:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Classification of an energy schedule.
+    """Outcome of check_feasible on an energy schedule.
 
-    status is FEASIBLE when there are no violations, SEMI_FEASIBLE when the
-    only violations are battery levels above capacity, INFEASIBLE otherwise.
-    Each violation is a (user, slot, kind, magnitude) tuple.
+    status is FEASIBLE when there are no violations and INFEASIBLE
+    otherwise.  Each violation is a (user, slot, kind, magnitude) tuple.
     """
 
     status: str
@@ -264,10 +283,14 @@ def user_battery_trace(harvest, p, d=None) -> np.ndarray:
 
 
 def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
-    """Check every constraint of the schedule pair (p, d) within FEAS_TOL.
+    """Check every constraint of the schedule pair (p, d).
 
     Constraints per user and slot: 0 <= p <= power_max, d >= 0, and the
-    battery level stays within [0, battery_max].
+    battery level stays within [0, battery_max].  Each user's are checked
+    within FEAS_TOL times energy_scale of its cumulative harvest, the
+    tolerance of verify.ReducedPolytope.contains.  This check cannot just
+    ask the polytope: it checks the wastage d the caller supplies, while
+    the polytope eliminates d and asks only whether some d exists.
     """
     p = _as_float_array(p, "p", 2)
     d = _as_float_array(d, "d", 2)
@@ -275,11 +298,11 @@ def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
     if p.shape != shape or d.shape != shape:
         raise ValueError(f"schedules must have shape {shape}")
 
-    tol = FEAS_TOL
     violations = []
     for n in range(scenario.num_users):
         cap = scenario.power_max[n]
         bmax = scenario.battery_max[n]
+        tol = FEAS_TOL * energy_scale(cumulative_harvest(scenario.harvest[n]))
         levels = user_battery_trace(scenario.harvest[n], p[n], d[n])
         for k in range(scenario.num_slots):
             if p[n, k] < -tol:
@@ -293,13 +316,8 @@ def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
             if levels[k] > bmax + tol:
                 violations.append((n, k, "battery-above-cap", levels[k] - bmax))
 
-    if not violations:
-        status = FEASIBLE
-    elif all(v[2] == "battery-above-cap" for v in violations):
-        status = SEMI_FEASIBLE
-    else:
-        status = INFEASIBLE
-    return FeasibilityReport(status=status, violations=tuple(violations))
+    return FeasibilityReport(status=INFEASIBLE if violations else FEASIBLE,
+                             violations=tuple(violations))
 
 
 def sum_rate(scenario: Scenario, p) -> float:

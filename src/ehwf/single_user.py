@@ -29,9 +29,11 @@ or falling after the full point that set the maximum (BFP), and at the
 horizon the segment ends where the minimum was last attained.  Zero-gain
 slots walk with one finite burn level above every positive-gain slot's
 cap, so energy is burned on them only where nothing else can take it.
-The walk and the warm-start check below run on energies divided by a
-power of two near the mean energy per slot, so their absolute tolerances
-mean the same at any scale.
+The walk and the warm-start check below run on energies divided by
+model.energy_scale of the budget, so their FEAS_TOL comparisons mean the
+same at any scale.  The checkers in model and verify take the same scale
+of the cumulative harvest, which the budget never exceeds, so a schedule
+the solver accepts is never held to a tighter tolerance by a checker.
 
 Every segment, whatever its length, is filled once by water_fill_segment
 and checked by one pass, _segment_status: feasible or not, and the
@@ -59,7 +61,7 @@ import math
 
 import numpy as np
 
-from .model import FEAS_TOL, GAIN_FLOOR, UserEnv, cumulative_harvest
+from .model import FEAS_TOL, GAIN_FLOOR, UserEnv, cumulative_harvest, energy_scale
 
 __all__ = [
     "BDP",
@@ -403,10 +405,10 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
 
     e_tilde must hold K finite, nonnegative entries that some schedule
     can meet; anything else raises ValueError.  Every fill, the guess
-    check's included, runs on energies divided by a power of two near the
-    mean energy per slot (gains multiplied by it): that scaling is exact
-    in floating point, so p and the heights come back bit for bit, and the
-    absolute tolerances become scale-free.
+    check's included, runs on energies divided by energy_scale(e_tilde)
+    (gains multiplied by it): that power of two is exact in floating
+    point, so p and the heights come back bit for bit, and the tolerances
+    become scale-free.
 
     guess, when given, is a boundary list in that same form, typically
     this user's previous answer.  It is refilled once and returned as the
@@ -428,8 +430,7 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     if not ((e_tilde >= 0.0) & (e_tilde < math.inf)).all():
         raise ValueError("e_tilde entries must be finite and nonnegative")
     total = float(e_tilde[-1]) if k_slots else 0.0
-    mean = total / k_slots if k_slots else 0.0     # 0 for a subnormal total too
-    scale = 2.0 ** round(math.log2(mean)) if mean > 0.0 else 1.0
+    scale = energy_scale(e_tilde)
     e = e_tilde / scale
     bmax, cap = env.battery_max / scale, env.power_max / scale
     gains = env.gain * scale

@@ -26,6 +26,12 @@ wastage to fit between them.
 The reduced set is what one flow network delivers (harvest in, a battery
 of capacity B_max between slots, cap P out, free discard), a polymatroid,
 so Edmonds' greedy maximises a linear function over it exactly.
+
+ReducedPolytope.contains is the one membership predicate: induced_wastage,
+kkt_certificate and first_order_certificate all decide feasibility through
+it.  It allows FEAS_TOL times model.energy_scale of the cumulative harvest
+on every constraint, the tolerance model.check_feasible applies too, so a
+verdict does not depend on the unit of energy.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FEAS_TOL, Scenario, UserEnv, cumulative_harvest
+from .model import FEAS_TOL, Scenario, UserEnv, cumulative_harvest, energy_scale
 from .single_user import _checked_boundaries, optimal_wastage
 
 __all__ = [
@@ -88,7 +94,12 @@ class ReducedPolytope:
         return worst
 
     def contains(self, p) -> bool:
-        return self.violation(p) <= FEAS_TOL
+        """Whether p is a member, within FEAS_TOL * energy_scale(cum_energy).
+
+        The tolerance follows the user's mean harvest per slot, so the
+        verdict does not depend on the unit of energy.
+        """
+        return self.violation(p) <= FEAS_TOL * energy_scale(self.cum_energy)
 
     def max_linear(self, c) -> np.ndarray:
         """A member q maximising c . q, by Edmonds' greedy.
@@ -141,18 +152,19 @@ def reduce_polytope(env: UserEnv) -> ReducedPolytope:
 def induced_wastage(env: UserEnv, p):
     """A wastage schedule making (p, d) feasible, or None when p is not.
 
-    Wastes battery overflow where it occurs; by construction this d exists
-    iff p is in the reduced polytope, so a non-finite p has none.
+    None exactly when reduce_polytope(env).contains(p) is False, so a
+    non-finite p has none.  Otherwise d wastes the battery overflow where
+    it occurs: that keeps the battery as full as its capacity allows, so
+    it stays nonnegative within the polytope's tolerance, and (p, d)
+    passes check_feasible.
     """
     p = _schedule(p, (env.num_slots,))
-    if not ((p >= -FEAS_TOL) & (p <= env.power_max + FEAS_TOL)).all():
+    if not reduce_polytope(env).contains(p):
         return None
     d = np.zeros(env.num_slots)
     level = 0.0
     for k in range(env.num_slots):
         level += env.harvest[k] - p[k]
-        if level < -FEAS_TOL:
-            return None
         d[k] = max(level - env.battery_max, 0.0)
         level -= d[k]
     return d
@@ -178,7 +190,7 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
     solve_reduced applies to a guess: a list that does not run from
     (0, BDP) to slot K raises ValueError.  Conditions, each with its
     residual:
-      feasible     p lies in the reduced polytope (its largest violation);
+      feasible     ReducedPolytope.contains(p) (its largest violation);
       duality-gap  the Frank-Wolfe gap of p under the gradient g / (1 + g p)
                    is at most GAP_TOL_PER_SLOT per slot.
     The gap is first_order_certificate's on this user alone; on effective
@@ -190,7 +202,7 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
     poly = reduce_polytope(env)
     violation = poly.violation(p)
     gap = poly.gap(env.gain / (1.0 + env.gain * p), p)
-    feasible = violation <= FEAS_TOL
+    feasible = poly.contains(p)
     gap_ok = gap <= GAP_TOL_PER_SLOT * env.num_slots
     return DualCertificate(passed=feasible and gap_ok,
                            conditions={"feasible": (feasible, violation),
@@ -231,13 +243,14 @@ def _capped_gap(scenario: Scenario, polytopes, p, limit: float) -> float:
 def first_order_certificate(scenario: Scenario, p):
     """Test global optimality of p: (gap <= tol, gap) with duality_gap.
 
-    tol is GAP_TOL_PER_SLOT per slot; an infeasible p, one with a
-    non-finite entry, or one of another shape than the scenario raises.
+    tol is GAP_TOL_PER_SLOT per slot; a p that some user's
+    ReducedPolytope.contains rejects (a non-finite entry included), or one
+    of another shape than the scenario, raises.
     """
     p = _schedule(p, scenario.harvest.shape)
     polytopes = _user_polytopes(scenario)
     for n, poly in enumerate(polytopes):
-        if poly.violation(p[n]) > FEAS_TOL:
+        if not poly.contains(p[n]):
             raise ValueError(f"schedule of user {n} is infeasible")
     gap = _capped_gap(scenario, polytopes, p, math.inf)
     return gap <= GAP_TOL_PER_SLOT * scenario.num_slots, gap
@@ -262,6 +275,7 @@ def brute_force_tiny(scenario: Scenario):
     grid_pts = 13 if n_axes <= 4 else 7
 
     cum_e = cumulative_harvest(scenario.harvest)
+    tol = FEAS_TOL * np.array([energy_scale(c) for c in cum_e])[None, :, None]
     upper = np.minimum(scenario.power_max[:, None], cum_e)
     gains = scenario.gain
     bmax = scenario.battery_max
@@ -272,11 +286,11 @@ def brute_force_tiny(scenario: Scenario):
     def evaluate(cands):
         c = np.cumsum(cands, axis=2)
         h = c - cum_e[None]
-        ok = (h <= FEAS_TOL).all(axis=(1, 2))
+        ok = (h <= tol).all(axis=(1, 2))
         prev = np.concatenate([np.zeros((cands.shape[0], n_users, 1)),
                                h[:, :, :-1]], axis=2)
         running_min = np.minimum.accumulate(prev, axis=2)
-        ok &= (h - running_min <= bmax[None, :, None] + FEAS_TOL).all(axis=(1, 2))
+        ok &= (h - running_min <= bmax[None, :, None] + tol).all(axis=(1, 2))
         vals = np.log1p(np.sum(cands * gains[None], axis=1)).sum(axis=1)
         vals[~ok] = -np.inf
         i = int(np.argmax(vals))
@@ -323,8 +337,11 @@ def brute_force_tiny(scenario: Scenario):
 
 
 def wastage_minimality_check(env: UserEnv, pairs) -> bool:
-    """No feasible (p, d) pair wastes less in total than the greedy schedule."""
+    """No feasible (p, d) pair wastes less in total than the greedy schedule.
+
+    Less means by more than the feasibility tolerance of check_feasible.
+    """
     d_star, _, _ = optimal_wastage(env)
-    floor = float(d_star.sum()) - FEAS_TOL
+    floor = float(d_star.sum()) - FEAS_TOL * energy_scale(cumulative_harvest(env.harvest))
     return all(float(np.asarray(d, dtype=float).sum()) >= floor
                for _p, d in pairs)

@@ -81,7 +81,10 @@ def wf_bisection(gains, target, power_max, iters=200):
 
     lo = 0.0
     hi = max(1.0 / g for g in pos) + target + 1.0
-    while consumed(hi) < target:
+    # past top every slot is saturated; a target at the total capacity can
+    # sit a rounding error above the summed caps, so stop doubling there
+    top = max(1.0 / g for g in pos) + power_max
+    while consumed(hi) < target and hi < top:
         hi *= 2.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)

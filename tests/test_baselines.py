@@ -112,7 +112,7 @@ def test_iterative_modified_staircase_single_user_reduction():
 
 def test_iterative_modified_staircase_wastage_is_its_own():
     # d must be the wastage of the returned schedule, not the greedy one:
-    # with greedy wastage these fig9-shaped pairs all read semi-feasible
+    # with greedy wastage these fig9-shaped pairs all overfill the battery
     for seed in range(200):
         sc = gen_scenario(GenParams(n_users=5, n_slots=20,
                                     harvest_mean=5.0 + seed % 6, harvest_var=3.5,

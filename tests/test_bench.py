@@ -212,6 +212,25 @@ def test_cli_solve_certify(tmp_path, capsys):
     assert "sum_rate_nats:" in out
 
 
+def test_cli_solve_certify_in_another_unit_of_energy(tmp_path, capsys):
+    # a fig9 instance in microjoules instead of joules (energies times 1e6,
+    # gains over 1e6) is the same problem and must certify the same way
+    fig9 = PRESETS["fig9"]
+    sc = gen_scenario(GenParams(
+        n_users=fig9["n_users"], n_slots=fig9["n_slots"],
+        harvest_mean=fig9["harvest_mean"], harvest_var=fig9["harvest_var"],
+        battery_max=fig9["battery_max"], power_max=fig9["power_max"], seed=0))
+    s = 1e6
+    path = tmp_path / "sc.json"
+    path.write_text(Scenario(sc.harvest * s, sc.gain / s, sc.battery_max * s,
+                             sc.power_max * s).to_json())
+    rc = cli_main(["solve", "--in", str(path), "--certify"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "converged: yes" in out
+    assert "certificate: PASS" in out
+
+
 def test_cli_solve_reports_unconverged_solve(tmp_path, capsys):
     path = tmp_path / "sc.json"
     assert cli_main(["gen", "--n", "3", "--k", "6", "--seed", "3",

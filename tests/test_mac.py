@@ -253,6 +253,25 @@ def user_certificates(sc, sol):
             for n in range(sc.num_users)]
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e9, 1e12])
+def test_solve_mac_certifies_in_any_unit_of_energy(scale):
+    # mac-certify-shaped instances with energies times scale and gains
+    # over it: the same problems, so every check must pass at every scale
+    for i in range(12):
+        sc = gen_scenario(GenParams(n_users=5, n_slots=20,
+                                    harvest_mean=5.0 + i % 6,
+                                    harvest_var=3.5 if i < 6 else 8.0,
+                                    battery_max=20.0, power_max=15.0,
+                                    seed=900 + i))
+        sc = scenario_of(sc.harvest * scale, sc.gain / scale,
+                         sc.battery_max * scale, sc.power_max * scale)
+        sol = solve_mac(sc)
+        assert sol.converged
+        assert check_feasible(sc, sol.p, sol.d).ok
+        assert all(user_certificates(sc, sol))
+        assert first_order_certificate(sc, sol.p)[0]
+
+
 def test_solve_mac_closes_the_slow_tail():
     # round-robin sweeps without the line search took 2,005 sweeps here
     sc = gen_scenario(GenParams(n_users=5, n_slots=20, harvest_mean=6.0,

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehwf.model import (FEASIBLE, INFEASIBLE, SEMI_FEASIBLE, Scenario, UserEnv,
+from ehwf.mac import solve_mac
+from ehwf.model import (FEASIBLE, INFEASIBLE, Scenario, UserEnv,
                         check_feasible, cumulative_harvest, sum_rate,
                         user_battery_trace)
-from ehwf.single_user import optimal_wastage
+from ehwf.single_user import optimal_wastage, solve_single
+from ehwf.verify import first_order_certificate, kkt_certificate
 
 import _oracles
 from conftest import finite_energy, user_envs
@@ -53,13 +55,22 @@ def test_check_feasible_greedy_schedule():
     assert report.violations == ()
 
 
-def test_check_feasible_battery_overshoot_is_semi():
-    # battery ends at 21 with capacity 20: overshoot only
+def test_check_feasible_battery_overshoot_alone_is_infeasible():
+    # battery ends at 21 with capacity 20: an overshoot is a violation too
     sc = scenario_1u([25], bmax=20.0, pmax=15.0)
     report = check_feasible(sc, np.array([[4.0]]), np.array([[0.0]]))
-    assert report.status == SEMI_FEASIBLE
-    kinds = {v[2] for v in report.violations}
-    assert kinds == {"battery-above-cap"}
+    assert not report.ok
+    assert report.status == INFEASIBLE
+    assert report.violations == ((0, 0, "battery-above-cap", 1.0),)
+
+
+def test_check_feasible_passes_a_budget_scaled_solve():
+    # the solver checks this user on energies halved (its energy scale is
+    # 2), so its battery ends slot 3 at 0.5 + 1.00000008e-9: within FEAS_TOL
+    # at that scale, beyond it in absolute terms
+    env = UserEnv([0.0, 0.0, 9.0, 1e-9, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0], 0.5, 8.0)
+    p, d, _, _ = solve_single(env)
+    assert check_feasible(Scenario.single_user(env), p[None, :], d[None, :]).ok
 
 
 def test_check_feasible_power_cap_violation():
@@ -84,9 +95,29 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(harvest=-np.ones((1, 2)), gain=np.ones((1, 2)),
                  battery_max=np.ones(1), power_max=np.ones(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         Scenario(harvest=np.ones((1, 2)), gain=np.ones((1, 2)),
-                 battery_max=np.zeros(1), power_max=np.ones(1))
+                 battery_max=-np.ones(1), power_max=np.ones(1))
+    # zero caps load, as they do for UserEnv
+    sc = Scenario(harvest=np.ones((1, 2)), gain=np.ones((1, 2)),
+                  battery_max=np.zeros(1), power_max=np.zeros(1))
+    assert sc.battery_max[0] == 0.0 and sc.power_max[0] == 0.0
+
+
+@pytest.mark.parametrize("bmax, pmax", [(0.0, 0.0), (0.0, 3.0), (4.0, 0.0)])
+def test_zero_caps_round_trip_and_certify(bmax, pmax):
+    # B = 0 banks nothing between slots, P = 0 spends nothing
+    env = UserEnv([2.0, 0.0, 5.0, 1.0], [0.5, 1.0, 2.0, 0.0], bmax, pmax)
+    sc = Scenario.from_json(Scenario.single_user(env).to_json())
+    assert np.array_equal(sc.harvest[0], env.harvest)
+    assert np.array_equal(sc.gain[0], env.gain)
+    assert (sc.battery_max[0], sc.power_max[0]) == (bmax, pmax)
+    sol = solve_mac(sc)
+    assert sol.converged
+    assert check_feasible(sc, sol.p, sol.d).ok
+    user = UserEnv(env.harvest, sol.user_gains[0], bmax, pmax)
+    assert kkt_certificate(user, sol.p[0], sol.user_boundaries[0]).passed
+    assert first_order_certificate(sc, sol.p)[0]
 
 
 def test_non_finite_input_rejected():

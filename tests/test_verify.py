@@ -71,6 +71,26 @@ def test_polytope_membership_matches_constructive_wastage(env, data):
             env.harvest, env.battery_max, p) is None
 
 
+def test_feasibility_tolerance_is_relative_to_the_harvest():
+    # 5e-10 more than harvested is 1e-4 of a slot's energy at this scale:
+    # every predicate rejects it, though it is below FEAS_TOL in absolute terms
+    s = 1e-6
+    env = env_of(np.array([5.0, 6.0, 4.0]) * s, gain=np.array([1.0, 2.0, 0.5]) / s,
+                 bmax=20.0 * s, pmax=15.0 * s)
+    p = env.harvest.copy()
+    p[1] += 5e-10
+    assert not reduce_polytope(env).contains(p)
+    assert induced_wastage(env, p) is None
+    report = check_feasible(Scenario.single_user(env), p[None, :], np.zeros((1, 3)))
+    assert not report.ok
+    assert {v[2] for v in report.violations} == {"battery-negative"}
+    assert not kkt_certificate(env, p, [(0, "BDP"), (3, "BDP")]).conditions["feasible"][0]
+    with pytest.raises(ValueError, match="infeasible"):
+        first_order_certificate(Scenario.single_user(env), p[None, :])
+    # the harvest itself, spent as it comes, is a member
+    assert reduce_polytope(env).contains(env.harvest)
+
+
 # ---- per-user certificate ----------------------------------------------------
 
 def test_kkt_certificate_accepts_solver_output():
