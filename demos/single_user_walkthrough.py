@@ -53,7 +53,7 @@ print("end-of-slot battery     ", battery)
 
 report = check_feasible(Scenario.single_user(env), p[None, :], d[None, :])
 rate = sum_rate(Scenario.single_user(env), p[None, :])
-print(f"\nfeasibility: {report.status}    rate: {rate:.6f} nats")
+print(f"\nfeasible: {report.ok}    rate: {rate:.6f} nats")
 
 # Step 3: the certificate checks p against the feasible set and bounds
 # the nats it leaves on the table by the exact Frank-Wolfe duality gap.

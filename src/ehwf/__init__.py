@@ -9,8 +9,6 @@ policies, optimality certificates, and a benchmark harness (CLI: ehwf).
 
 from .model import (
     FEAS_TOL,
-    FEASIBLE,
-    INFEASIBLE,
     FeasibilityReport,
     Scenario,
     UserEnv,
@@ -25,7 +23,6 @@ from .single_user import (
     BFP,
     effective_energy,
     optimal_wastage,
-    segment_target_energy,
     solve_reduced,
     solve_single,
     water_fill_segment,
@@ -49,13 +46,10 @@ from .verify import (
     GAP_TOL_PER_SLOT,
     DualCertificate,
     ReducedPolytope,
-    brute_force_tiny,
-    duality_gap,
     first_order_certificate,
     induced_wastage,
     kkt_certificate,
     reduce_polytope,
-    wastage_minimality_check,
 )
 from .bench import (
     PRESETS,
@@ -70,15 +64,14 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
     # model
-    "FEAS_TOL", "FEASIBLE", "INFEASIBLE", "energy_scale",
+    "FEAS_TOL", "energy_scale",
     "Scenario", "UserEnv", "FeasibilityReport",
     "cumulative_harvest", "user_battery_trace",
     "check_feasible", "sum_rate",
     # single user
     "BDP", "BFP", "optimal_wastage", "effective_energy",
-    "segment_target_energy", "water_fill_segment",
+    "water_fill_segment",
     "solve_reduced", "solve_single",
     # multiple access
     "MacSolution", "effective_gain",
@@ -87,11 +80,10 @@ __all__ = [
     "greedy_policy", "balanced_policy", "staircase_wf",
     "modified_staircase", "iterative_modified_staircase",
     "non_iterative_multiuser",
-    # certificates and oracles
+    # certificates
     "GAP_TOL_PER_SLOT", "ReducedPolytope", "DualCertificate",
-    "reduce_polytope", "induced_wastage", "kkt_certificate", "duality_gap",
+    "reduce_polytope", "induced_wastage", "kkt_certificate",
     "first_order_certificate",
-    "brute_force_tiny", "wastage_minimality_check",
     # benchmarks
     "GenParams", "ExperimentResult", "PRESETS", "truncated_gaussian",
     "gen_scenario", "run_experiment", "cli_main",

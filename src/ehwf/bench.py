@@ -40,7 +40,6 @@ __all__ = [
     "gen_scenario",
     "run_experiment",
     "cli_main",
-    "main",
 ]
 
 RESULT_COLUMNS = ("scenario_id", "seed", "policy", "sum_rate_nats",

@@ -12,11 +12,12 @@ Each user's subproblem against the others' fixed schedules is exactly the
 single-user problem with the gain replaced by the effective gain, so one
 sweep is N single-user solves.  The sum rate never decreases across a
 best response, and at a fixed point the joint schedule is globally
-optimal; solve_mac stops once its duality gap (verify.duality_gap) is
-within tol nats of it.  Round-robin sweeps zig-zag where users share
-slots, so between sweeps solve_mac line-searches the sum rate along the
-step from one sweep's result to the next (_line_search).  The trace
-holds best-response rates, and p is always a full sweep's.
+optimal; solve_mac stops once its duality gap, the one
+verify.first_order_certificate reports, is within tol nats of it.
+Round-robin sweeps zig-zag where users share slots, so between sweeps
+solve_mac line-searches the sum rate along the step from one sweep's
+result to the next (_line_search).  The trace holds best-response
+rates, and p is always a full sweep's.
 
 Later sweeps mostly only polish the rate: a user's segment boundaries
 settle long before its levels do.  So solve_mac hands each user's previous
@@ -34,7 +35,7 @@ import numpy as np
 
 from .model import Scenario, UserEnv, sum_rate
 from .single_user import effective_energy, optimal_wastage, solve_reduced
-from .verify import GAP_TOL_PER_SLOT, _capped_gap, _user_polytopes
+from .verify import GAP_TOL_PER_SLOT, _capped_gap, reduce_polytope
 
 __all__ = [
     "MacSolution",
@@ -143,10 +144,12 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
     n_users = scenario.num_users
     d = np.zeros_like(scenario.harvest)
     e_tilde = np.zeros_like(scenario.harvest)
+    polytopes = []
     for n in range(n_users):
         env = scenario.user(n)
         d[n], _, _ = optimal_wastage(env)
         e_tilde[n] = effective_energy(env, d[n])
+        polytopes.append(reduce_polytope(env))
 
     boundaries = [None] * n_users
     snap_gains = np.array(scenario.gain, dtype=float, copy=True)
@@ -156,7 +159,6 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
         snap_gains[n] = env.gain
         return p_n, d[n]
 
-    polytopes = _user_polytopes(scenario)
     gaps = []
 
     def stop(p, rate_gain):

@@ -31,9 +31,6 @@ import numpy as np
 
 __all__ = [
     "FEAS_TOL",
-    "GAIN_FLOOR",
-    "FEASIBLE",
-    "INFEASIBLE",
     "Scenario",
     "UserEnv",
     "FeasibilityReport",
@@ -54,9 +51,6 @@ FEAS_TOL = 1e-9
 # Gains below this cannot be priced: their inverse overflows the double
 # range.  Such slots are treated exactly like zero-gain slots.
 GAIN_FLOOR = 1.0 / sys.float_info.max
-
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
 
 
 def energy_scale(cum_energy) -> float:
@@ -205,19 +199,25 @@ class Scenario:
         try:
             users = obj["users"]
             n, k = int(obj["num_users"]), int(obj["num_slots"])
-        except (KeyError, TypeError) as exc:
+            if not isinstance(users, list):
+                raise TypeError(f"users must be a list, not {type(users).__name__}")
+            fields = {key: [u[key] for u in users]
+                      for key in ("harvest", "gain", "battery_max", "power_max")}
+        except KeyError as exc:
+            raise ValueError(f"malformed scenario object: missing key {exc}") from exc
+        except TypeError as exc:
             raise ValueError(f"malformed scenario object: {exc}") from exc
         if len(users) != n:
             raise ValueError(f"scenario declares {n} users but lists {len(users)}")
-        harvest = np.array([u["harvest"] for u in users], dtype=float)
-        gain = np.array([u["gain"] for u in users], dtype=float)
+        harvest = np.array(fields["harvest"], dtype=float)
+        gain = np.array(fields["gain"], dtype=float)
         if harvest.shape != (n, k) or gain.shape != (n, k):
             raise ValueError("user vectors do not match the declared num_slots")
         return cls(
             harvest=harvest,
             gain=gain,
-            battery_max=np.array([_cap_from_json(u["battery_max"]) for u in users]),
-            power_max=np.array([_cap_from_json(u["power_max"]) for u in users]),
+            battery_max=np.array([_cap_from_json(c) for c in fields["battery_max"]]),
+            power_max=np.array([_cap_from_json(c) for c in fields["power_max"]]),
         )
 
     @classmethod
@@ -245,16 +245,15 @@ def _cap_from_json(cap) -> float:
 class FeasibilityReport:
     """Outcome of check_feasible on an energy schedule.
 
-    status is FEASIBLE when there are no violations and INFEASIBLE
-    otherwise.  Each violation is a (user, slot, kind, magnitude) tuple.
+    Each violation is a (user, slot, kind, magnitude) tuple; ok is whether
+    there are none.
     """
 
-    status: str
     violations: tuple = field(default_factory=tuple)
 
     @property
     def ok(self) -> bool:
-        return self.status == FEASIBLE
+        return not self.violations
 
 
 def cumulative_harvest(harvest) -> np.ndarray:
@@ -285,8 +284,10 @@ def user_battery_trace(harvest, p, d=None) -> np.ndarray:
 def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
     """Check every constraint of the schedule pair (p, d).
 
-    Constraints per user and slot: 0 <= p <= power_max, d >= 0, and the
-    battery level stays within [0, battery_max].  Each user's are checked
+    Constraints per user and slot: p and d finite, 0 <= p <= power_max,
+    d >= 0, and the battery level stays within [0, battery_max].  A
+    non-finite entry is a violation of infinite magnitude, as in
+    verify.ReducedPolytope.violation.  Each user's are checked
     within FEAS_TOL times energy_scale of its cumulative harvest, the
     tolerance of verify.ReducedPolytope.contains.  This check cannot just
     ask the polytope: it checks the wastage d the caller supplies, while
@@ -298,13 +299,21 @@ def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
     if p.shape != shape or d.shape != shape:
         raise ValueError(f"schedules must have shape {shape}")
 
+    # NaN fails every comparison below, so non-finite entries get their own test
+    finite = (np.isfinite(p) & np.isfinite(d)).all(axis=1)
     violations = []
     for n in range(scenario.num_users):
         cap = scenario.power_max[n]
         bmax = scenario.battery_max[n]
         tol = FEAS_TOL * energy_scale(cumulative_harvest(scenario.harvest[n]))
         levels = user_battery_trace(scenario.harvest[n], p[n], d[n])
+        nonfinite = not finite[n]
         for k in range(scenario.num_slots):
+            if nonfinite:
+                if not math.isfinite(p[n, k]):
+                    violations.append((n, k, "power-non-finite", math.inf))
+                if not math.isfinite(d[n, k]):
+                    violations.append((n, k, "wastage-non-finite", math.inf))
             if p[n, k] < -tol:
                 violations.append((n, k, "power-negative", -p[n, k]))
             if p[n, k] > cap + tol:
@@ -316,8 +325,7 @@ def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
             if levels[k] > bmax + tol:
                 violations.append((n, k, "battery-above-cap", levels[k] - bmax))
 
-    return FeasibilityReport(status=INFEASIBLE if violations else FEASIBLE,
-                             violations=tuple(violations))
+    return FeasibilityReport(violations=tuple(violations))
 
 
 def sum_rate(scenario: Scenario, p) -> float:

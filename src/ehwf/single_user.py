@@ -4,7 +4,6 @@ Contents
 --------
 optimal_wastage        minimal-total-wastage forward recurrence
 effective_energy       cumulative harvest net of wastage
-segment_target_energy  energy a boundary pair forces through its segment
 water_fill_segment     capped water-filling at one constant level, on lists;
                        every segment fill calls it
 solve_reduced          forward tube walk for the segment boundaries,
@@ -35,16 +34,17 @@ same at any scale.  The checkers in model and verify take the same scale
 of the cumulative harvest, which the budget never exceeds, so a schedule
 the solver accepts is never held to a tighter tolerance by a checker.
 
-Every segment, whatever its length, is filled once by water_fill_segment
-and checked by one pass, _segment_status: feasible or not, and the
-warm-start margins.  Its water level, and the walk's prefix levels, come
-from one level function: a sweep over the slots' sorted fill and
-saturation breakpoints that stops at the target.  That layer (fill,
-level, target, feasibility, warm-start check) runs on Python floats
-converted once per solve: its segments are a few slots long, where a
-numpy call costs more than its arithmetic.  Python's float operations
-are numpy's elementwise ones and the running battery sums add in
-np.cumsum's order, so results are bit for bit those of array code.
+Every segment, whatever its length, is filled and checked by one helper,
+_fill_segment: its target energy, one water_fill_segment call, and one
+pass, _segment_status, for feasibility and the warm-start margins.  Its
+water level, and the walk's prefix levels, come from one level function:
+a sweep over the slots' sorted fill and saturation breakpoints that
+stops at the target.  That layer (fill, level, target, feasibility,
+warm-start check) runs on Python floats converted once per solve: its
+segments are a few slots long, where a numpy call costs more than its
+arithmetic.  Python's float operations are numpy's elementwise ones and
+the running battery sums add in np.cumsum's order, so results are bit
+for bit those of array code.
 
 solve_reduced(env, e_tilde, guess=boundaries) first refills the guessed
 segments once each and returns them untouched when they meet the KKT
@@ -68,7 +68,6 @@ __all__ = [
     "BFP",
     "optimal_wastage",
     "effective_energy",
-    "segment_target_energy",
     "water_fill_segment",
     "solve_reduced",
     "solve_single",
@@ -117,7 +116,7 @@ def effective_energy(env: UserEnv, d_star) -> np.ndarray:
     return cumulative_harvest(env.harvest) - np.cumsum(d_star)
 
 
-def segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max) -> float:
+def _segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max) -> float:
     """Total energy segment (a, b] must consume, given its boundary kinds.
 
     Boundary slots use the 1-based convention: boundary a is the end of
@@ -141,10 +140,14 @@ def water_fill_segment(gains: list, target, cap):
     exactly (see _fill_level).  Zero-gain slots always get 0, as do slots
     whose gain is too small to invert.  gains is a list of floats; returns
     (p, w), p a list and w = 1/L (+inf for a zero target).  Every segment
-    fill calls it by name.
+    fill calls it by name.  A NaN or infinite target, or a NaN or negative
+    cap, raises ValueError.
     """
     cap = float(cap)
     target = float(target)
+    if not (cap >= 0.0 and -math.inf < target < math.inf):
+        raise ValueError(f"water_fill_segment needs a finite target and a "
+                         f"nonnegative cap, got target {target!r}, cap {cap!r}")
     if target <= 0.0:
         return [0.0] * len(gains), math.inf
 
@@ -234,25 +237,31 @@ def _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max):
     return True, free and inside
 
 
-def _segment_schedule(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
-    """Fill segment (a, b] for the given boundary kinds and classify it.
+def _fill_segment(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
+    """Fill segment (a, b] for the given boundary kinds and check it.
 
-    gains and e_tilde are lists of floats; returns (p_segment list, height,
-    feasible).  Energy the boundary condition forces through the segment
-    beyond what its positive-gain slots carry under the cap is burned
-    evenly on its zero-gain slots, at no rate either way.
+    gains and e_tilde are lists of floats; returns (p_segment list, w,
+    feasible, settled): w from water_fill_segment, and feasible and settled
+    from _segment_status, settled only on a segment whose gains are all
+    positive.  On such a segment, the warm start's case, the target is
+    within the cap and the fill takes it whole.  Otherwise the energy the
+    boundary condition forces through the segment beyond what its
+    positive-gain slots carry under the cap is burned evenly on its
+    zero-gain slots, at no rate either way.
     """
-    target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max)
+    target = fill_target = _segment_target_energy(a, kind_a, b, kind_b, e_tilde,
+                                                  battery_max, power_max)
     gains = gains[a:b]
-    npos = sum(g > GAIN_FLOOR for g in gains)
-    fill_target = min(target, npos * power_max) if npos else 0.0
+    positive = min(gains) > GAIN_FLOOR
+    if not positive:
+        npos = sum(g > GAIN_FLOOR for g in gains)
+        fill_target = min(target, npos * power_max) if npos else 0.0
     p_seg, w = water_fill_segment(gains, fill_target, power_max)
-    surplus = target - fill_target
-    if surplus > 0.0:
-        burn = surplus / (b - a - npos)
+    if fill_target < target:
+        burn = (target - fill_target) / (b - a - npos)
         p_seg = [x if g > GAIN_FLOOR else burn for g, x in zip(gains, p_seg)]
-    feasible, _ = _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max)
-    return p_seg, 0.0 if not math.isfinite(w) else 1.0 / w, feasible
+    feasible, settled = _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max)
+    return p_seg, w, feasible, settled and positive
 
 
 def _close_segment(inv, e_tilde, battery_max, power_max, a, kind_a):
@@ -352,21 +361,21 @@ def _refill_guess(gains, e_tilde, bmax, cap, guess):
     segment.  Where a level is flat or a battery bound is touched inside a
     segment, several lists describe one schedule (B = 0 is the extreme
     case), and the walk, which gives ties to the later prefix, may have
-    chosen another; such guesses fall back.  gains and e_tilde are lists
-    of floats, and so is the p returned.  Returns None otherwise.
+    chosen another; such guesses fall back.  A battery of infinite
+    capacity is never full, so a guess with a BFP falls back there too.
+    gains and e_tilde are lists of floats, and so is the p returned.
+    Returns None otherwise.
     """
-    if guess[-1][1] != BDP:
+    if guess[-1][1] != BDP or (bmax == math.inf
+                               and any(kind == BFP for _, kind in guess)):
         return None
     p = []
     heights = []
     for (a, kind_a), (b, kind_b) in zip(guess, guess[1:]):
-        if not min(gains[a:b]) > GAIN_FLOOR:
-            return None
         # a slot strictly inside (0, P) also puts the target strictly inside
         # (0, (b-a)*P), so the boundary levels are met exactly
-        target = segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
-        p_seg, w = water_fill_segment(gains[a:b], target, cap)
-        if _segment_status(p_seg, e_tilde, a, kind_a, bmax, cap) != (True, True):
+        p_seg, w, _, settled = _fill_segment(gains, e_tilde, bmax, cap, a, kind_a, b, kind_b)
+        if not settled:
             return None
         height = 1.0 / w        # finite: a slot inside (0, P) drew energy
         if heights:
@@ -456,15 +465,15 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
         b, kind_b = _close_segment(inv, e, bmax, cap, a, kind_a)
         feasible = b > a        # an empty segment: the budget dips below zero
         if feasible:
-            p_seg, height, feasible = _segment_schedule(
-                gain_list, e_list, bmax, cap, a, kind_a, b, kind_b)
+            p_seg, w, feasible, _ = _fill_segment(gain_list, e_list, bmax, cap,
+                                                  a, kind_a, b, kind_b)
         if not feasible:
             # only a budget no schedule meets gets here; say so
             _check_reachable(e_list, bmax, cap)
             raise RuntimeError("closed segment did not fill feasibly")
         p += p_seg
         confirmed.append((b, kind_b))
-        heights.append(height * scale)
+        heights.append(1.0 / w * scale if math.isfinite(w) else 0.0)
     return np.array(p) * scale, confirmed, heights
 
 

@@ -1,4 +1,4 @@
-"""Optimality certificates and independent oracles.
+"""Optimality certificates.
 
 Contents
 --------
@@ -7,10 +7,8 @@ reduce_polytope          build it from a UserEnv
 induced_wastage          a concrete wastage schedule for a given p, if any
 kkt_certificate          one user's feasibility and exact gap on its own problem
                          (its boundary list checked as solve_reduced's guess is)
-duality_gap              Frank-Wolfe gap: an upper bound on f* - f(p)
-first_order_certificate  global check: the duality gap is within GAP_TOL_PER_SLOT*K
-brute_force_tiny         refined grid search for instances with N*K <= 6
-wastage_minimality_check no feasible pair wastes less than the greedy total
+first_order_certificate  global check: the Frank-Wolfe duality gap, an upper
+                         bound on f* - f(p), is within GAP_TOL_PER_SLOT*K
 DualCertificate          kkt_certificate's two conditions and their residuals
 GAP_TOL_PER_SLOT         gap tolerance per slot, shared with solve_mac's default
 
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FEAS_TOL, Scenario, UserEnv, cumulative_harvest, energy_scale
-from .single_user import _checked_boundaries, optimal_wastage
+from .single_user import _checked_boundaries
 
 __all__ = [
     "GAP_TOL_PER_SLOT",
@@ -51,10 +49,7 @@ __all__ = [
     "reduce_polytope",
     "induced_wastage",
     "kkt_certificate",
-    "duality_gap",
     "first_order_certificate",
-    "brute_force_tiny",
-    "wastage_minimality_check",
 ]
 
 # Duality-gap tolerance in nats per slot, for the certificates and for
@@ -194,7 +189,7 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
       duality-gap  the Frank-Wolfe gap of p under the gradient g / (1 + g p)
                    is at most GAP_TOL_PER_SLOT per slot.
     The gap is first_order_certificate's on this user alone; on effective
-    gains it is that user's term of duality_gap.  A pass bounds what p
+    gains it is that user's term of the joint gap.  A pass bounds what p
     leaves of the optimum by GAP_TOL_PER_SLOT * K nats.
     """
     _checked_boundaries(x, env.num_slots)
@@ -209,28 +204,9 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
                                        "duality-gap": (gap_ok, gap)})
 
 
-def duality_gap(scenario: Scenario, p) -> float:
-    """Frank-Wolfe gap sum_n max_q grad_n . (q - p_n) of p, in nats.
-
-    q ranges over user n's reduced polytope and grad is the sum rate's
-    gradient at p.  For a feasible p (not checked) it bounds f* - f(p)
-    from above.
-    """
-    p = _schedule(p, scenario.harvest.shape)
-    return _capped_gap(scenario, _user_polytopes(scenario), p, math.inf)
-
-
-def _user_polytopes(scenario: Scenario) -> list:
-    """Every user's ReducedPolytope, in user order."""
-    cum_energy = cumulative_harvest(scenario.harvest)
-    return [ReducedPolytope(cum_energy[n], float(scenario.battery_max[n]),
-                            float(scenario.power_max[n]))
-            for n in range(scenario.num_users)]
-
-
 def _capped_gap(scenario: Scenario, polytopes, p, limit: float) -> float:
-    # duality_gap summed in user order, returned once it exceeds limit; p
-    # is a float array of the scenario's shape
+    # first_order_certificate's gap, summed in user order and returned once
+    # it exceeds limit; p is a float array of the scenario's shape
     grad = scenario.gain / (1.0 + np.sum(p * scenario.gain, axis=0))
     gap = 0.0
     for n, poly in enumerate(polytopes):
@@ -241,107 +217,19 @@ def _capped_gap(scenario: Scenario, polytopes, p, limit: float) -> float:
 
 
 def first_order_certificate(scenario: Scenario, p):
-    """Test global optimality of p: (gap <= tol, gap) with duality_gap.
+    """Test global optimality of p: (gap <= tol, gap), gap in nats.
 
-    tol is GAP_TOL_PER_SLOT per slot; a p that some user's
+    gap is the Frank-Wolfe duality gap sum_n max_q grad_n . (q - p_n), q
+    over user n's ReducedPolytope and grad the sum rate's gradient at p;
+    for a member p it bounds f* - f(p) from above.  tol is
+    GAP_TOL_PER_SLOT per slot; a p that some user's
     ReducedPolytope.contains rejects (a non-finite entry included), or one
     of another shape than the scenario, raises.
     """
     p = _schedule(p, scenario.harvest.shape)
-    polytopes = _user_polytopes(scenario)
+    polytopes = [reduce_polytope(scenario.user(n)) for n in range(scenario.num_users)]
     for n, poly in enumerate(polytopes):
         if not poly.contains(p[n]):
             raise ValueError(f"schedule of user {n} is infeasible")
     gap = _capped_gap(scenario, polytopes, p, math.inf)
     return gap <= GAP_TOL_PER_SLOT * scenario.num_slots, gap
-
-
-def brute_force_tiny(scenario: Scenario):
-    """Grid search with shrinking refinement; the oracle for tiny instances.
-
-    Candidates are the incumbent plus one shared set of symmetric offsets
-    on every axis, clamped to the box.  Shared offsets keep diagonal moves
-    along coupling constraints on the lattice at every width (per-axis
-    grids lose them once a window clips and can stall short of the
-    optimum); clamping puts the box faces themselves on the lattice.  The
-    width halves when no candidate improves, and a converged incumbent is
-    rescanned at a ladder of widths before the result is trusted; the
-    descent stops at width 1e-6.  Returns (best schedule, best value).
-    """
-    n_users, n_slots = scenario.num_users, scenario.num_slots
-    n_axes = n_users * n_slots
-    if n_axes > 6:
-        raise ValueError("grid search is limited to num_users * num_slots <= 6")
-    grid_pts = 13 if n_axes <= 4 else 7
-
-    cum_e = cumulative_harvest(scenario.harvest)
-    tol = FEAS_TOL * np.array([energy_scale(c) for c in cum_e])[None, :, None]
-    upper = np.minimum(scenario.power_max[:, None], cum_e)
-    gains = scenario.gain
-    bmax = scenario.battery_max
-    scale = float(upper.max())
-    if scale <= 0.0:
-        return np.zeros((n_users, n_slots)), 0.0
-
-    def evaluate(cands):
-        c = np.cumsum(cands, axis=2)
-        h = c - cum_e[None]
-        ok = (h <= tol).all(axis=(1, 2))
-        prev = np.concatenate([np.zeros((cands.shape[0], n_users, 1)),
-                               h[:, :, :-1]], axis=2)
-        running_min = np.minimum.accumulate(prev, axis=2)
-        ok &= (h - running_min <= bmax[None, :, None] + tol).all(axis=(1, 2))
-        vals = np.log1p(np.sum(cands * gains[None], axis=1)).sum(axis=1)
-        vals[~ok] = -np.inf
-        i = int(np.argmax(vals))
-        return float(vals[i]), cands[i]
-
-    def scan(center, width):
-        offsets = np.linspace(-width, width, grid_pts)
-        mesh = np.stack(np.meshgrid(*[offsets] * n_axes, indexing="ij"),
-                        axis=-1).reshape(-1, n_axes)
-        cands = center.reshape(1, n_axes) + mesh
-        np.clip(cands, 0.0, upper.reshape(1, n_axes), out=cands)
-        return evaluate(cands.reshape(-1, n_users, n_slots))
-
-    best_p = np.zeros((n_users, n_slots))
-    best_v = 0.0                      # the zero schedule is always feasible
-
-    def descend(center, width, best_v, best_p):
-        for _ in range(400):
-            v, q = scan(center, width)
-            if v > best_v + 1e-10:
-                best_v, best_p = v, q  # still improving: chase, don't shrink
-            else:
-                if v > best_v:
-                    best_v, best_p = v, q
-                width *= 0.5
-            center = best_p
-            if width <= 1e-6:
-                break
-        return best_v, best_p
-
-    best_v, best_p = descend(upper / 2.0, scale / 2.0, best_v, best_p)
-    for _ in range(20):
-        resume = None
-        for shrink in (2.0, 8.0, 32.0, 128.0, 512.0):
-            v, q = scan(best_p, scale / shrink)
-            if v > best_v + 1e-10:
-                resume = scale / shrink
-                best_v, best_p = v, q
-                break
-        if resume is None:
-            break
-        best_v, best_p = descend(best_p, resume, best_v, best_p)
-    return best_p, best_v
-
-
-def wastage_minimality_check(env: UserEnv, pairs) -> bool:
-    """No feasible (p, d) pair wastes less in total than the greedy schedule.
-
-    Less means by more than the feasibility tolerance of check_feasible.
-    """
-    d_star, _, _ = optimal_wastage(env)
-    floor = float(d_star.sum()) - FEAS_TOL * energy_scale(cumulative_harvest(env.harvest))
-    return all(float(np.asarray(d, dtype=float).sum()) >= floor
-               for _p, d in pairs)

@@ -3,14 +3,20 @@
 Everything here is written the slow, obvious way on purpose: plain loops,
 bisection instead of breakpoint sweeps, no shared code with the package.
 If the library and these disagree, trust neither and investigate.  The
-one exception is wf_array_reference, the package's earlier numpy segment
-fill, kept as it was to hold the current fill to the same bits.
+exceptions: wf_array_reference, the package's earlier numpy segment fill,
+kept as it was to hold the current fill to the same bits; brute_force_tiny,
+which takes the package's tolerance rule (energy_scale) so that its grid
+filter accepts what the checkers accept; and wastage_minimality_check,
+which tests the package's own optimal_wastage.
 """
 
 import math
 import sys
 
 import numpy as np
+
+from ehwf.model import Scenario, UserEnv, cumulative_harvest, energy_scale
+from ehwf.single_user import optimal_wastage
 
 
 def cumulative_loop(harvest):
@@ -186,3 +192,94 @@ def _array_fill_level(inv, cap, target):
         prev = x
         slope += delta
     return prev if m else prev + (target - total) / slope
+
+
+def brute_force_tiny(scenario: Scenario):
+    """Grid search with shrinking refinement; the oracle for tiny instances.
+
+    Candidates are the incumbent plus one shared set of symmetric offsets
+    on every axis, clamped to the box.  Shared offsets keep diagonal moves
+    along coupling constraints on the lattice at every width (per-axis
+    grids lose them once a window clips and can stall short of the
+    optimum); clamping puts the box faces themselves on the lattice.  The
+    width halves when no candidate improves, and a converged incumbent is
+    rescanned at a ladder of widths before the result is trusted; the
+    descent stops at width 1e-6.  Returns (best schedule, best value).
+    """
+    n_users, n_slots = scenario.num_users, scenario.num_slots
+    n_axes = n_users * n_slots
+    if n_axes > 6:
+        raise ValueError("grid search is limited to num_users * num_slots <= 6")
+    grid_pts = 13 if n_axes <= 4 else 7
+
+    cum_e = cumulative_harvest(scenario.harvest)
+    tol = FEAS_TOL * np.array([energy_scale(c) for c in cum_e])[None, :, None]
+    upper = np.minimum(scenario.power_max[:, None], cum_e)
+    gains = scenario.gain
+    bmax = scenario.battery_max
+    scale = float(upper.max())
+    if scale <= 0.0:
+        return np.zeros((n_users, n_slots)), 0.0
+
+    def evaluate(cands):
+        c = np.cumsum(cands, axis=2)
+        h = c - cum_e[None]
+        ok = (h <= tol).all(axis=(1, 2))
+        prev = np.concatenate([np.zeros((cands.shape[0], n_users, 1)),
+                               h[:, :, :-1]], axis=2)
+        running_min = np.minimum.accumulate(prev, axis=2)
+        ok &= (h - running_min <= bmax[None, :, None] + tol).all(axis=(1, 2))
+        vals = np.log1p(np.sum(cands * gains[None], axis=1)).sum(axis=1)
+        vals[~ok] = -np.inf
+        i = int(np.argmax(vals))
+        return float(vals[i]), cands[i]
+
+    def scan(center, width):
+        offsets = np.linspace(-width, width, grid_pts)
+        mesh = np.stack(np.meshgrid(*[offsets] * n_axes, indexing="ij"),
+                        axis=-1).reshape(-1, n_axes)
+        cands = center.reshape(1, n_axes) + mesh
+        np.clip(cands, 0.0, upper.reshape(1, n_axes), out=cands)
+        return evaluate(cands.reshape(-1, n_users, n_slots))
+
+    best_p = np.zeros((n_users, n_slots))
+    best_v = 0.0                      # the zero schedule is always feasible
+
+    def descend(center, width, best_v, best_p):
+        for _ in range(400):
+            v, q = scan(center, width)
+            if v > best_v + 1e-10:
+                best_v, best_p = v, q  # still improving: chase, don't shrink
+            else:
+                if v > best_v:
+                    best_v, best_p = v, q
+                width *= 0.5
+            center = best_p
+            if width <= 1e-6:
+                break
+        return best_v, best_p
+
+    best_v, best_p = descend(upper / 2.0, scale / 2.0, best_v, best_p)
+    for _ in range(20):
+        resume = None
+        for shrink in (2.0, 8.0, 32.0, 128.0, 512.0):
+            v, q = scan(best_p, scale / shrink)
+            if v > best_v + 1e-10:
+                resume = scale / shrink
+                best_v, best_p = v, q
+                break
+        if resume is None:
+            break
+        best_v, best_p = descend(best_p, resume, best_v, best_p)
+    return best_p, best_v
+
+
+def wastage_minimality_check(env: UserEnv, pairs) -> bool:
+    """No feasible (p, d) pair wastes less in total than the greedy schedule.
+
+    Less means by more than the feasibility tolerance of check_feasible.
+    """
+    d_star, _, _ = optimal_wastage(env)
+    floor = float(d_star.sum()) - FEAS_TOL * energy_scale(cumulative_harvest(env.harvest))
+    return all(float(np.asarray(d, dtype=float).sum()) >= floor
+               for _p, d in pairs)

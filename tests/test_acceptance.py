@@ -16,8 +16,9 @@ from ehwf.mac import first_iteration_gap_bound, solve_mac
 from ehwf.model import Scenario, UserEnv, check_feasible, sum_rate
 from ehwf.single_user import (effective_energy, optimal_wastage, solve_reduced,
                               solve_single)
-from ehwf.verify import (brute_force_tiny, first_order_certificate,
-                         kkt_certificate, wastage_minimality_check)
+from ehwf.verify import first_order_certificate, kkt_certificate
+
+from _oracles import brute_force_tiny, wastage_minimality_check
 
 BATTERY_GRID = (0.5, 2.0, 20.0)
 POWER_GRID = (1.0, 4.0, 15.0)
@@ -147,7 +148,7 @@ def test_criterion_4_wastage_minimality_and_reschedule():
         d = rng.uniform(0.0, 1.5, k) * (rng.random(k) < 0.5)
         report = check_feasible(Scenario.single_user(env), p[None, :],
                                 d[None, :])
-        if report.status != "feasible":
+        if not report.ok:
             continue
         accepted += 1
         assert wastage_minimality_check(env, [(p, d)])
@@ -179,7 +180,7 @@ def test_criterion_4_wastage_minimality_and_reschedule():
         p_alt, _, _ = solve_reduced(env, effective_energy(env, d_alt))
         report = check_feasible(Scenario.single_user(env), p_alt[None, :],
                                 d_alt[None, :])
-        assert report.status == "feasible"
+        assert report.ok
         move = float(np.max(np.abs(p_alt - p_ref)))
         assert move <= 1e-8
         worst_move = max(worst_move, move)

@@ -8,8 +8,8 @@ from ehwf.baselines import (balanced_policy, greedy_policy,
                             iterative_modified_staircase, modified_staircase,
                             non_iterative_multiuser, staircase_wf)
 from ehwf.bench import GenParams, gen_scenario
-from ehwf.model import (FEASIBLE, Scenario, UserEnv, check_feasible,
-                        cumulative_harvest, sum_rate)
+from ehwf.model import (Scenario, UserEnv, check_feasible, cumulative_harvest,
+                        sum_rate)
 from ehwf.single_user import optimal_wastage, solve_reduced
 
 from conftest import user_envs
@@ -77,7 +77,7 @@ def test_modified_staircase_clips_to_cap():
     assert p[0] == pytest.approx(4.0)
     assert np.allclose(p, np.minimum(stair, 4.0), atol=1e-9)
     report = check_feasible(Scenario.single_user(env), p[None, :], d[None, :])
-    assert report.status == FEASIBLE
+    assert report.ok
 
 
 def test_modified_staircase_feasible_input_unchanged():
@@ -149,7 +149,7 @@ def test_all_baselines_are_feasible(env):
     for policy in (greedy_policy, balanced_policy, modified_staircase):
         p, d = policy(env)
         report = check_feasible(sc, p[None, :], d[None, :])
-        assert report.status == FEASIBLE, (policy.__name__, report.violations)
+        assert report.ok, (policy.__name__, report.violations)
 
 
 @given(user_envs(allow_inf_caps=False))

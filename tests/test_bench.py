@@ -287,6 +287,18 @@ def test_cli_errors_return_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_cli_solve_names_a_missing_user_key(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text('{"num_users": 1, "num_slots": 2, "users": [{"harvest": '
+                    '[1, 2], "gain": [1, 1], "power_max": 10}]}')
+    rc = cli_main(["solve", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ("error: malformed scenario object: "
+                            "missing key 'battery_max'\n")
+    assert "p[0]" not in captured.out
+
+
 def test_cli_solve_rejects_nan_scenario(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"num_users": 1, "num_slots": 3, "users": [{"harvest": '

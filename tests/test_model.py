@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehwf.mac import solve_mac
-from ehwf.model import (FEASIBLE, INFEASIBLE, Scenario, UserEnv,
-                        check_feasible, cumulative_harvest, sum_rate,
-                        user_battery_trace)
+from ehwf.model import (Scenario, UserEnv, check_feasible, cumulative_harvest,
+                        sum_rate, user_battery_trace)
 from ehwf.single_user import optimal_wastage, solve_single
 from ehwf.verify import first_order_certificate, kkt_certificate
 
@@ -50,7 +49,6 @@ def test_check_feasible_greedy_schedule():
     env = UserEnv(np.array([10.0, 2.0]), np.ones(2), 3.0, 4.0)
     d, p, _ = optimal_wastage(env)
     report = check_feasible(Scenario.single_user(env), p[None, :], d[None, :])
-    assert report.status == FEASIBLE
     assert report.ok
     assert report.violations == ()
 
@@ -60,8 +58,21 @@ def test_check_feasible_battery_overshoot_alone_is_infeasible():
     sc = scenario_1u([25], bmax=20.0, pmax=15.0)
     report = check_feasible(sc, np.array([[4.0]]), np.array([[0.0]]))
     assert not report.ok
-    assert report.status == INFEASIBLE
     assert report.violations == ((0, 0, "battery-above-cap", 1.0),)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_check_feasible_reports_non_finite_entries(bad):
+    # NaN fails every comparison, so it needs its own test; an infinite
+    # entry gets the same kind, next to any bound it also breaks
+    sc = scenario_1u([1.0, 1.0], bmax=math.inf, pmax=math.inf)
+    zeros = np.zeros((1, 2))
+    report = check_feasible(sc, np.array([[bad, 1.0]]), zeros)
+    assert not report.ok
+    assert (0, 0, "power-non-finite", math.inf) in report.violations
+    report = check_feasible(sc, zeros, np.array([[0.0, bad]]))
+    assert not report.ok
+    assert (0, 1, "wastage-non-finite", math.inf) in report.violations
 
 
 def test_check_feasible_passes_a_budget_scaled_solve():
@@ -76,7 +87,7 @@ def test_check_feasible_passes_a_budget_scaled_solve():
 def test_check_feasible_power_cap_violation():
     sc = scenario_1u([25], bmax=20.0, pmax=15.0)
     report = check_feasible(sc, np.array([[16.0]]), np.array([[0.0]]))
-    assert report.status == INFEASIBLE
+    assert not report.ok
     assert any(v[2] == "power-above-cap" for v in report.violations)
 
 
@@ -153,6 +164,23 @@ def test_scenario_from_json_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         Scenario.from_json(text.replace("[1, NaN]", "[1, 2]")
                                .replace('"battery_max": 5', '"battery_max": NaN'))
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"num_users": 1, "num_slots": 1,
+      "users": [{"harvest": [1], "gain": [1], "power_max": 5}]},
+     "missing key 'battery_max'"),
+    ({"num_users": 1, "num_slots": 1, "users": [{"gain": [1]}]},
+     "missing key 'harvest'"),
+    ({"num_users": 1, "num_slots": 1, "users": 3}, "users must be a list"),
+    ({"num_users": 1, "num_slots": 1, "users": {"harvest": [1]}},
+     "users must be a list"),
+    ({"num_users": 1, "num_slots": 1, "users": [[1, 2]]}, "malformed"),
+], ids=["no-battery-max", "no-harvest", "users-int", "users-dict", "user-list"])
+def test_scenario_from_json_rejects_malformed_users(obj, message):
+    with pytest.raises(ValueError, match="malformed scenario object") as info:
+        Scenario.from_json_dict(obj)
+    assert message in str(info.value)
 
 
 def test_scenario_json_round_trip():
@@ -247,7 +275,7 @@ def test_feasible_implies_battery_in_bounds(env, data):
     d = _oracles.overflow_wastage_loop(env.harvest, env.battery_max, p)
     sc = Scenario.single_user(env)
     report = check_feasible(sc, p[None, :], np.array(d)[None, :])
-    assert report.status == FEASIBLE
+    assert report.ok
     levels = user_battery_trace(env.harvest, p, d)
     assert (levels >= -1e-9).all()
     assert (levels <= env.battery_max + 1e-9).all()

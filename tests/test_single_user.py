@@ -77,18 +77,18 @@ def test_effective_energy_all_wasted():
 
 def test_segment_target_energy_values():
     # right-open boundary convention: entry a reads e_tilde[a-1]
-    assert su.segment_target_energy(0, su.BDP, 2, su.BDP,
-                                    np.array([2.0, 4.0]), 10.0, 3.0) == 4.0
-    assert su.segment_target_energy(1, su.BFP, 3, su.BDP,
-                                    np.array([2.0, 3.0, 5.0]), 2.0, 10.0) == 5.0
-    assert su.segment_target_energy(0, su.BDP, 2, su.BFP,
-                                    np.array([3.0, 6.0]), 2.0, 10.0) == 4.0
+    assert su._segment_target_energy(0, su.BDP, 2, su.BDP,
+                                     np.array([2.0, 4.0]), 10.0, 3.0) == 4.0
+    assert su._segment_target_energy(1, su.BFP, 3, su.BDP,
+                                     np.array([2.0, 3.0, 5.0]), 2.0, 10.0) == 5.0
+    assert su._segment_target_energy(0, su.BDP, 2, su.BFP,
+                                     np.array([3.0, 6.0]), 2.0, 10.0) == 4.0
 
 
 def test_segment_target_energy_never_negative():
     # an end boundary needing more than the segment supplies clips to zero
-    assert su.segment_target_energy(0, su.BDP, 1, su.BFP,
-                                    np.array([1.0]), 5.0, 10.0) == 0.0
+    assert su._segment_target_energy(0, su.BDP, 1, su.BFP,
+                                     np.array([1.0]), 5.0, 10.0) == 0.0
 
 
 # ---- segment water filling ---------------------------------------------------
@@ -118,6 +118,22 @@ def test_water_fill_segment_errors():
         su.water_fill_segment([0.0, 0.0], 1.0, 5.0)
     with pytest.raises(ValueError):
         su.water_fill_segment([1.0, 1.0], 11.0, 5.0)
+    for target, cap in ((math.nan, 1.0), (math.inf, math.inf), (-math.inf, 1.0),
+                        (1.0, math.nan), (1.0, -1.0), (0.0, -1.0)):
+        with pytest.raises(ValueError, match="finite target and a nonnegative cap"):
+            su.water_fill_segment([1.0, 2.0], target, cap)
+
+
+def test_guess_with_a_full_point_on_an_unbounded_battery_falls_back():
+    # a battery of infinite capacity is never full: the BFP guess has no
+    # finite target, and the solve is the cold one
+    env = env_of([3.0, 1.0, 4.0], [1.0, 0.5, 2.0], bmax=math.inf, pmax=math.inf)
+    d, _, _ = su.optimal_wastage(env)
+    e_tilde = su.effective_energy(env, d)
+    cold = su.solve_reduced(env, e_tilde)
+    for guess in ([(0, su.BDP), (1, su.BFP), (3, su.BDP)],
+                  [(0, su.BDP), (1, su.BFP), (2, su.BFP), (3, su.BDP)]):
+        assert_same_solution(su.solve_reduced(env, e_tilde, guess=guess), cold)
 
 
 def draw_fill_case(data):
@@ -185,8 +201,8 @@ def test_segment_target_energy_list_matches_array(steps, data):
                                          st.sampled_from([su.BDP, su.BFP])))
     bmax = data.draw(st.sampled_from([0.0, 0.5, 5.0, 20.0]))
     cap = data.draw(st.sampled_from([0.25, 3.0, 15.0, math.inf]))
-    got = su.segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
-    want = su.segment_target_energy(a, kind_a, b, kind_b, np.array(e_tilde), bmax, cap)
+    got = su._segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
+    want = su._segment_target_energy(a, kind_a, b, kind_b, np.array(e_tilde), bmax, cap)
     assert type(got) is float
     assert float.hex(got) == float.hex(want)
 

@@ -8,12 +8,11 @@ from scipy.optimize import linprog
 
 from ehwf.model import Scenario, UserEnv, check_feasible, sum_rate
 from ehwf.single_user import optimal_wastage, solve_single
-from ehwf.verify import (ReducedPolytope, brute_force_tiny, duality_gap,
-                         first_order_certificate, induced_wastage,
-                         kkt_certificate, reduce_polytope,
-                         wastage_minimality_check)
+from ehwf.verify import (ReducedPolytope, first_order_certificate,
+                         induced_wastage, kkt_certificate, reduce_polytope)
 
 import _oracles
+from _oracles import brute_force_tiny, wastage_minimality_check
 from conftest import user_envs
 
 
@@ -64,7 +63,7 @@ def test_polytope_membership_matches_constructive_wastage(env, data):
         assert got is not None
         report = check_feasible(Scenario.single_user(env), p[None, :],
                                 np.array(got)[None, :])
-        assert report.status == "feasible"
+        assert report.ok
     else:
         assert got is None
         assert _oracles.overflow_wastage_loop(
@@ -194,8 +193,6 @@ def test_wrong_length_schedules_raise():
             induced_wastage(env, p)
         with pytest.raises(ValueError, match=r"expected \(1, 2\)"):
             first_order_certificate(Scenario.single_user(env), np.array([p]))
-        with pytest.raises(ValueError, match=r"expected \(1, 2\)"):
-            duality_gap(Scenario.single_user(env), np.array([p]))
 
 
 # ---- exact linear maximiser and duality gap ------------------------------------
@@ -259,7 +256,7 @@ def test_duality_gap_bounds_grid_suboptimality():
         _, v_grid = brute_force_tiny(sc)
         for _ in range(5):
             p = np.stack([_forward_schedule(sc.user(m), rng) for m in range(n)])
-            assert duality_gap(sc, p) >= v_grid - sum_rate(sc, p) - 1e-9
+            assert first_order_certificate(sc, p)[1] >= v_grid - sum_rate(sc, p) - 1e-9
 
 
 # ---- first-order certificate ----------------------------------------------------
@@ -337,7 +334,7 @@ def test_wastage_minimality_check_cases():
     p_less[1] -= 1.0
     report = check_feasible(Scenario.single_user(env), p_less[None, :],
                             d_extra[None, :])
-    assert report.status == "feasible"
+    assert report.ok
     assert wastage_minimality_check(env, [(p_less, d_extra)])
 
     # a pair wasting less than the minimum must be flagged
