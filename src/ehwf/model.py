@@ -75,8 +75,14 @@ def _as_float_array(x, name, ndim):
 def _check_entries(harvest, gain, caps):
     # One pass per array when all is well (NaN fails every comparison); the
     # message is worked out only on failure.  A zero cap forces slot-by-slot
-    # spending and an infinite one means "no limit".
-    if (((harvest >= 0) & (harvest < math.inf)).all()
+    # spending and an infinite one means "no limit".  Every solver and
+    # checker takes the harvest's running total, so it must stay finite:
+    # K entries of at most float max / 2K cannot overflow it, and only a
+    # larger entry pays for the exact test.
+    k_slots = harvest.shape[-1]
+    if k_slots == 0:
+        raise ValueError("harvest and gain must cover at least one slot, got 0")
+    if (((harvest >= 0) & (harvest <= sys.float_info.max / (2 * k_slots))).all()
             and ((gain >= 0) & (gain < math.inf)).all()
             and all(cap >= 0 for cap in caps)):
         return
@@ -86,7 +92,12 @@ def _check_entries(harvest, gain, caps):
         raise ValueError("battery_max and power_max must not be NaN")
     if any(cap < 0 for cap in caps):
         raise ValueError("battery_max and power_max must be nonnegative")
-    raise ValueError("harvest and gain entries must be nonnegative")
+    if not ((harvest >= 0).all() and (gain >= 0).all()):
+        raise ValueError("harvest and gain entries must be nonnegative")
+    with np.errstate(over="ignore"):
+        totals = cumulative_harvest(harvest)[..., -1]
+    if not (totals < math.inf).all():
+        raise ValueError("the running total of harvest overflows the float range")
 
 
 @dataclass(frozen=True)
@@ -95,8 +106,9 @@ class UserEnv:
 
     Parameters
     ----------
-    harvest : array of shape (K,)
-        Energy harvested during each slot (increments, not running totals).
+    harvest : array of shape (K,), K >= 1
+        Energy harvested during each slot (increments, not running totals),
+        each nonnegative and with a finite running total.
     gain : array of shape (K,)
         Magnitude-squared channel gain per slot.  May be an effective gain
         already discounted for other users' interference.
@@ -134,9 +146,10 @@ class UserEnv:
 class Scenario:
     """An immutable N-user, K-slot problem instance.
 
-    harvest[n, k] and gain[n, k] are per-slot values for user n;
-    battery_max[n] and power_max[n] are per-user caps, each nonnegative
-    or infinite as in UserEnv.
+    harvest[n, k] and gain[n, k] are per-slot values for user n, over
+    K >= 1 slots, with the entries UserEnv takes; battery_max[n] and
+    power_max[n] are per-user caps, each nonnegative or infinite as in
+    UserEnv.
     """
 
     harvest: np.ndarray

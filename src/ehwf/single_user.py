@@ -46,6 +46,17 @@ arithmetic.  Python's float operations are numpy's elementwise ones and
 the running battery sums add in np.cumsum's order, so results are bit
 for bit those of array code.
 
+The walk (_close_segment) starts on those Python floats as well, one
+prefix at a time.  A prefix whose draw ties or crosses one of the two
+level bounds is an event; any other is idle.  Once idle prefixes
+outnumber events, the walk hands its levels to numpy: one np.cumsum per
+bound over the rest of the horizon, then bisection jumps from event to
+event.  The switch is a property of the walk, not an option or a size
+threshold: on a 3-5-slot segment one numpy call costs more than the whole
+Python walk, while over a long idle stretch one vectorised pass beats a
+Python loop over every slot.  Either phase sees the same bits, so where
+the switch falls never moves a boundary.
+
 solve_reduced(env, e_tilde, guess=boundaries) first refills the guessed
 segments once each and returns them untouched when they meet the KKT
 conditions of the reduced problem, which on positive gains has a unique
@@ -264,7 +275,7 @@ def _fill_segment(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     return p_seg, w, feasible, settled and positive
 
 
-def _close_segment(inv, e_tilde, battery_max, power_max, a, kind_a):
+def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, kind_a):
     """Walk the level tube forward from boundary a; return its closing boundary.
 
     Prefix j of the segment (slots a+1 .. a+j) draws D_j(L), the sum of
@@ -279,17 +290,32 @@ def _close_segment(inv, e_tilde, battery_max, power_max, a, kind_a):
     BFP, and the horizon closes it at hi's prefix as a BDP (the last slot
     while hi is still unbounded).
 
-    Only a prefix whose draw at hi or at lo ties or crosses its own bound
-    can move either, so each bound keeps the draws of every prefix at its
-    current level, one cumsum per move, and the walk jumps from one such
-    prefix to the next, solving a level only where a bound moves.
+    Only an event prefix, whose draw at hi or at lo ties or crosses its own
+    bound, can move either bound or close the segment; every other prefix
+    is idle.  The walk runs in two phases.  The first visits the prefixes
+    one at a time on Python floats (inv_list and e_list, the lists of inv
+    and e_tilde): each bound's draw is a running sum added in np.cumsum's
+    order and re-summed from the segment start when that bound moves, so
+    every comparison sees the bits the arrays would hold.  Segments are
+    mostly a few slots long, where one numpy call costs more than the whole
+    walk.  Once idle prefixes outnumber event prefixes, a long idle stretch
+    is likely, and the second phase takes over: each bound keeps every
+    prefix's draw at its current level, one np.cumsum over the rest of the
+    horizon per move, and the walk jumps from one event prefix to the next
+    by bisection.  The switch depends on the walk alone: a walk that closes
+    within a few slots never calls numpy, and a long idle stretch costs one
+    pass per bound instead of a Python step per slot.
     """
     start = battery_max if kind_a == BFP else 0.0
-    upper = start + (e_tilde[a:] - (e_tilde[a - 1] if a > 0 else 0.0))
-    lower = upper - battery_max
-    inv = inv[a:]
-    n = len(inv)
-    near_upper, near_lower = upper - FEAS_TOL, lower + FEAS_TOL
+    base = e_list[a - 1] if a > 0 else 0.0
+    n = len(inv_list) - a
+
+    def prefix_draw(level, j):
+        # prefix j's draw at level, summed in np.cumsum's order
+        drawn = 0.0
+        for v in inv_list[a:a + j + 1]:
+            drawn += min(max(level - v, 0.0), power_max)
+        return drawn
 
     def draws(level, near, bound):
         # every prefix's draw at level, and the prefixes where near(draw,
@@ -298,28 +324,56 @@ def _close_segment(inv, e_tilde, battery_max, power_max, a, kind_a):
         return drawn, near(drawn, bound).nonzero()[0].tolist() + [n]
 
     hi, hi_at, lo, lo_at = math.inf, n, -math.inf, 0
-    draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
-    draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+    at_hi = at_lo = 0.0
+    events = idle = 0
+    upper = None            # the second phase's prefix bounds, once it starts
     j = -1
     while True:
-        j = min(hits_hi[bisect.bisect_right(hits_hi, j)],
-                hits_lo[bisect.bisect_right(hits_lo, j)])
+        if upper is None:
+            j += 1
+            if j < n:
+                v = inv_list[a + j]
+                at_hi += min(max(hi - v, 0.0), power_max)
+                at_lo += min(max(lo - v, 0.0), power_max)
+                u = start + (e_list[a + j] - base)
+                l = u - battery_max
+                if not (at_hi >= u - FEAS_TOL or at_lo <= l + FEAS_TOL):
+                    idle += 1
+                    if idle > events:
+                        inv = inv[a:]
+                        upper = start + (e_tilde[a:] - base)
+                        lower = upper - battery_max
+                        near_upper, near_lower = upper - FEAS_TOL, lower + FEAS_TOL
+                        draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
+                        draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+                    continue
+                events += 1
+        else:
+            j = min(hits_hi[bisect.bisect_right(hits_hi, j)],
+                    hits_lo[bisect.bisect_right(hits_lo, j)])
+            if j < n:
+                at_hi, at_lo, u, l = draw_hi[j], draw_lo[j], float(upper[j]), float(lower[j])
         if j == n:
             return a + (hi_at if hi < math.inf else n), BDP
-        at_hi, at_lo, u, l = draw_hi[j], draw_lo[j], float(upper[j]), float(lower[j])
         if at_hi < l - FEAS_TOL:
             return a + hi_at, BDP
         if at_lo > u + FEAS_TOL:
             return a + lo_at, BFP
         if at_hi >= u - FEAS_TOL:
             if at_hi > u + FEAS_TOL:
-                hi = _fill_level(inv[:j + 1].tolist(), power_max, u)
-                draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
+                hi = _fill_level(inv_list[a:a + j + 1], power_max, u)
+                if upper is None:
+                    at_hi = prefix_draw(hi, j)
+                else:
+                    draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
             hi_at = j + 1
         if at_lo <= l + FEAS_TOL:
             if at_lo < l - FEAS_TOL:
-                lo = _fill_level(inv[:j + 1].tolist(), power_max, l)
-                draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+                lo = _fill_level(inv_list[a:a + j + 1], power_max, l)
+                if upper is None:
+                    at_lo = prefix_draw(lo, j)
+                else:
+                    draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
             lo_at = j + 1
 
 
@@ -438,7 +492,7 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
                          f"got shape {e_tilde.shape}")
     if not ((e_tilde >= 0.0) & (e_tilde < math.inf)).all():
         raise ValueError("e_tilde entries must be finite and nonnegative")
-    total = float(e_tilde[-1]) if k_slots else 0.0
+    total = float(e_tilde[-1])
     scale = energy_scale(e_tilde)
     e = e_tilde / scale
     bmax, cap = env.battery_max / scale, env.power_max / scale
@@ -457,12 +511,13 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     # the burn level: at or above it every positive-gain slot draws its cap
     # or more than the whole budget
     inv[~pos] = (inv[pos].max() if pos.any() else 0.0) + min(cap, total / scale) + 1.0
+    inv_list = inv.tolist()
     p = []
     confirmed = [(0, BDP)]
     heights = []
     while confirmed[-1][0] < k_slots:
         a, kind_a = confirmed[-1]
-        b, kind_b = _close_segment(inv, e, bmax, cap, a, kind_a)
+        b, kind_b = _close_segment(inv, e, inv_list, e_list, bmax, cap, a, kind_a)
         feasible = b > a        # an empty segment: the budget dips below zero
         if feasible:
             p_seg, w, feasible, _ = _fill_segment(gain_list, e_list, bmax, cap,

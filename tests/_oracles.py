@@ -4,19 +4,23 @@ Everything here is written the slow, obvious way on purpose: plain loops,
 bisection instead of breakpoint sweeps, no shared code with the package.
 If the library and these disagree, trust neither and investigate.  The
 exceptions: wf_array_reference, the package's earlier numpy segment fill,
-kept as it was to hold the current fill to the same bits; brute_force_tiny,
-which takes the package's tolerance rule (energy_scale) so that its grid
-filter accepts what the checkers accept; and wastage_minimality_check,
-which tests the package's own optimal_wastage.
+kept as it was to hold the current fill to the same bits;
+close_segment_reference, the package's earlier numpy boundary walk, kept
+as it was, with the package's level function, to hold the current walk to
+the same boundaries; brute_force_tiny, which takes the package's
+tolerance rule (energy_scale) so that its grid filter accepts what the
+checkers accept; and wastage_minimality_check, which tests the package's
+own optimal_wastage.
 """
 
+import bisect
 import math
 import sys
 
 import numpy as np
 
 from ehwf.model import Scenario, UserEnv, cumulative_harvest, energy_scale
-from ehwf.single_user import optimal_wastage
+from ehwf.single_user import BDP, BFP, _fill_level, optimal_wastage
 
 
 def cumulative_loop(harvest):
@@ -283,3 +287,66 @@ def wastage_minimality_check(env: UserEnv, pairs) -> bool:
     floor = float(d_star.sum()) - FEAS_TOL * energy_scale(cumulative_harvest(env.harvest))
     return all(float(np.asarray(d, dtype=float).sum()) >= floor
                for _p, d in pairs)
+
+
+def close_segment_reference(inv, e_tilde, battery_max, power_max, a, kind_a):
+    """The numpy boundary walk that the package's two-phase walk replaced.
+
+    Kept unchanged as the reference for single_user._close_segment: from
+    the same boundary a, both must return the same closing (b, kind).  inv
+    and e_tilde are the arrays solve_reduced builds.
+
+    Prefix j of the segment (slots a+1 .. a+j) draws D_j(L), the sum of
+    clamp(L - inv, 0, P) over its slots, and must keep its battery in
+    [0, B]: D_j(L) <= upper_j and D_j(L) >= lower_j = upper_j - B.  hi is
+    the running minimum of the prefix ceilings, the highest levels meeting
+    the first bound, and lo the running maximum of the floors, the lowest
+    levels meeting the second.  Each remembers its last attaining prefix;
+    a prefix whose draw at the current level is within FEAS_TOL of its
+    bound ties and takes the slot.  A floor above hi closes the segment at
+    hi's prefix as a BDP, a ceiling below lo closes it at lo's prefix as a
+    BFP, and the horizon closes it at hi's prefix as a BDP (the last slot
+    while hi is still unbounded).
+
+    Only a prefix whose draw at hi or at lo ties or crosses its own bound
+    can move either, so each bound keeps the draws of every prefix at its
+    current level, one cumsum per move, and the walk jumps from one such
+    prefix to the next, solving a level only where a bound moves.
+    """
+    start = battery_max if kind_a == BFP else 0.0
+    upper = start + (e_tilde[a:] - (e_tilde[a - 1] if a > 0 else 0.0))
+    lower = upper - battery_max
+    inv = inv[a:]
+    n = len(inv)
+    near_upper, near_lower = upper - FEAS_TOL, lower + FEAS_TOL
+
+    def draws(level, near, bound):
+        # every prefix's draw at level, and the prefixes where near(draw,
+        # bound) holds, closed by the horizon n
+        drawn = np.minimum(np.maximum(level - inv, 0.0), power_max).cumsum()
+        return drawn, near(drawn, bound).nonzero()[0].tolist() + [n]
+
+    hi, hi_at, lo, lo_at = math.inf, n, -math.inf, 0
+    draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
+    draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+    j = -1
+    while True:
+        j = min(hits_hi[bisect.bisect_right(hits_hi, j)],
+                hits_lo[bisect.bisect_right(hits_lo, j)])
+        if j == n:
+            return a + (hi_at if hi < math.inf else n), BDP
+        at_hi, at_lo, u, l = draw_hi[j], draw_lo[j], float(upper[j]), float(lower[j])
+        if at_hi < l - FEAS_TOL:
+            return a + hi_at, BDP
+        if at_lo > u + FEAS_TOL:
+            return a + lo_at, BFP
+        if at_hi >= u - FEAS_TOL:
+            if at_hi > u + FEAS_TOL:
+                hi = _fill_level(inv[:j + 1].tolist(), power_max, u)
+                draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
+            hi_at = j + 1
+        if at_lo <= l + FEAS_TOL:
+            if at_lo < l - FEAS_TOL:
+                lo = _fill_level(inv[:j + 1].tolist(), power_max, l)
+                draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+            lo_at = j + 1

@@ -299,6 +299,26 @@ def test_cli_solve_names_a_missing_user_key(tmp_path, capsys):
     assert "p[0]" not in captured.out
 
 
+@pytest.mark.parametrize("text, args, message", [
+    ('{"num_users": 1, "num_slots": 0, "users": [{"harvest": [], "gain": [], '
+     '"battery_max": 5, "power_max": 10}]}', ["--certify"],
+     "harvest and gain must cover at least one slot, got 0"),
+    ('{"num_users": 1, "num_slots": 2, "users": [{"harvest": [1e308, 1e308], '
+     '"gain": [1, 1], "battery_max": 1e308, "power_max": 1e308}]}',
+     ["--policy", "greedy", "--certify"],
+     "the running total of harvest overflows the float range"),
+], ids=["zero-slots", "overflowing-harvest"])
+def test_cli_solve_rejects_a_scenario_without_a_schedule(tmp_path, capsys, text,
+                                                         args, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = cli_main(["solve", "--in", str(path)] + args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {message}\n"
+    assert "p[0]" not in captured.out
+
+
 def test_cli_solve_rejects_nan_scenario(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"num_users": 1, "num_slots": 3, "users": [{"harvest": '

@@ -166,6 +166,47 @@ def test_scenario_from_json_rejects_nan():
                                .replace('"battery_max": 5', '"battery_max": NaN'))
 
 
+ZERO_SLOTS = ('{"num_users": 2, "num_slots": 0, "users": ['
+              '{"harvest": [], "gain": [], "battery_max": 5, "power_max": 5}, '
+              '{"harvest": [], "gain": [], "battery_max": 5, "power_max": 5}]}')
+
+
+def test_zero_slots_rejected():
+    # a problem without slots has no schedule to check or certify; every
+    # solver and checker used to fail on it with an unrelated message
+    for make in (lambda: UserEnv([], [], 5.0, 5.0),
+                 lambda: Scenario(np.zeros((2, 0)), np.zeros((2, 0)),
+                                  np.full(2, 5.0), np.full(2, 5.0)),
+                 lambda: Scenario.from_json(ZERO_SLOTS)):
+        with pytest.raises(ValueError, match="at least one slot"):
+            make()
+
+
+OVERFLOW = ('{"num_users": 1, "num_slots": 2, "users": [{"harvest": [1e308, 1e308], '
+            '"gain": [1, 1], "battery_max": 1e308, "power_max": 1e308}]}')
+
+
+@pytest.mark.parametrize("make", [
+    lambda: UserEnv([1e308, 1e308], [1.0, 1.0], 1e308, 1e308),
+    lambda: Scenario(np.full((2, 2), 1e308), np.ones((2, 2)),
+                     np.full(2, 1e308), np.full(2, 1e308)),
+    lambda: Scenario.from_json(OVERFLOW),
+], ids=["UserEnv", "Scenario", "from_json"])
+def test_overflowing_harvest_total_rejected(make):
+    # every entry is finite, but the running total every checker and solver
+    # takes is not; no numpy overflow warning escapes either
+    with pytest.raises(ValueError, match="running total of harvest overflows"):
+        make()
+
+
+def test_large_harvest_with_a_finite_total_loads():
+    # entries above float max / 2K take the exact test and pass it
+    env = UserEnv([1e308, 5e307], [1.0, 1.0], 1e308, 1e308)
+    assert cumulative_harvest(env.harvest)[-1] == 1.5e308
+    d, p, _ = optimal_wastage(env)
+    assert check_feasible(Scenario.single_user(env), p[None, :], d[None, :]).ok
+
+
 @pytest.mark.parametrize("obj, message", [
     ({"num_users": 1, "num_slots": 1,
       "users": [{"harvest": [1], "gain": [1], "power_max": 5}]},

@@ -12,7 +12,7 @@ from ehwf.verify import (first_order_certificate, induced_wastage,
                          kkt_certificate, reduce_polytope)
 
 import _oracles
-from conftest import finite_gain, user_envs
+from conftest import finite_energy, finite_gain, user_envs
 
 
 def env_of(harvest, gain=None, bmax=100.0, pmax=100.0):
@@ -404,6 +404,55 @@ def test_feasibility_predicates_agree_at_any_scale(env, data):
     report = check_feasible(Scenario.single_user(env), q[None, :],
                             _overflow_wastage(env, q)[None, :])
     assert report.ok == member
+
+
+@st.composite
+def staircase_envs(draw, max_slots=40):
+    """B = P = infinity with harvest in about one slot in four.
+
+    Energy only ever waits, so the walk crosses long idle stretches between
+    the harvests and the levels rise in a staircase.
+    """
+    k = draw(st.integers(min_value=1, max_value=max_slots))
+    harvest = draw(st.lists(st.tuples(st.integers(0, 3), finite_energy)
+                            .map(lambda t: 0.0 if t[0] else t[1]),
+                            min_size=k, max_size=k))
+    gain = draw(st.lists(finite_gain, min_size=k, max_size=k))
+    return env_of(harvest, gain, bmax=math.inf, pmax=math.inf)
+
+
+@st.composite
+def dense_envs(draw, max_slots=200):
+    """Criterion 8's worst case: rising harvest on a flat channel.
+
+    Spending each arrival at once is optimal, so every slot closes a
+    segment and every walk crosses the rest of the horizon idle.
+    """
+    k = draw(st.integers(min_value=1, max_value=max_slots))
+    first = draw(st.floats(min_value=0.1, max_value=5.0))
+    rise = draw(st.floats(min_value=0.01, max_value=3.0))
+    gain = draw(st.floats(min_value=1e-3, max_value=20.0))
+    return env_of(np.linspace(first, first * (1.0 + rise), k) ** 2,
+                  np.full(k, gain), bmax=1e9, pmax=math.inf)
+
+
+@given(st.one_of(user_envs(), scaled_user_envs(), staircase_envs(), dense_envs()))
+def test_walk_matches_the_numpy_reference_walk(env):
+    # from every boundary the cold solve confirms, the two-phase walk closes
+    # the segment where the earlier all-numpy walk does; short segments
+    # stay on Python floats, the idle stretches of the last two families
+    # take the numpy phase
+    walk = su._close_segment
+
+    def checked(inv, e_tilde, inv_list, e_list, bmax, cap, a, kind_a):
+        got = walk(inv, e_tilde, inv_list, e_list, bmax, cap, a, kind_a)
+        assert got == _oracles.close_segment_reference(inv, e_tilde, bmax, cap,
+                                                       a, kind_a)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(su, "_close_segment", checked)
+        su.solve_single(env)
 
 
 def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
