@@ -48,11 +48,9 @@ def balanced_policy(env: UserEnv):
     return p, d
 
 
-def _staircase(env: UserEnv, guess=None):
+def _staircase(gain, harvest, guess=None):
     # no cap and no capacity: nothing overflows, the budget is the raw harvest
-    unbounded = UserEnv(env.harvest, env.gain,
-                        battery_max=np.inf, power_max=np.inf)
-    return solve_reduced(unbounded, cumulative_harvest(env.harvest), guess=guess)
+    return solve_reduced(gain, cumulative_harvest(harvest), np.inf, np.inf, guess)
 
 
 def staircase_wf(env: UserEnv):
@@ -62,7 +60,7 @@ def staircase_wf(env: UserEnv):
     depletion points partition the horizon and the water levels step
     upward over time.  Returns p.
     """
-    p, _, _ = _staircase(env)
+    p, _, _ = _staircase(env.gain, env.harvest)
     return p
 
 
@@ -86,11 +84,12 @@ def iterative_modified_staircase(scenario: Scenario, max_iter: int = 50) -> MacS
     after max_iter.  The solution's d is the wastage of each user's last
     clipped response.
     """
+    envs = [scenario.user(n) for n in range(scenario.num_users)]
     stairs = [None] * scenario.num_users
 
-    def respond(env, n):
-        stair, stairs[n], _ = _staircase(env, guess=stairs[n])
-        p_n, d_n, _ = _clip_to_battery(env, stair)
+    def respond(n, gains):
+        stair, stairs[n], _ = _staircase(gains, envs[n].harvest, stairs[n])
+        p_n, d_n, _ = _clip_to_battery(envs[n], stair)
         return p_n, d_n
 
     return iterate_best_response(

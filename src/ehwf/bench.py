@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import iterative_modified_staircase, non_iterative_multiuser
-from .mac import _user_env, solve_mac
+from .mac import solve_mac
 from .model import Scenario, sum_rate
 from .verify import first_order_certificate, kkt_certificate
 
@@ -313,7 +313,7 @@ def _cmd_solve(args) -> int:
     ok = True
     if args.policy == "optimal":
         for n in range(scenario.num_users):
-            env = _user_env(scenario, n, sol.user_gains[n])
+            env = replace(scenario.user(n), gain=sol.user_gains[n])
             ok = ok and kkt_certificate(env, p[n], sol.user_boundaries[n]).passed
     fo_ok, gap = first_order_certificate(scenario, p)
     ok = ok and fo_ok

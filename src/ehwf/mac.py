@@ -10,10 +10,11 @@ MacSolution               schedules, trace, and convergence diagnostics
 
 Each user's subproblem against the others' fixed schedules is exactly the
 single-user problem with the gain replaced by the effective gain, so one
-sweep is N single-user solves.  The sum rate never decreases across a
-best response, and at a fixed point the joint schedule is globally
-optimal; solve_mac stops once its duality gap, the one
-verify.first_order_certificate reports, is within tol nats of it.
+sweep is N solve_reduced calls, fed those gains with no UserEnv built.
+The sum rate never decreases across a best response, and at a fixed
+point the joint schedule is globally optimal; solve_mac stops once its
+duality gap, the one verify.first_order_certificate reports, is within
+tol nats of it.
 Round-robin sweeps zig-zag where users share slots, so between sweeps
 solve_mac line-searches the sum rate along the step from one sweep's
 result to the next (_line_search).  The trace holds best-response
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Scenario, UserEnv, sum_rate
+from .model import Scenario, sum_rate
 from .single_user import effective_energy, optimal_wastage, solve_reduced
 from .verify import GAP_TOL_PER_SLOT, _capped_gap, reduce_polytope
 
@@ -74,30 +75,32 @@ class MacSolution:
 
 
 def effective_gain(scenario: Scenario, p, n: int):
-    """User n's gain per slot, discounted by the other users' interference."""
+    """User n's gain per slot, discounted by the other users' interference.
+
+    p must have the scenario's (N, K) shape and n lie in 0 .. N-1;
+    anything else raises ValueError.
+    """
     p = np.asarray(p, dtype=float)
+    if p.shape != scenario.gain.shape or not 0 <= n < scenario.num_users:
+        raise ValueError(f"need p of shape {scenario.gain.shape} and a user in "
+                         f"0..{scenario.num_users - 1}, got {p.shape} and {n!r}")
     interference = np.sum(p * scenario.gain, axis=0) - p[n] * scenario.gain[n]
     return scenario.gain[n] / (1.0 + interference)
-
-
-def _user_env(scenario: Scenario, n: int, gains) -> UserEnv:
-    return UserEnv(scenario.harvest[n], gains,
-                   float(scenario.battery_max[n]), float(scenario.power_max[n]))
 
 
 def iterate_best_response(scenario: Scenario, responder, stop,
                           max_iter: int, step=None) -> MacSolution:
     """Round-robin sweeps of a per-user responder until stop says so.
 
-    responder(env, n) takes the user's effective-gain environment and
-    returns that user's new (p_n, d_n) slot vectors; the solution's d holds
-    each user's wastage from its last response.  Sweeps run in user-index
-    order; the loop ends when stop(p, rate_gain), given the schedule and
-    the sum rate's change in the sweep, returns True (converged) or after
-    max_iter sweeps.  The objective trace starts from the all-zero
-    schedule (value 0 before sweep 1).  step(p_prev, p, rate), if given,
-    runs between sweeps (never after the last) on the last two sweeps'
-    results, may move p in place, and returns the rate it leaves.
+    responder(n, gains) takes a user and its effective gains against the
+    current schedule and returns that user's new (p_n, d_n) slot vectors;
+    the solution's d holds each user's wastage from its last response.
+    Sweeps run in user-index order; the loop ends when stop(p, rate_gain),
+    given the schedule and the sum rate's change in the sweep, returns True
+    (converged) or after max_iter sweeps.  The objective trace starts from
+    the all-zero schedule (value 0 before sweep 1).  step(p_prev, p, rate),
+    if given, runs between sweeps (never after the last) on the last two
+    sweeps' results, may move p in place, and returns the rate it leaves.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -109,8 +112,7 @@ def iterate_best_response(scenario: Scenario, responder, stop,
     converged = False
     for sweep in range(max_iter):
         for n in range(scenario.num_users):
-            env = _user_env(scenario, n, effective_gain(scenario, p, n))
-            p[n], d[n] = responder(env, n)
+            p[n], d[n] = responder(n, effective_gain(scenario, p, n))
         v = sum_rate(scenario, p)
         trace.append(v)
         if stop(p, v - v_prev):
@@ -153,10 +155,11 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
 
     boundaries = [None] * n_users
     snap_gains = np.array(scenario.gain, dtype=float, copy=True)
+    bmax, cap = scenario.battery_max.tolist(), scenario.power_max.tolist()
 
-    def respond(env, n):
-        p_n, boundaries[n], _ = solve_reduced(env, e_tilde[n], guess=boundaries[n])
-        snap_gains[n] = env.gain
+    def respond(n, gains):
+        p_n, boundaries[n], _ = solve_reduced(gains, e_tilde[n], bmax[n], cap[n], boundaries[n])
+        snap_gains[n] = gains
         return p_n, d[n]
 
     gaps = []

@@ -146,7 +146,7 @@ class UserEnv:
 class Scenario:
     """An immutable N-user, K-slot problem instance.
 
-    harvest[n, k] and gain[n, k] are per-slot values for user n, over
+    harvest[n, k] and gain[n, k] are per-slot values for N >= 1 users over
     K >= 1 slots, with the entries UserEnv takes; battery_max[n] and
     power_max[n] are per-user caps, each nonnegative or infinite as in
     UserEnv.
@@ -163,6 +163,8 @@ class Scenario:
         battery_max = _as_float_array(self.battery_max, "battery_max", 1)
         power_max = _as_float_array(self.power_max, "power_max", 1)
         n, k = harvest.shape
+        if n == 0:
+            raise ValueError("a scenario needs at least one user, got 0")
         if gain.shape != (n, k):
             raise ValueError("gain shape does not match harvest shape")
         if battery_max.shape != (n,) or power_max.shape != (n,):
@@ -222,6 +224,8 @@ class Scenario:
             raise ValueError(f"malformed scenario object: {exc}") from exc
         if len(users) != n:
             raise ValueError(f"scenario declares {n} users but lists {len(users)}")
+        if n == 0:
+            raise ValueError("a scenario needs at least one user, got 0")
         harvest = np.array(fields["harvest"], dtype=float)
         gain = np.array(fields["gain"], dtype=float)
         if harvest.shape != (n, k) or gain.shape != (n, k):

@@ -6,7 +6,7 @@ optimal_wastage        minimal-total-wastage forward recurrence
 effective_energy       cumulative harvest net of wastage
 water_fill_segment     capped water-filling at one constant level, on lists;
                        every segment fill calls it
-solve_reduced          forward tube walk for the segment boundaries,
+solve_reduced          forward tube walk on (gain, e_tilde, B, P) alone,
                        optionally warm-started from a guessed boundary list
 solve_single           the full pipeline: wastage, then boundary search
 
@@ -57,12 +57,12 @@ Python walk, while over a long idle stretch one vectorised pass beats a
 Python loop over every slot.  Either phase sees the same bits, so where
 the switch falls never moves a boundary.
 
-solve_reduced(env, e_tilde, guess=boundaries) first refills the guessed
-segments once each and returns them untouched when they meet the KKT
-conditions of the reduced problem, which on positive gains has a unique
-optimum; any other guess falls through to the walk.  Best-response
-sweeps pass each user's boundaries from its previous response, which
-stop changing long before the sum rate does.
+solve_reduced(gain, e_tilde, B, P, guess=boundaries) first refills the
+guessed segments once each and returns them untouched when they meet the
+KKT conditions of the reduced problem, which on positive gains has a
+unique optimum; any other guess falls through to the walk.  Best-response
+sweeps pass each user's effective gains, and its boundaries from its
+previous response, which stop changing long before the sum rate does.
 """
 
 from __future__ import annotations
@@ -122,8 +122,14 @@ def optimal_wastage(env: UserEnv):
 
 
 def effective_energy(env: UserEnv, d_star) -> np.ndarray:
-    """Cumulative harvested energy minus cumulative wastage."""
+    """Cumulative harvested energy minus cumulative wastage.
+
+    d_star must hold one entry per slot; any other shape raises ValueError.
+    """
     d_star = np.asarray(d_star, dtype=float)
+    if d_star.shape != env.harvest.shape:
+        raise ValueError(f"d_star must hold one entry per slot ({env.num_slots}), "
+                         f"got shape {d_star.shape}")
     return cumulative_harvest(env.harvest) - np.cumsum(d_star)
 
 
@@ -456,8 +462,8 @@ def _check_reachable(e_tilde, battery_max, power_max):
                              f"cap and the battery meets it at slot {k}")
 
 
-def solve_reduced(env: UserEnv, e_tilde, guess=None):
-    """Optimal transmission schedule for a fixed cumulative energy budget.
+def solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
+    """Optimal schedule for gains, a fixed cumulative energy budget and caps.
 
     e_tilde is the cumulative energy actually available per slot (harvest
     net of wastage).  Returns (p, boundaries, water_levels) where
@@ -466,12 +472,12 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     positive-gain slot, the saturation level for one whose positive-gain
     slots are all capped).
 
-    e_tilde must hold K finite, nonnegative entries that some schedule
-    can meet; anything else raises ValueError.  Every fill, the guess
-    check's included, runs on energies divided by energy_scale(e_tilde)
-    (gains multiplied by it): that power of two is exact in floating
-    point, so p and the heights come back bit for bit, and the tolerances
-    become scale-free.
+    gain and e_tilde must hold K >= 1 finite, nonnegative entries each,
+    each cap be nonnegative or infinite, and some schedule meet e_tilde;
+    anything else raises ValueError.  Every fill, the guess check's too,
+    runs on energies divided by energy_scale(e_tilde), gains multiplied by
+    it: that power of two is exact in floating point, so p and the heights
+    come back bit for bit, and the tolerances become scale-free.
 
     guess, when given, is a boundary list in that same form, typically
     this user's previous answer.  It is refilled once and returned as the
@@ -485,18 +491,22 @@ def solve_reduced(env: UserEnv, e_tilde, guess=None):
     plus the whole budget, so they draw only where every positive-gain
     slot of their segment is capped.
     """
-    k_slots = env.num_slots
-    e_tilde = np.asarray(e_tilde, dtype=float)
-    if e_tilde.shape != (k_slots,):
-        raise ValueError(f"e_tilde must hold one entry per slot ({k_slots}), "
-                         f"got shape {e_tilde.shape}")
-    if not ((e_tilde >= 0.0) & (e_tilde < math.inf)).all():
-        raise ValueError("e_tilde entries must be finite and nonnegative")
+    gain, e_tilde = np.asarray(gain, dtype=float), np.asarray(e_tilde, dtype=float)
+    k_slots = gain.size
+    if not k_slots or gain.shape != (k_slots,) or e_tilde.shape != (k_slots,):
+        raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
+                         f"shapes {gain.shape} and {e_tilde.shape}")
+    if not (((gain >= 0.0) & (gain < math.inf)).all()
+            and ((e_tilde >= 0.0) & (e_tilde < math.inf)).all()):
+        raise ValueError("gain and e_tilde entries must be finite and nonnegative")
+    bmax, cap = float(battery_max), float(power_max)
+    if not (bmax >= 0.0 and cap >= 0.0):
+        raise ValueError("battery_max and power_max must be nonnegative or infinite")
     total = float(e_tilde[-1])
     scale = energy_scale(e_tilde)
     e = e_tilde / scale
-    bmax, cap = env.battery_max / scale, env.power_max / scale
-    gains = env.gain * scale
+    bmax, cap = bmax / scale, cap / scale
+    gains = gain * scale
     # segments are filled and checked on Python floats: the same IEEE
     # operations as numpy's, without a numpy call per few-slot segment
     gain_list, e_list = gains.tolist(), e.tolist()
@@ -538,6 +548,6 @@ def solve_single(env: UserEnv):
     Returns (p_star, d_star, boundaries, water_levels).
     """
     d_star, _, _ = optimal_wastage(env)
-    e_tilde = effective_energy(env, d_star)
-    p_star, boundaries, levels = solve_reduced(env, e_tilde)
+    p_star, boundaries, levels = solve_reduced(
+        env.gain, effective_energy(env, d_star), env.battery_max, env.power_max)
     return p_star, d_star, boundaries, levels

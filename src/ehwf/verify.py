@@ -102,9 +102,13 @@ class ReducedPolytope:
         In decreasing c > 0, each q_k is raised as far as the cap, the
         causality of later slots and the battery windows allow: with h =
         cumsum(q) - cum_energy, by min(P, min(0, B + min_{j<k} h_j) -
-        max_{m>=k} h_m).
+        max_{m>=k} h_m).  A c of another length than the horizon, or with
+        a non-finite entry, raises ValueError.
         """
-        c = np.asarray(c, dtype=float).tolist()
+        c = _schedule(c, self.cum_energy.shape)
+        if not np.isfinite(c).all():
+            raise ValueError("max_linear needs finite coefficients")
+        c = c.tolist()
         n = len(c)
         h = (-self.cum_energy).tolist()
         q = [0.0] * n
@@ -187,7 +191,8 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
     residual:
       feasible     ReducedPolytope.contains(p) (its largest violation);
       duality-gap  the Frank-Wolfe gap of p under the gradient g / (1 + g p)
-                   is at most GAP_TOL_PER_SLOT per slot.
+                   is at most GAP_TOL_PER_SLOT per slot (infinite for a
+                   non-finite p).
     The gap is first_order_certificate's on this user alone; on effective
     gains it is that user's term of the joint gap.  A pass bounds what p
     leaves of the optimum by GAP_TOL_PER_SLOT * K nats.
@@ -196,7 +201,9 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
     p = _schedule(p, (env.num_slots,))
     poly = reduce_polytope(env)
     violation = poly.violation(p)
-    gap = poly.gap(env.gain / (1.0 + env.gain * p), p)
+    gap = math.inf      # a non-finite p (an infinite violation) has no gradient
+    if violation < math.inf:
+        gap = poly.gap(env.gain / (1.0 + env.gain * p), p)
     feasible = poly.contains(p)
     gap_ok = gap <= GAP_TOL_PER_SLOT * env.num_slots
     return DualCertificate(passed=feasible and gap_ok,

@@ -177,7 +177,8 @@ def test_criterion_4_wastage_minimality_and_reschedule():
         d_alt[0] += d_alt[1]
         d_alt[1] = 0.0
         assert d_alt.sum() == pytest.approx(d_star.sum())
-        p_alt, _, _ = solve_reduced(env, effective_energy(env, d_alt))
+        p_alt, _, _ = solve_reduced(env.gain, effective_energy(env, d_alt),
+                                    env.battery_max, env.power_max)
         report = check_feasible(Scenario.single_user(env), p_alt[None, :],
                                 d_alt[None, :])
         assert report.ok

@@ -51,8 +51,8 @@ def test_balanced_policy_examples():
 
 def staircase_levels(env):
     # the staircase's water levels: the segment solve with both limits off
-    unbounded = UserEnv(env.harvest, env.gain, math.inf, math.inf)
-    _, _, levels = solve_reduced(unbounded, cumulative_harvest(env.harvest))
+    _, _, levels = solve_reduced(env.gain, cumulative_harvest(env.harvest),
+                                 math.inf, math.inf)
     return levels
 
 

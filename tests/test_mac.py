@@ -36,10 +36,10 @@ def random_scenario(rng, n, k, bmax=20.0, pmax=15.0):
 def best_response(sc, p, n):
     # user n's optimal schedule against the others' fixed schedules: the
     # single-user solve on its effective gains
-    env = UserEnv(sc.harvest[n], effective_gain(sc, p, n),
-                  float(sc.battery_max[n]), float(sc.power_max[n]))
+    env = sc.user(n)
     d_star, _, _ = optimal_wastage(env)
-    return solve_reduced(env, effective_energy(env, d_star))[0]
+    return solve_reduced(effective_gain(sc, p, n), effective_energy(env, d_star),
+                         env.battery_max, env.power_max)[0]
 
 
 def test_effective_gain_values():
@@ -65,6 +65,38 @@ def test_effective_gain_vector_matches_scalar():
         for k in range(4):
             interference = sum(p[m, k] * sc.gain[m, k] for m in range(3) if m != n)
             assert vec[k] == pytest.approx(sc.gain[n, k] / (1.0 + interference))
+
+
+@pytest.mark.parametrize("p, n", [
+    (np.zeros(3), 0),           # one user's row
+    (np.zeros((1, 3)), 0),      # too few users
+    (np.zeros((2, 4)), 0),      # too many slots
+    (np.zeros((2, 3)), -1),     # used to read user 1's gains
+    (np.zeros((2, 3)), 2),
+])
+def test_effective_gain_rejects_bad_shape_or_user(p, n):
+    sc = random_scenario(np.random.default_rng(2), 2, 3)
+    with pytest.raises(ValueError, match="need p of shape"):
+        effective_gain(sc, p, n)
+
+
+def test_sweeps_build_no_user_env(monkeypatch):
+    # a best response reads only the reduced problem: each solver builds at
+    # most one UserEnv per user up front, however many sweeps it runs
+    built = []
+    original = UserEnv.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    sc = random_scenario(np.random.default_rng(13), 4, 12)
+    monkeypatch.setattr(UserEnv, "__post_init__", counted)
+    for solve in (solve_mac, iterative_modified_staircase):
+        built.clear()
+        sol = solve(sc)
+        assert sol.iterations > 1
+        assert len(built) <= sc.num_users, solve.__name__
 
 
 def test_best_response_single_user_is_solve_single():
@@ -183,7 +215,7 @@ def test_iterate_best_response_generic_loop():
     rng = np.random.default_rng(10)
     sc = random_scenario(rng, 2, 4)
     sol = iterate_best_response(
-        sc, lambda env, n: (np.zeros(env.num_slots), np.zeros(env.num_slots)),
+        sc, lambda n, gains: (np.zeros(gains.size), np.zeros(gains.size)),
         lambda p, rate_gain: abs(rate_gain) <= 1e-5, max_iter=50)
     assert not sol.p.any()
     assert sol.converged
@@ -213,8 +245,8 @@ def test_warm_start_leaves_sweep_outputs_unchanged(monkeypatch):
 
     warm = run_all()
 
-    def cold_solve_reduced(env, e_tilde, guess=None):
-        return solve_reduced(env, e_tilde)
+    def cold_solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
+        return solve_reduced(gain, e_tilde, battery_max, power_max)
 
     monkeypatch.setattr(mac, "solve_reduced", cold_solve_reduced)
     monkeypatch.setattr(baselines, "solve_reduced", cold_solve_reduced)

@@ -182,6 +182,15 @@ def test_zero_slots_rejected():
             make()
 
 
+def test_zero_users_rejected():
+    # to_json of a zero-user scenario used to load, then fail to read back
+    # with a shape error about num_slots
+    with pytest.raises(ValueError, match="at least one user"):
+        Scenario(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError, match="at least one user"):
+        Scenario.from_json('{"num_users": 0, "num_slots": 3, "users": []}')
+
+
 OVERFLOW = ('{"num_users": 1, "num_slots": 2, "users": [{"harvest": [1e308, 1e308], '
             '"gain": [1, 1], "battery_max": 1e308, "power_max": 1e308}]}')
 

@@ -73,6 +73,14 @@ def test_effective_energy_all_wasted():
     assert su.effective_energy(env, d).tolist() == [0]
 
 
+@pytest.mark.parametrize("d_star", [[0.5], [0.5, 0.5], [0.0, 0.0, 0.0, 0.0],
+                                    [[0.0, 0.0, 0.0]]])
+def test_effective_energy_rejects_a_wastage_of_another_length(d_star):
+    # a short d_star used to broadcast: [0.5] came off every slot
+    with pytest.raises(ValueError, match="d_star must hold one entry per slot"):
+        su.effective_energy(env_of([1.0, 2.0, 3.0], bmax=2.0, pmax=2.0), d_star)
+
+
 # ---- segment targets ---------------------------------------------------------
 
 def test_segment_target_energy_values():
@@ -130,10 +138,11 @@ def test_guess_with_a_full_point_on_an_unbounded_battery_falls_back():
     env = env_of([3.0, 1.0, 4.0], [1.0, 0.5, 2.0], bmax=math.inf, pmax=math.inf)
     d, _, _ = su.optimal_wastage(env)
     e_tilde = su.effective_energy(env, d)
-    cold = su.solve_reduced(env, e_tilde)
+    cold = su.solve_reduced(env.gain, e_tilde, env.battery_max, env.power_max)
     for guess in ([(0, su.BDP), (1, su.BFP), (3, su.BDP)],
                   [(0, su.BDP), (1, su.BFP), (2, su.BFP), (3, su.BDP)]):
-        assert_same_solution(su.solve_reduced(env, e_tilde, guess=guess), cold)
+        assert_same_solution(su.solve_reduced(env.gain, e_tilde, env.battery_max,
+                                              env.power_max, guess=guess), cold)
 
 
 def draw_fill_case(data):
@@ -300,13 +309,15 @@ def test_solve_single_passes_certificate(env, data):
     # warm starts from its own boundaries and from a stale guess, the
     # answer on other gains, both give the cold result
     e_tilde = su.effective_energy(env, d)
-    assert_same_solution(su.solve_reduced(env, e_tilde, guess=x), (p, x, levels))
+    assert_same_solution(su.solve_reduced(env.gain, e_tilde, env.battery_max,
+                                          env.power_max, guess=x), (p, x, levels))
     k = env.num_slots
     other = UserEnv(env.harvest,
                     np.array(data.draw(st.lists(finite_gain, min_size=k, max_size=k))),
                     env.battery_max, env.power_max)
     _, _, stale, _ = su.solve_single(other)
-    assert_same_solution(su.solve_reduced(env, e_tilde, guess=stale), (p, x, levels))
+    assert_same_solution(su.solve_reduced(env.gain, e_tilde, env.battery_max,
+                                          env.power_max, guess=stale), (p, x, levels))
 
 
 def assert_certified(env, p, d, x):
@@ -475,9 +486,10 @@ def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
                           battery_max=20.0 * c, power_max=15.0 * c)
             d, _, _ = su.optimal_wastage(env)
             e_tilde = su.effective_energy(env, d)
-            cold = su.solve_reduced(env, e_tilde)
+            cold = su.solve_reduced(env.gain, e_tilde, env.battery_max, env.power_max)
             calls.clear()
-            warm = su.solve_reduced(env, e_tilde, guess=cold[1])
+            warm = su.solve_reduced(env.gain, e_tilde, env.battery_max, env.power_max,
+                                    guess=cold[1])
             assert_same_solution(warm, cold)
             assert len(calls) == len(cold[1]) - 1, c
 
@@ -492,7 +504,8 @@ def test_stale_guess_from_another_instance_gives_cold_result():
     for env, (p, d, x, levels) in zip(envs, answers):
         e_tilde = su.effective_energy(env, d)
         for _, _, stale, _ in answers:
-            warm = su.solve_reduced(env, e_tilde, guess=stale)
+            warm = su.solve_reduced(env.gain, e_tilde, env.battery_max,
+                                    env.power_max, guess=stale)
             assert_same_solution(warm, (p, x, levels))
 
 
@@ -511,12 +524,13 @@ def test_edge_case_guesses_match_cold_result(harvest, gain, bmax, pmax,
     env = env_of(harvest, gain, bmax=bmax, pmax=pmax)
     d, _, _ = su.optimal_wastage(env)
     e_tilde = su.effective_energy(env, d)
-    cold = su.solve_reduced(env, e_tilde)
+    cold = su.solve_reduced(env.gain, e_tilde, bmax, pmax)
     k = env.num_slots
     guesses = [cold[1], [(0, su.BDP), (k, su.BDP)],
                [(0, su.BDP)] + [(t, su.BDP) for t in range(1, k + 1)]]
     for guess in guesses:
-        assert_same_solution(su.solve_reduced(env, e_tilde, guess=guess), cold)
+        assert_same_solution(su.solve_reduced(env.gain, e_tilde, bmax, pmax,
+                                              guess=guess), cold)
         if falls_back:
             assert su._refill_guess(env.gain.tolist(), e_tilde.tolist(),
                                     bmax, pmax, guess) is None
@@ -532,7 +546,25 @@ def test_edge_case_guesses_match_cold_result(harvest, gain, bmax, pmax,
 ])
 def test_bad_e_tilde_raises(e_tilde):
     with pytest.raises(ValueError, match="e_tilde"):
-        su.solve_reduced(env_of([1.0, 1.0]), e_tilde)
+        su.solve_reduced([1.0, 1.0], e_tilde, 100.0, 100.0)
+
+
+@pytest.mark.parametrize("gain, bmax, pmax, match", [
+    ([math.nan, 1.0], 5.0, 5.0, "entries must be finite"),
+    ([-1.0, 1.0], 5.0, 5.0, "entries must be finite"),
+    ([math.inf, 1.0], 5.0, 5.0, "entries must be finite"),
+    ([1.0, 1.0, 1.0], 5.0, 5.0, "of one length"),
+    ([], 5.0, 5.0, "of one length"),
+    ([[1.0, 1.0]], 5.0, 5.0, "must be 1-D"),
+    ([1.0, 1.0], math.nan, 5.0, "battery_max and power_max"),
+    ([1.0, 1.0], 5.0, math.nan, "battery_max and power_max"),
+    ([1.0, 1.0], -1.0, 5.0, "battery_max and power_max"),
+    ([1.0, 1.0], 5.0, -1.0, "battery_max and power_max"),
+])
+def test_bad_gain_or_cap_raises(gain, bmax, pmax, match):
+    # solve_reduced checks its own inputs: no UserEnv checked them first
+    with pytest.raises(ValueError, match=match):
+        su.solve_reduced(gain, [1.0, 2.0], bmax, pmax)
 
 
 @pytest.mark.parametrize("bmax, pmax, e_tilde", [
@@ -541,7 +573,7 @@ def test_bad_e_tilde_raises(e_tilde):
 ])
 def test_unreachable_e_tilde_raises(bmax, pmax, e_tilde):
     with pytest.raises(ValueError, match="e_tilde is unreachable"):
-        su.solve_reduced(env_of([1.0, 1.0], bmax=bmax, pmax=pmax), e_tilde)
+        su.solve_reduced([1.0, 1.0], e_tilde, bmax, pmax)
 
 
 @pytest.mark.parametrize("guess", [
@@ -560,7 +592,8 @@ def test_malformed_guess_raises(guess):
     env = env_of([3.0, 1.0, 4.0, 2.0], [1.0, 0.5, 2.0, 1.5], bmax=5.0, pmax=10.0)
     d, _, _ = su.optimal_wastage(env)
     with pytest.raises(ValueError, match="boundary list"):
-        su.solve_reduced(env, su.effective_energy(env, d), guess=guess)
+        su.solve_reduced(env.gain, su.effective_energy(env, d), env.battery_max,
+                         env.power_max, guess=guess)
     with pytest.raises(ValueError, match="boundary list"):
         kkt_certificate(env, np.zeros(4), guess)
 

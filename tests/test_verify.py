@@ -231,6 +231,16 @@ def test_max_linear_matches_linprog():
         assert abs(float(c @ q) - want) <= 1e-9 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("c", [[1.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]],
+                               [1.0, math.nan, 2.0], [1.0, math.inf, 2.0],
+                               [-math.inf, 1.0, 2.0]])
+def test_max_linear_rejects_bad_coefficients(c):
+    # a short c used to give a short q, and a NaN entry an all-zero one
+    poly = ReducedPolytope(np.cumsum([1.0, 2.0, 3.0]), 5.0, 5.0)
+    with pytest.raises(ValueError, match="schedule has shape|finite coefficients"):
+        poly.max_linear(c)
+
+
 def _forward_schedule(env, rng):
     # spend a random fraction of what the cap and the bank allow, often all
     # or nothing; overflow is wasted, so the schedule is feasible
