@@ -48,11 +48,6 @@ def balanced_policy(env: UserEnv):
     return p, d
 
 
-def _staircase(gain, harvest, guess=None):
-    # no cap and no capacity: nothing overflows, the budget is the raw harvest
-    return solve_reduced(gain, cumulative_harvest(harvest), np.inf, np.inf, guess)
-
-
 def staircase_wf(env: UserEnv):
     """Water-filling under energy causality alone, battery and cap unbounded.
 
@@ -60,7 +55,8 @@ def staircase_wf(env: UserEnv):
     depletion points partition the horizon and the water levels step
     upward over time.  Returns p.
     """
-    p, _, _ = _staircase(env.gain, env.harvest)
+    # no cap and no capacity: nothing overflows, the budget is the raw harvest
+    p, _, _ = solve_reduced(env.gain, cumulative_harvest(env.harvest), np.inf, np.inf)
     return p
 
 
@@ -79,16 +75,18 @@ def iterative_modified_staircase(scenario: Scenario, max_iter: int = 50) -> MacS
     """Round-robin sweeps where each response is the modified staircase.
 
     Each user's staircase is warm-started from its depletion points in the
-    previous sweep, as solve_mac does.  Its fixed point is not optimal, so
-    the sweeps stop once the sum rate changes by at most 1e-5 nats, or
-    after max_iter.  The solution's d is the wastage of each user's last
-    clipped response.
+    previous sweep, as solve_mac does, and its budget, the running total
+    of its harvest, is built once per solve.  Its fixed point is not
+    optimal, so the sweeps stop once the sum rate changes by at most 1e-5
+    nats, or after max_iter.  The solution's d is the wastage of each
+    user's last clipped response.
     """
     envs = [scenario.user(n) for n in range(scenario.num_users)]
+    budgets = cumulative_harvest(scenario.harvest)
     stairs = [None] * scenario.num_users
 
     def respond(n, gains):
-        stair, stairs[n], _ = _staircase(gains, envs[n].harvest, stairs[n])
+        stair, stairs[n], _ = solve_reduced(gains, budgets[n], np.inf, np.inf, stairs[n])
         p_n, d_n, _ = _clip_to_battery(envs[n], stair)
         return p_n, d_n
 

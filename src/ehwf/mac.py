@@ -36,7 +36,7 @@ import numpy as np
 
 from .model import Scenario, sum_rate
 from .single_user import effective_energy, optimal_wastage, solve_reduced
-from .verify import GAP_TOL_PER_SLOT, _capped_gap, reduce_polytope
+from .verify import GAP_TOL_PER_SLOT, _capped_gap, _user_polytopes
 
 __all__ = [
     "MacSolution",
@@ -146,12 +146,11 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
     n_users = scenario.num_users
     d = np.zeros_like(scenario.harvest)
     e_tilde = np.zeros_like(scenario.harvest)
-    polytopes = []
     for n in range(n_users):
         env = scenario.user(n)
         d[n], _, _ = optimal_wastage(env)
         e_tilde[n] = effective_energy(env, d[n])
-        polytopes.append(reduce_polytope(env))
+    polytopes = _user_polytopes(scenario)
 
     boundaries = [None] * n_users
     snap_gains = np.array(scenario.gain, dtype=float, copy=True)

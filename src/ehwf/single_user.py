@@ -44,7 +44,12 @@ warm-start check) runs on Python floats converted once per solve: its
 segments are a few slots long, where a numpy call costs more than its
 arithmetic.  Python's float operations are numpy's elementwise ones and
 the running battery sums add in np.cumsum's order, so results are bit
-for bit those of array code.
+for bit those of array code.  The per-slot clamps are comparisons, not
+calls to the min and max builtins, which cost ten times the arithmetic:
+max(x, 0.0) is written 0.0 if x < 0.0 else x and min(x, cap) is cap if
+cap < x else x.  Both keep the builtins' tie order: the first argument
+wins unless the other compares strictly past it, so a -0.0 against 0.0,
+or a NaN, comes out exactly as min and max return it.
 
 The walk (_close_segment) starts on those Python floats as well, one
 prefix at a time.  A prefix whose draw ties or crosses one of the two
@@ -100,9 +105,11 @@ def _clip_to_battery(env: UserEnv, want):
     level = 0.0
     for h, w in zip(harvest, wants):
         avail = level + h
-        p_k = min(w, cap, avail)
+        p_k = cap if cap < w else w         # min(w, cap, avail); see the module doc
+        p_k = avail if avail < p_k else p_k
         level = avail - p_k
-        d_k = max(level - bmax, 0.0)
+        d_k = level - bmax
+        d_k = 0.0 if d_k < 0.0 else d_k
         level -= d_k
         p.append(p_k)
         d.append(d_k)
@@ -180,8 +187,11 @@ def water_fill_segment(gains: list, target, cap):
         target = min(target, npos * cap)
 
     level = _fill_level(inv, cap, target)
-    p = [min(max(level - 1.0 / g, 0.0), cap) if g > GAIN_FLOOR else 0.0
-         for g in gains]
+    p = []
+    for g in gains:
+        x = level - 1.0 / g if g > GAIN_FLOOR else 0.0
+        x = 0.0 if x < 0.0 else x
+        p.append(cap if cap < x else x)
     # One exact correction pass: spread the float residual over the slots
     # strictly between the bounds, where the level actually moves mass.
     resid = target - math.fsum(p)
@@ -190,7 +200,9 @@ def water_fill_segment(gains: list, target, cap):
         if interior:
             step = resid / len(interior)
             for i in interior:
-                p[i] = min(max(p[i] + step, 0.0), cap)
+                x = p[i] + step
+                x = 0.0 if x < 0.0 else x
+                p[i] = cap if cap < x else x
     return p, 1.0 / level
 
 
@@ -320,7 +332,9 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
         # prefix j's draw at level, summed in np.cumsum's order
         drawn = 0.0
         for v in inv_list[a:a + j + 1]:
-            drawn += min(max(level - v, 0.0), power_max)
+            x = level - v
+            x = 0.0 if x < 0.0 else x
+            drawn += power_max if power_max < x else x
         return drawn
 
     def draws(level, near, bound):
@@ -339,8 +353,12 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
             j += 1
             if j < n:
                 v = inv_list[a + j]
-                at_hi += min(max(hi - v, 0.0), power_max)
-                at_lo += min(max(lo - v, 0.0), power_max)
+                x = hi - v
+                x = 0.0 if x < 0.0 else x
+                at_hi += power_max if power_max < x else x
+                x = lo - v
+                x = 0.0 if x < 0.0 else x
+                at_lo += power_max if power_max < x else x
                 u = start + (e_list[a + j] - base)
                 l = u - battery_max
                 if not (at_hi >= u - FEAS_TOL or at_lo <= l + FEAS_TOL):
@@ -496,8 +514,7 @@ def solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
     if not k_slots or gain.shape != (k_slots,) or e_tilde.shape != (k_slots,):
         raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
                          f"shapes {gain.shape} and {e_tilde.shape}")
-    if not (((gain >= 0.0) & (gain < math.inf)).all()
-            and ((e_tilde >= 0.0) & (e_tilde < math.inf)).all()):
+    if not all(0.0 <= v < math.inf for v in gain.tolist() + e_tilde.tolist()):
         raise ValueError("gain and e_tilde entries must be finite and nonnegative")
     bmax, cap = float(battery_max), float(power_max)
     if not (bmax >= 0.0 and cap >= 0.0):

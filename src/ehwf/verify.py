@@ -27,9 +27,11 @@ so Edmonds' greedy maximises a linear function over it exactly.
 
 ReducedPolytope.contains is the one membership predicate: induced_wastage,
 kkt_certificate and first_order_certificate all decide feasibility through
-it.  It allows FEAS_TOL times model.energy_scale of the cumulative harvest
-on every constraint, the tolerance model.check_feasible applies too, so a
-verdict does not depend on the unit of energy.
+it, kkt_certificate taking the verdict with the violation it reports from
+the one pass contains makes.  It allows FEAS_TOL times model.energy_scale
+of the cumulative harvest on every constraint, the tolerance
+model.check_feasible applies too, so a verdict does not depend on the
+unit of energy.
 """
 
 from __future__ import annotations
@@ -94,7 +96,13 @@ class ReducedPolytope:
         The tolerance follows the user's mean harvest per slot, so the
         verdict does not depend on the unit of energy.
         """
-        return self.violation(p) <= FEAS_TOL * energy_scale(self.cum_energy)
+        return self._membership(p)[0]
+
+    def _membership(self, p):
+        # (contains(p), violation(p)) from one violation pass; the one place
+        # the membership tolerance is decided
+        worst = self.violation(p)
+        return worst <= FEAS_TOL * energy_scale(self.cum_energy), worst
 
     def max_linear(self, c) -> np.ndarray:
         """A member q maximising c . q, by Edmonds' greedy.
@@ -146,6 +154,14 @@ def reduce_polytope(env: UserEnv) -> ReducedPolytope:
     return ReducedPolytope(cum_energy=cumulative_harvest(env.harvest),
                            battery_max=env.battery_max,
                            power_max=env.power_max)
+
+
+def _user_polytopes(scenario: Scenario) -> list:
+    # every user's reduce_polytope, read straight from the scenario's rows
+    return [ReducedPolytope(cum_energy=cum, battery_max=bmax, power_max=cap)
+            for cum, bmax, cap in zip(cumulative_harvest(scenario.harvest),
+                                      scenario.battery_max.tolist(),
+                                      scenario.power_max.tolist())]
 
 
 def induced_wastage(env: UserEnv, p):
@@ -200,11 +216,10 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
     _checked_boundaries(x, env.num_slots)
     p = _schedule(p, (env.num_slots,))
     poly = reduce_polytope(env)
-    violation = poly.violation(p)
+    feasible, violation = poly._membership(p)
     gap = math.inf      # a non-finite p (an infinite violation) has no gradient
     if violation < math.inf:
         gap = poly.gap(env.gain / (1.0 + env.gain * p), p)
-    feasible = poly.contains(p)
     gap_ok = gap <= GAP_TOL_PER_SLOT * env.num_slots
     return DualCertificate(passed=feasible and gap_ok,
                            conditions={"feasible": (feasible, violation),
@@ -234,7 +249,7 @@ def first_order_certificate(scenario: Scenario, p):
     of another shape than the scenario, raises.
     """
     p = _schedule(p, scenario.harvest.shape)
-    polytopes = [reduce_polytope(scenario.user(n)) for n in range(scenario.num_users)]
+    polytopes = _user_polytopes(scenario)
     for n, poly in enumerate(polytopes):
         if not poly.contains(p[n]):
             raise ValueError(f"schedule of user {n} is infeasible")

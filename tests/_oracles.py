@@ -7,10 +7,12 @@ exceptions: wf_array_reference, the package's earlier numpy segment fill,
 kept as it was to hold the current fill to the same bits;
 close_segment_reference, the package's earlier numpy boundary walk, kept
 as it was, with the package's level function, to hold the current walk to
-the same boundaries; brute_force_tiny, which takes the package's
-tolerance rule (energy_scale) so that its grid filter accepts what the
-checkers accept; and wastage_minimality_check, which tests the package's
-own optimal_wastage.
+the same boundaries; clip_to_battery_reference, the package's earlier
+battery clip, kept as it was, min and max builtins included, to hold the
+comparison clamps to the same bits; brute_force_tiny, which takes the
+package's tolerance rule (energy_scale) so that its grid filter accepts
+what the checkers accept; and wastage_minimality_check, which tests the
+package's own optimal_wastage.
 """
 
 import bisect
@@ -350,3 +352,26 @@ def close_segment_reference(inv, e_tilde, battery_max, power_max, a, kind_a):
                 lo = _fill_level(inv[:j + 1].tolist(), power_max, l)
                 draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
             lo_at = j + 1
+
+
+def clip_to_battery_reference(env: UserEnv, want):
+    """The battery clip that single_user._clip_to_battery's comparisons replaced.
+
+    Kept unchanged, with the min and max builtins, as the bit-for-bit
+    reference for every policy that clips.
+    """
+    bmax, cap = env.battery_max, env.power_max
+    harvest = env.harvest.tolist()
+    wants = want.tolist() if isinstance(want, np.ndarray) else [float(want)] * len(harvest)
+    p, d, battery = [], [], []
+    level = 0.0
+    for h, w in zip(harvest, wants):
+        avail = level + h
+        p_k = min(w, cap, avail)
+        level = avail - p_k
+        d_k = max(level - bmax, 0.0)
+        level -= d_k
+        p.append(p_k)
+        d.append(d_k)
+        battery.append(level)
+    return np.array(p), np.array(d), np.array(battery)

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ehwf.baselines import (balanced_policy, greedy_policy,
                             iterative_modified_staircase, modified_staircase,
@@ -10,8 +11,9 @@ from ehwf.baselines import (balanced_policy, greedy_policy,
 from ehwf.bench import GenParams, gen_scenario
 from ehwf.model import (Scenario, UserEnv, check_feasible, cumulative_harvest,
                         sum_rate)
-from ehwf.single_user import optimal_wastage, solve_reduced
+from ehwf.single_user import _clip_to_battery, optimal_wastage, solve_reduced
 
+import _oracles
 from conftest import user_envs
 
 
@@ -35,6 +37,44 @@ def test_greedy_policy_is_the_wastage_pair():
 
     p, _ = greedy_policy(env_of([2, 2], pmax=5.0))
     assert p.tolist() == [2, 2]
+
+
+@st.composite
+def clip_envs(draw):
+    """user_envs with zero-harvest slots, and B = 0, P = 0 or P = inf, drawn often."""
+    env = draw(user_envs())
+    keep = draw(st.lists(st.booleans(), min_size=env.num_slots, max_size=env.num_slots))
+    return UserEnv(env.harvest * np.array(keep, dtype=float), env.gain,
+                   draw(st.sampled_from([0.0, env.battery_max, math.inf])),
+                   draw(st.sampled_from([0.0, env.power_max, math.inf])))
+
+
+@given(clip_envs())
+@example(env_of([0.0, 4.0, 0.0, 2.0], [1.0, 0.0, 2.0, 1.0], bmax=0.0, pmax=3.0))
+@example(env_of([5.0, 0.0, 1.0], bmax=2.0, pmax=0.0))
+@example(env_of([0.0, 0.0, 7.0, 0.0], bmax=0.0, pmax=math.inf))
+def test_clipping_policies_match_the_builtin_clip_bit_for_bit(env):
+    # the clip clamps with comparisons; the min/max clip it replaced is the
+    # reference, and every byte of every output must agree
+    def as_bytes(arrays):
+        return [a.tobytes() for a in arrays]
+
+    ref = _oracles.clip_to_battery_reference
+    d, p, battery = optimal_wastage(env)
+    assert as_bytes((p, d, battery)) == as_bytes(ref(env, env.power_max))
+    tau = float(env.harvest.sum()) / env.num_slots
+    assert as_bytes(balanced_policy(env)) == as_bytes(ref(env, tau)[:2])
+    assert as_bytes(modified_staircase(env)) == as_bytes(ref(env, staircase_wf(env))[:2])
+
+
+def test_clip_keeps_the_builtin_tie_order():
+    # a -0.0 want ties 0.0, and a NaN want compares false both ways: the
+    # comparisons must return what min and max return, sign and payload
+    env = env_of([0.0, 1.0, 2.0, 0.0, 3.0], bmax=0.0, pmax=2.0)
+    want = np.array([-0.0, 0.0, math.nan, 2.0, -0.0])
+    got = _clip_to_battery(env, want)
+    ref = _oracles.clip_to_battery_reference(env, want)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
 def test_balanced_policy_examples():

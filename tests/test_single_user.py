@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ehwf.single_user as su
@@ -119,6 +119,21 @@ def test_water_fill_segment_zero_target_sentinel():
     p, w = su.water_fill_segment([1.0, 2.0], 0.0, 5.0)
     assert p == [0.0, 0.0]
     assert w == math.inf
+
+
+@pytest.mark.parametrize("gains, target, cap", [
+    ([1.0, 0.5], 1.0, math.inf),        # level 2.0 is slot 2's inverse gain
+    ([1.0, 0.5], 0.0, 3.0),             # a zero target
+    ([1.0, 0.5], 1.0, 1.0),             # slot 1's gap 2.0 - 1.0 is the cap
+    ([1.0, 0.5, 0.25], 3.0, 2.0),       # level 3.0: slot 1 at the cap exactly
+    ([4.0, 0.0, 0.5], 1.75, 1.75),      # both ties at level 2.0, a zero gain between
+])
+def test_fill_ties_match_array_fill_bit_for_bit(gains, target, cap):
+    # draws that land exactly on a clamp bound, which hypothesis seldom hits
+    want_p, want_w = _oracles.wf_array_reference(np.array(gains), target, cap)
+    p, w = su.water_fill_segment(gains, target, cap)
+    assert np.array(p).tobytes() == want_p.tobytes()
+    assert float.hex(w) == float.hex(want_w)
 
 
 def test_water_fill_segment_errors():
@@ -448,6 +463,15 @@ def dense_envs(draw, max_slots=200):
 
 
 @given(st.one_of(user_envs(), scaled_user_envs(), staircase_envs(), dense_envs()))
+# prefix draws that tie a level bound exactly, which hypothesis seldom hits:
+# hi = 3.0 from slot 1, and slot 2 draws 2.0 + (3.0 - 2.0) = 3.0, its bound
+@example(env_of([2.0, 1.0, 5.0], [1.0, 0.5, 1.0], bmax=math.inf, pmax=math.inf))
+# B = 0: every prefix's floor is its ceiling, and each draw ties both
+@example(env_of([1.0, 1.0, 1.0], bmax=0.0, pmax=math.inf))
+# every slot spends its harvest at the cap exactly
+@example(env_of([3.0, 3.0, 3.0], bmax=10.0, pmax=3.0))
+# slot 1 fills the battery: lo's prefix draws its floor 10.0 - 2.0 exactly
+@example(env_of([10.0, 0.0, 0.0, 4.0], [1.0, 1.0, 0.5, 1.0], bmax=2.0, pmax=math.inf))
 def test_walk_matches_the_numpy_reference_walk(env):
     # from every boundary the cold solve confirms, the two-phase walk closes
     # the segment where the earlier all-numpy walk does; short segments
