@@ -211,13 +211,29 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Scenario":
+        """Read to_json_dict output, holding it to JSON's types.
+
+        Counts must be integers, harvest and gain lists of numbers, and each
+        cap a number or null (unbounded); a bool or a string is not a
+        number.  Anything else raises ValueError.
+        """
         try:
             users = obj["users"]
-            n, k = int(obj["num_users"]), int(obj["num_slots"])
+            n, k = obj["num_users"], obj["num_slots"]
             if not isinstance(users, list):
                 raise TypeError(f"users must be a list, not {type(users).__name__}")
             fields = {key: [u[key] for u in users]
                       for key in ("harvest", "gain", "battery_max", "power_max")}
+            if not (type(n) is int and type(k) is int):     # not bool either
+                raise TypeError(f"num_users and num_slots must be integers, "
+                                f"got {n!r} and {k!r}")
+            rows = fields["harvest"] + fields["gain"]
+            if not all(isinstance(row, list) and all(map(_is_json_number, row))
+                       for row in rows):
+                raise TypeError("harvest and gain must be lists of numbers")
+            caps = fields["battery_max"] + fields["power_max"]
+            if not all(cap is None or _is_json_number(cap) for cap in caps):
+                raise TypeError("battery_max and power_max must be numbers or null")
         except KeyError as exc:
             raise ValueError(f"malformed scenario object: missing key {exc}") from exc
         except TypeError as exc:
@@ -226,13 +242,11 @@ class Scenario:
             raise ValueError(f"scenario declares {n} users but lists {len(users)}")
         if n == 0:
             raise ValueError("a scenario needs at least one user, got 0")
-        harvest = np.array(fields["harvest"], dtype=float)
-        gain = np.array(fields["gain"], dtype=float)
-        if harvest.shape != (n, k) or gain.shape != (n, k):
+        if any(len(row) != k for row in rows):
             raise ValueError("user vectors do not match the declared num_slots")
         return cls(
-            harvest=harvest,
-            gain=gain,
+            harvest=np.array(fields["harvest"], dtype=float),
+            gain=np.array(fields["gain"], dtype=float),
             battery_max=np.array([_cap_from_json(c) for c in fields["battery_max"]]),
             power_max=np.array([_cap_from_json(c) for c in fields["power_max"]]),
         )
@@ -256,6 +270,11 @@ def _cap_to_json(cap):
 
 def _cap_from_json(cap) -> float:
     return math.inf if cap is None else float(cap)
+
+
+def _is_json_number(x) -> bool:
+    # bool is a subclass of int, but true and false are not JSON numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -309,6 +328,10 @@ def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
     tolerance of verify.ReducedPolytope.contains.  This check cannot just
     ask the polytope: it checks the wastage d the caller supplies, while
     the polytope eliminates d and asks only whether some d exists.
+
+    It is one vectorised pass; violations come out by user, slot and the
+    kinds' order below.  Non-finite entries raise no numpy warning, and a
+    battery sum that mixes +inf and -inf into NaN flags nothing itself.
     """
     p = _as_float_array(p, "p", 2)
     d = _as_float_array(d, "d", 2)
@@ -316,33 +339,28 @@ def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
     if p.shape != shape or d.shape != shape:
         raise ValueError(f"schedules must have shape {shape}")
 
-    # NaN fails every comparison below, so non-finite entries get their own test
-    finite = (np.isfinite(p) & np.isfinite(d)).all(axis=1)
-    violations = []
-    for n in range(scenario.num_users):
-        cap = scenario.power_max[n]
-        bmax = scenario.battery_max[n]
-        tol = FEAS_TOL * energy_scale(cumulative_harvest(scenario.harvest[n]))
-        levels = user_battery_trace(scenario.harvest[n], p[n], d[n])
-        nonfinite = not finite[n]
-        for k in range(scenario.num_slots):
-            if nonfinite:
-                if not math.isfinite(p[n, k]):
-                    violations.append((n, k, "power-non-finite", math.inf))
-                if not math.isfinite(d[n, k]):
-                    violations.append((n, k, "wastage-non-finite", math.inf))
-            if p[n, k] < -tol:
-                violations.append((n, k, "power-negative", -p[n, k]))
-            if p[n, k] > cap + tol:
-                violations.append((n, k, "power-above-cap", p[n, k] - cap))
-            if d[n, k] < -tol:
-                violations.append((n, k, "wastage-negative", -d[n, k]))
-            if levels[k] < -tol:
-                violations.append((n, k, "battery-negative", -levels[k]))
-            if levels[k] > bmax + tol:
-                violations.append((n, k, "battery-above-cap", levels[k] - bmax))
-
-    return FeasibilityReport(violations=tuple(violations))
+    tol = FEAS_TOL * np.array([[energy_scale(row)]
+                               for row in cumulative_harvest(scenario.harvest)])
+    cap = scenario.power_max[:, None]
+    bmax = scenario.battery_max[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = np.cumsum(scenario.harvest - p, axis=1) - np.cumsum(d, axis=1)
+        # NaN fails every comparison, so non-finite entries get their own test
+        inf = np.full(shape, math.inf)
+        checks = (
+            ("power-non-finite", ~np.isfinite(p), inf),
+            ("wastage-non-finite", ~np.isfinite(d), inf),
+            ("power-negative", p < -tol, -p),
+            ("power-above-cap", p > cap + tol, p - cap),
+            ("wastage-negative", d < -tol, -d),
+            ("battery-negative", levels < -tol, -levels),
+            ("battery-above-cap", levels > bmax + tol, levels - bmax),
+        )
+        masks = np.stack([mask for _, mask, _ in checks], axis=-1)
+        magnitudes = np.stack([mag for _, _, mag in checks], axis=-1)[masks]
+    return FeasibilityReport(violations=tuple(
+        (n, k, checks[i][0], m)
+        for (n, k, i), m in zip(np.argwhere(masks).tolist(), magnitudes.tolist())))
 
 
 def sum_rate(scenario: Scenario, p) -> float:

@@ -36,7 +36,8 @@ the solver accepts is never held to a tighter tolerance by a checker.
 
 Every segment, whatever its length, is filled and checked by one helper,
 _fill_segment: its target energy, one water_fill_segment call, and one
-pass, _segment_status, for feasibility and the warm-start margins.  Its
+pass, _segment_status, for feasibility and the warm-start margins; the
+target and the pass share one lookup of the budget before the segment.  Its
 water level, and the walk's prefix levels, come from one level function:
 a sweep over the slots' sorted fill and saturation breakpoints that
 stops at the target.  That layer (fill, level, target, feasibility,
@@ -140,23 +141,6 @@ def effective_energy(env: UserEnv, d_star) -> np.ndarray:
     return cumulative_harvest(env.harvest) - np.cumsum(d_star)
 
 
-def _segment_target_energy(a, kind_a, b, kind_b, e_tilde, battery_max, power_max) -> float:
-    """Total energy segment (a, b] must consume, given its boundary kinds.
-
-    Boundary slots use the 1-based convention: boundary a is the end of
-    slot a, so the segment covers slots a+1 .. b.  A BFP start adds a
-    battery's worth of stored energy; a BFP end leaves one behind.  The
-    per-slot cap bounds the total at (b-a) * power_max.  e_tilde is a
-    list or an array.
-    """
-    e_a = e_tilde[a - 1] if a > 0 else 0.0
-    e_b = e_tilde[b - 1]
-    swing = (battery_max if kind_a == BFP else 0.0) \
-        - (battery_max if kind_b == BFP else 0.0)
-    supply = e_b - e_a + swing
-    return float(max(0.0, min((b - a) * power_max, supply)))
-
-
 def water_fill_segment(gains: list, target, cap):
     """Allocate target across slots at one water level, capped per slot.
 
@@ -184,7 +168,8 @@ def water_fill_segment(gains: list, target, cap):
             raise ValueError("target energy exceeds segment capacity")
         if target > npos * cap + FEAS_TOL:
             raise ValueError("target energy exceeds positive-gain slot capacity")
-        target = min(target, npos * cap)
+        limit = npos * cap
+        target = limit if limit < target else target
 
     level = _fill_level(inv, cap, target)
     p = []
@@ -243,19 +228,19 @@ def _fill_level(inv, cap, target):
     return prev if m else prev + (target - total) / slope
 
 
-def _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max):
-    """One pass over the filled segment from boundary a: (feasible, settled).
+def _segment_status(p_seg, e_seg, base, start, battery_max, power_max):
+    """One pass over a filled segment: (feasible, settled).
 
+    e_seg is the segment's slice of the budget, base the budget before it
+    and start its starting battery level, as _fill_segment works them out.
     feasible: p stays in [0, P] and the battery in [0, B], both within
     FEAS_TOL.  settled is _refill_guess's margins: a slot more than
     FEAS_TOL inside (0, P) and the battery more than FEAS_TOL inside
     (0, B) after all but the last.
     """
     tol = FEAS_TOL
-    base = e_tilde[a - 1] if a > 0 else 0.0
-    start = battery_max if kind_a == BFP else 0.0
     free, inside, drawn, level = False, True, 0.0, None
-    for e_k, p_k in zip(e_tilde[a:a + len(p_seg)], p_seg):
+    for e_k, p_k in zip(e_seg, p_seg):
         inside = inside and (level is None or tol < level < battery_max - tol)
         drawn += p_k
         level = start + (e_k - base) - drawn
@@ -267,8 +252,10 @@ def _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max):
 
 
 def _fill_segment(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
-    """Fill segment (a, b] for the given boundary kinds and check it.
+    """Fill segment (a, b], slots a+1 .. b, for its boundary kinds and check it.
 
+    The target is the budget over the segment, plus a full battery after a
+    BFP start and less one before a BFP end, clamped to [0, (b-a) * P].
     gains and e_tilde are lists of floats; returns (p_segment list, w,
     feasible, settled): w from water_fill_segment, and feasible and settled
     from _segment_status, settled only on a segment whose gains are all
@@ -278,8 +265,13 @@ def _fill_segment(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     positive-gain slots carry under the cap is burned evenly on its
     zero-gain slots, at no rate either way.
     """
-    target = fill_target = _segment_target_energy(a, kind_a, b, kind_b, e_tilde,
-                                                  battery_max, power_max)
+    base = e_tilde[a - 1] if a > 0 else 0.0
+    start = battery_max if kind_a == BFP else 0.0
+    e_seg = e_tilde[a:b]
+    supply = (e_seg[-1] - base) + (start - (battery_max if kind_b == BFP else 0.0))
+    limit = (b - a) * power_max
+    target = supply if supply < limit else limit    # max(0.0, min(limit, supply))
+    target = fill_target = target if target > 0.0 else 0.0
     gains = gains[a:b]
     positive = min(gains) > GAIN_FLOOR
     if not positive:
@@ -289,7 +281,7 @@ def _fill_segment(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     if fill_target < target:
         burn = (target - fill_target) / (b - a - npos)
         p_seg = [x if g > GAIN_FLOOR else burn for g, x in zip(gains, p_seg)]
-    feasible, settled = _segment_status(p_seg, e_tilde, a, kind_a, battery_max, power_max)
+    feasible, settled = _segment_status(p_seg, e_seg, base, start, battery_max, power_max)
     return p_seg, w, feasible, settled and positive
 
 

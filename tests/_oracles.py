@@ -9,7 +9,9 @@ close_segment_reference, the package's earlier numpy boundary walk, kept
 as it was, with the package's level function, to hold the current walk to
 the same boundaries; clip_to_battery_reference, the package's earlier
 battery clip, kept as it was, min and max builtins included, to hold the
-comparison clamps to the same bits; brute_force_tiny, which takes the
+comparison clamps to the same bits; check_feasible_reference, the
+package's earlier per-slot feasibility loop, kept as it was, to hold the
+vectorised check to the same report; brute_force_tiny, which takes the
 package's tolerance rule (energy_scale) so that its grid filter accepts
 what the checkers accept; and wastage_minimality_check, which tests the
 package's own optimal_wastage.
@@ -21,7 +23,8 @@ import sys
 
 import numpy as np
 
-from ehwf.model import Scenario, UserEnv, cumulative_harvest, energy_scale
+from ehwf.model import (Scenario, UserEnv, cumulative_harvest, energy_scale,
+                        user_battery_trace)
 from ehwf.single_user import BDP, BFP, _fill_level, optimal_wastage
 
 
@@ -375,3 +378,41 @@ def clip_to_battery_reference(env: UserEnv, want):
         d.append(d_k)
         battery.append(level)
     return np.array(p), np.array(d), np.array(battery)
+
+
+def check_feasible_reference(scenario: Scenario, p, d):
+    """The per-slot loop that model.check_feasible's single pass replaced.
+
+    Kept unchanged, apart from an np.errstate that silences the warnings a
+    row mixing +inf and -inf raises in its battery sums, as the reference
+    for the report: the same (user, slot, kind, magnitude) tuples in the
+    same order.
+    """
+    p = np.asarray(p, dtype=float)
+    d = np.asarray(d, dtype=float)
+    finite = (np.isfinite(p) & np.isfinite(d)).all(axis=1)
+    violations = []
+    for n in range(scenario.num_users):
+        cap = scenario.power_max[n]
+        bmax = scenario.battery_max[n]
+        tol = FEAS_TOL * energy_scale(cumulative_harvest(scenario.harvest[n]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            levels = user_battery_trace(scenario.harvest[n], p[n], d[n])
+        nonfinite = not finite[n]
+        for k in range(scenario.num_slots):
+            if nonfinite:
+                if not math.isfinite(p[n, k]):
+                    violations.append((n, k, "power-non-finite", math.inf))
+                if not math.isfinite(d[n, k]):
+                    violations.append((n, k, "wastage-non-finite", math.inf))
+            if p[n, k] < -tol:
+                violations.append((n, k, "power-negative", -p[n, k]))
+            if p[n, k] > cap + tol:
+                violations.append((n, k, "power-above-cap", p[n, k] - cap))
+            if d[n, k] < -tol:
+                violations.append((n, k, "wastage-negative", -d[n, k]))
+            if levels[k] < -tol:
+                violations.append((n, k, "battery-negative", -levels[k]))
+            if levels[k] > bmax + tol:
+                violations.append((n, k, "battery-above-cap", levels[k] - bmax))
+    return tuple(violations)

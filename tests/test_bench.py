@@ -319,6 +319,20 @@ def test_cli_solve_rejects_a_scenario_without_a_schedule(tmp_path, capsys, text,
     assert "p[0]" not in captured.out
 
 
+def test_cli_solve_rejects_non_numbers(tmp_path, capsys):
+    # strings, booleans and a fractional slot count used to load as numbers
+    # and get a certified PASS
+    path = tmp_path / "strings.json"
+    path.write_text('{"num_users": 1, "num_slots": 2.9, "users": [{"harvest": '
+                    '["1", "2"], "gain": [true, 1], "battery_max": "5", '
+                    '"power_max": 10}]}')
+    rc = cli_main(["solve", "--in", str(path), "--certify"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: malformed scenario object: ")
+    assert "p[0]" not in captured.out
+
+
 def test_cli_solve_rejects_nan_scenario(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"num_users": 1, "num_slots": 3, "users": [{"harvest": '

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,40 @@ def test_check_feasible_reports_non_finite_entries(bad):
     report = check_feasible(sc, zeros, np.array([[0.0, bad]]))
     assert not report.ok
     assert (0, 1, "wastage-non-finite", math.inf) in report.violations
+
+
+def test_check_feasible_mixed_infinities_warn_nothing():
+    # +inf and -inf in one row sum to a NaN battery level, where numpy's
+    # invalid-value warning used to escape and fail the check under pytest
+    sc = scenario_1u([1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_feasible(sc, np.array([[math.inf, -math.inf]]), np.zeros((1, 2)))
+    assert report.violations == (
+        (0, 0, "power-non-finite", math.inf), (0, 0, "power-above-cap", math.inf),
+        (0, 0, "battery-negative", math.inf),
+        (0, 1, "power-non-finite", math.inf), (0, 1, "power-negative", math.inf))
+
+
+schedule_entry = st.one_of(
+    st.floats(min_value=-3.0, max_value=30.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0]))
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_check_feasible_matches_the_loop_reference(n, k, data):
+    # the same tuples, in the same (user, slot, kind) order, with Python
+    # ints for the indices
+    caps = st.lists(st.sampled_from([0.0, 0.5, 5.0, 20.0, math.inf]), min_size=n, max_size=n)
+    grid = st.lists(st.lists(schedule_entry, min_size=k, max_size=k), min_size=n, max_size=n)
+    harvest = data.draw(st.lists(st.lists(finite_energy, min_size=k, max_size=k),
+                                 min_size=n, max_size=n))
+    sc = Scenario(np.array(harvest), np.ones((n, k)), np.array(data.draw(caps)),
+                  np.array(data.draw(caps)))
+    p, d = np.array(data.draw(grid)), np.array(data.draw(grid))
+    report = check_feasible(sc, p, d)
+    assert report.violations == _oracles.check_feasible_reference(sc, p, d)
+    assert all(type(v[0]) is int and type(v[1]) is int for v in report.violations)
 
 
 def test_check_feasible_passes_a_budget_scaled_solve():
@@ -216,6 +251,13 @@ def test_large_harvest_with_a_finite_total_loads():
     assert check_feasible(Scenario.single_user(env), p[None, :], d[None, :]).ok
 
 
+def json_user(num_users=1, num_slots=2, **fields):
+    # a one-user scenario object with some fields replaced
+    user = {"harvest": [1, 2], "gain": [1, 1], "battery_max": 5, "power_max": None}
+    user.update(fields)
+    return {"num_users": num_users, "num_slots": num_slots, "users": [user]}
+
+
 @pytest.mark.parametrize("obj, message", [
     ({"num_users": 1, "num_slots": 1,
       "users": [{"harvest": [1], "gain": [1], "power_max": 5}]},
@@ -226,11 +268,42 @@ def test_large_harvest_with_a_finite_total_loads():
     ({"num_users": 1, "num_slots": 1, "users": {"harvest": [1]}},
      "users must be a list"),
     ({"num_users": 1, "num_slots": 1, "users": [[1, 2]]}, "malformed"),
-], ids=["no-battery-max", "no-harvest", "users-int", "users-dict", "user-list"])
+    (json_user(harvest=["1", "2"]), "harvest and gain must be lists of numbers"),
+    (json_user(gain=[True, 1]), "harvest and gain must be lists of numbers"),
+    (json_user(harvest=[[1, 2]]), "harvest and gain must be lists of numbers"),
+    (json_user(power_max="5"), "battery_max and power_max must be numbers or null"),
+    (json_user(battery_max=False), "battery_max and power_max must be numbers or null"),
+    (json_user(battery_max=[1]), "battery_max and power_max must be numbers or null"),
+    (json_user(num_slots=2.9), "num_users and num_slots must be integers"),
+    (json_user(num_users=True), "num_users and num_slots must be integers"),
+], ids=["no-battery-max", "no-harvest", "users-int", "users-dict", "user-list",
+        "string-harvest", "bool-gain", "nested-harvest", "string-cap", "bool-cap",
+        "list-cap", "fractional-slots", "bool-users"])
 def test_scenario_from_json_rejects_malformed_users(obj, message):
     with pytest.raises(ValueError, match="malformed scenario object") as info:
         Scenario.from_json_dict(obj)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: UserEnv(np.ones((1, 2)), np.ones((1, 2)), 1.0, 1.0),
+     "harvest must be 1-dimensional"),
+    (lambda: UserEnv([1.0, 2.0], [1.0], 1.0, 1.0), "must have the same length"),
+    (lambda: Scenario(np.ones((2, 2)), np.ones((2, 2)), np.ones(1), np.ones(2)),
+     "one entry per user"),
+    (lambda: Scenario.from_json_dict(json_user(num_users=2)),
+     "scenario declares 2 users but lists 1"),
+    (lambda: Scenario.from_json_dict(json_user(num_slots=3)),
+     "do not match the declared num_slots"),
+    (lambda: user_battery_trace([1.0, 2.0], [0.0, 0.0], [0.0]),
+     "d must have one entry per slot"),
+    (lambda: sum_rate(scenario_1u([1.0, 2.0]), np.zeros((1, 3))),
+     "p shape does not match"),
+], ids=["ndim", "length", "caps-per-user", "user-count", "slot-count",
+        "trace-d", "sum-rate-p"])
+def test_mismatched_shapes_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_scenario_json_round_trip():

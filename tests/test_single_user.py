@@ -83,20 +83,23 @@ def test_effective_energy_rejects_a_wastage_of_another_length(d_star):
 
 # ---- segment targets ---------------------------------------------------------
 
+def fill_total(e_tilde, bmax, cap, a, kind_a, b, kind_b):
+    # the energy _fill_segment puts through segment (a, b] on unit gains
+    gains = [1.0] * len(e_tilde)
+    p_seg, _, _, _ = su._fill_segment(gains, e_tilde, bmax, cap, a, kind_a, b, kind_b)
+    return math.fsum(p_seg)
+
+
 def test_segment_target_energy_values():
     # right-open boundary convention: entry a reads e_tilde[a-1]
-    assert su._segment_target_energy(0, su.BDP, 2, su.BDP,
-                                     np.array([2.0, 4.0]), 10.0, 3.0) == 4.0
-    assert su._segment_target_energy(1, su.BFP, 3, su.BDP,
-                                     np.array([2.0, 3.0, 5.0]), 2.0, 10.0) == 5.0
-    assert su._segment_target_energy(0, su.BDP, 2, su.BFP,
-                                     np.array([3.0, 6.0]), 2.0, 10.0) == 4.0
+    assert fill_total([2.0, 4.0], 10.0, 3.0, 0, su.BDP, 2, su.BDP) == 4.0
+    assert fill_total([2.0, 3.0, 5.0], 2.0, 10.0, 1, su.BFP, 3, su.BDP) == 5.0
+    assert fill_total([3.0, 6.0], 2.0, 10.0, 0, su.BDP, 2, su.BFP) == 4.0
 
 
 def test_segment_target_energy_never_negative():
     # an end boundary needing more than the segment supplies clips to zero
-    assert su._segment_target_energy(0, su.BDP, 1, su.BFP,
-                                     np.array([1.0]), 5.0, 10.0) == 0.0
+    assert fill_total([1.0], 5.0, 10.0, 0, su.BDP, 1, su.BFP) == 0.0
 
 
 # ---- segment water filling ---------------------------------------------------
@@ -141,6 +144,8 @@ def test_water_fill_segment_errors():
         su.water_fill_segment([0.0, 0.0], 1.0, 5.0)
     with pytest.raises(ValueError):
         su.water_fill_segment([1.0, 1.0], 11.0, 5.0)
+    with pytest.raises(ValueError, match="exceeds positive-gain slot capacity"):
+        su.water_fill_segment([1.0, 0.0], 7.0, 5.0)
     for target, cap in ((math.nan, 1.0), (math.inf, math.inf), (-math.inf, 1.0),
                         (1.0, math.nan), (1.0, -1.0), (0.0, -1.0)):
         with pytest.raises(ValueError, match="finite target and a nonnegative cap"):
@@ -214,23 +219,6 @@ def test_list_fill_matches_array_fill_bit_for_bit(data):
     assert float.hex(w) == float.hex(want_w)
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=12),
-       st.data())
-def test_segment_target_energy_list_matches_array(steps, data):
-    e_tilde = np.cumsum(steps).tolist()
-    k = len(e_tilde)
-    a = data.draw(st.integers(0, k - 1))
-    b = data.draw(st.integers(a + 1, k))
-    kind_a, kind_b = data.draw(st.tuples(st.sampled_from([su.BDP, su.BFP]),
-                                         st.sampled_from([su.BDP, su.BFP])))
-    bmax = data.draw(st.sampled_from([0.0, 0.5, 5.0, 20.0]))
-    cap = data.draw(st.sampled_from([0.25, 3.0, 15.0, math.inf]))
-    got = su._segment_target_energy(a, kind_a, b, kind_b, e_tilde, bmax, cap)
-    want = su._segment_target_energy(a, kind_a, b, kind_b, np.array(e_tilde), bmax, cap)
-    assert type(got) is float
-    assert float.hex(got) == float.hex(want)
-
-
 def test_long_fills_go_through_the_one_fill(monkeypatch):
     # every segment fill, long ones included, is one water_fill_segment call
     records = []
@@ -264,8 +252,7 @@ def test_classify_segment_statuses():
 
     def feasible(p, battery_max, power_max):
         # segment (0, 2] from a BDP: the battery is e - cumsum(p)
-        ok, _ = su._segment_status(p, e.tolist(), 0, su.BDP,
-                                   battery_max, power_max)
+        ok, _ = su._segment_status(p, e.tolist(), 0.0, 0.0, battery_max, power_max)
         return ok
 
     assert feasible([1.0, 1.0], 5.0, 10.0) is True
