@@ -12,9 +12,10 @@ Each user's subproblem against the others' fixed schedules is exactly the
 single-user problem with the gain replaced by the effective gain, so one
 sweep is N solve_reduced calls, fed those gains with no UserEnv built.
 The sum rate never decreases across a best response, and at a fixed
-point the joint schedule is globally optimal; solve_mac stops once its
-duality gap, the one verify.first_order_certificate reports, is within
-tol nats of it.
+point the joint schedule is globally optimal; solve_mac prices the
+duality gap of every sweep's schedule, the one
+verify.first_order_certificate reports, and stops at the first within
+tol nats of the optimum.
 Round-robin sweeps zig-zag where users share slots, so between sweeps
 solve_mac line-searches the sum rate along the step from one sweep's
 result to the next (_line_search).  The trace holds best-response
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 # Sweeps to the default tol on 27,300 five-user, 20-slot instances: mean
-# 6.3, p99 14, the slowest 28 (2,005 without the line search).
+# 5.96, p99 14, the slowest 28 (2,005 without the line search).
 MAX_ITER = 5000
 
 
@@ -95,12 +96,13 @@ def iterate_best_response(scenario: Scenario, responder, stop,
     responder(n, gains) takes a user and its effective gains against the
     current schedule and returns that user's new (p_n, d_n) slot vectors;
     the solution's d holds each user's wastage from its last response.
-    Sweeps run in user-index order; the loop ends when stop(p, rate_gain),
-    given the schedule and the sum rate's change in the sweep, returns True
-    (converged) or after max_iter sweeps.  The objective trace starts from
-    the all-zero schedule (value 0 before sweep 1).  step(p_prev, p, rate),
-    if given, runs between sweeps (never after the last) on the last two
-    sweeps' results, may move p in place, and returns the rate it leaves.
+    Sweeps run in user-index order; the loop ends when stop(p, rate_gain)
+    returns True (converged) or after max_iter sweeps.  stop gets the
+    sweep's schedule and rate_gain, its best-response rate less the
+    previous sweep's (on sweep 1, less the all-zero schedule's 0).
+    step(p_prev, p, rate), if given, runs between sweeps (never after the
+    last) on the last two sweeps' results and the latter's rate, and may
+    move p in place.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -119,7 +121,8 @@ def iterate_best_response(scenario: Scenario, responder, stop,
             converged = True
             break
         if step is not None and sweep + 1 < max_iter:
-            swept, v = p.copy(), step(swept, p, v)      # p copied before it moves
+            prev, swept = swept, p.copy()       # p copied before it moves
+            step(prev, p, v)
         v_prev = v
 
     return MacSolution(p=p, d=d, trace=np.asarray(trace),
@@ -133,10 +136,11 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
     Per-user wastage is fixed once up front (it does not depend on the
     others), then each sweep re-solves every user against the latest
     schedules, warm-started from that user's boundaries in the previous
-    sweep (solve_reduced's guess).  Sweeps stop once the duality gap of p
-    is at most tol nats (default GAP_TOL_PER_SLOT per slot) or after
-    max_iter; converged is gap <= tol.  The guesses survive _line_search's
-    moves, as the KKT check keeps them safe.  The solution carries each
+    sweep (solve_reduced's guess).  The duality gap of each sweep's p is
+    priced as it ends, and sweeps stop at the first whose gap is at most
+    tol nats (default GAP_TOL_PER_SLOT per slot) or after max_iter;
+    converged is gap <= tol.  The guesses survive _line_search's moves,
+    as the KKT check keeps them safe.  The solution carries each
     user's segment boundaries and effective gains from its final update.
     """
     if tol is None:
@@ -164,9 +168,6 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
     gaps = []
 
     def stop(p, rate_gain):
-        # a gain above tol shows p still moving; user gaps are >= 0, so a sum past tol fails
-        if rate_gain > tol:
-            return False
         gaps.append(_capped_gap(scenario, polytopes, p, tol))
         return gaps[-1] <= tol
 
@@ -177,14 +178,14 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
                    user_boundaries=boundaries, user_gains=snap_gains)
 
 
-def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> float:
+def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> None:
     """Move p in place to the best rate on the ray p + a * (p - p_prev).
 
     p_prev and p are consecutive sweeps' results, so the step carries the
     last move too and grows along a valley.  a >= 0 keeps every user in its
     fixed-wastage tube, 0 <= p <= P and e_tilde - B <= cumsum(p) <= e_tilde;
     the rate is concave in a, and Newton's method, kept in a bracket by
-    bisection, finds its peak.  p moves only if the rate rises.
+    bisection, finds its peak.  p moves only if that beats rate, p's own.
     """
     step = p - p_prev
     drawn, moved = np.cumsum(p, axis=1), np.cumsum(step, axis=1)
@@ -200,7 +201,7 @@ def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> float:
     power = 1.0 + np.sum(p * scenario.gain, axis=0)
     delta = np.sum(step * scenario.gain, axis=0)
     if not (0.0 < a_max < np.inf and float(np.sum(delta / power)) > 0.0):
-        return rate
+        return
     lo, hi, a = 0.0, a_max, a_max       # from a_max, where the peak may sit
     for _ in range(50):
         # the rate's slope along the ray, and its curvature (negated)
@@ -212,10 +213,8 @@ def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> float:
         if abs(a - last) <= 1e-12 * a:
             break
     stepped = p + a * step
-    stepped_rate = sum_rate(scenario, stepped)
-    if stepped_rate > rate:
-        p[...], rate = stepped, stepped_rate
-    return rate
+    if sum_rate(scenario, stepped) > rate:
+        p[...] = stepped
 
 
 def first_iteration_gap_bound(n_users: int, n_slots: int) -> float:

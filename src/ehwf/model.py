@@ -234,22 +234,23 @@ class Scenario:
             caps = fields["battery_max"] + fields["power_max"]
             if not all(cap is None or _is_json_number(cap) for cap in caps):
                 raise TypeError("battery_max and power_max must be numbers or null")
+            if len(users) != n:
+                raise ValueError(f"scenario declares {n} users but lists {len(users)}")
+            if n == 0:
+                raise ValueError("a scenario needs at least one user, got 0")
+            if any(len(row) != k for row in rows):
+                raise ValueError("user vectors do not match the declared num_slots")
+            # a JSON integer past float range overflows here
+            return cls(
+                harvest=np.array(fields["harvest"], dtype=float),
+                gain=np.array(fields["gain"], dtype=float),
+                battery_max=np.array([_cap_from_json(c) for c in fields["battery_max"]]),
+                power_max=np.array([_cap_from_json(c) for c in fields["power_max"]]),
+            )
         except KeyError as exc:
             raise ValueError(f"malformed scenario object: missing key {exc}") from exc
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed scenario object: {exc}") from exc
-        if len(users) != n:
-            raise ValueError(f"scenario declares {n} users but lists {len(users)}")
-        if n == 0:
-            raise ValueError("a scenario needs at least one user, got 0")
-        if any(len(row) != k for row in rows):
-            raise ValueError("user vectors do not match the declared num_slots")
-        return cls(
-            harvest=np.array(fields["harvest"], dtype=float),
-            gain=np.array(fields["gain"], dtype=float),
-            battery_max=np.array([_cap_from_json(c) for c in fields["battery_max"]]),
-            power_max=np.array([_cap_from_json(c) for c in fields["power_max"]]),
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":

@@ -164,8 +164,6 @@ def water_fill_segment(gains: list, target, cap):
     if npos == 0:
         raise ValueError("cannot water-fill positive energy over all-zero gains")
     if math.isfinite(cap):
-        if target > len(gains) * cap + FEAS_TOL:
-            raise ValueError("target energy exceeds segment capacity")
         if target > npos * cap + FEAS_TOL:
             raise ValueError("target energy exceeds positive-gain slot capacity")
         limit = npos * cap

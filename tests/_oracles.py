@@ -222,34 +222,40 @@ def brute_force_tiny(scenario: Scenario):
     grid_pts = 13 if n_axes <= 4 else 7
 
     cum_e = cumulative_harvest(scenario.harvest)
-    tol = FEAS_TOL * np.array([energy_scale(c) for c in cum_e])[None, :, None]
+    tol = FEAS_TOL * np.array([energy_scale(c) for c in cum_e])[:, None]
     upper = np.minimum(scenario.power_max[:, None], cum_e)
     gains = scenario.gain
-    bmax = scenario.battery_max
+    room = scenario.battery_max[:, None] + tol
     scale = float(upper.max())
     if scale <= 0.0:
         return np.zeros((n_users, n_slots)), 0.0
+    # candidates are columns, so every pass below runs along all of them;
+    # column j takes offset index pick[a, j] on axis a, row-major over axes
+    pick = np.indices((grid_pts,) * n_axes).reshape(n_axes, -1)
 
     def evaluate(cands):
-        c = np.cumsum(cands, axis=2)
-        h = c - cum_e[None]
-        ok = (h <= tol).all(axis=(1, 2))
-        prev = np.concatenate([np.zeros((cands.shape[0], n_users, 1)),
-                               h[:, :, :-1]], axis=2)
-        running_min = np.minimum.accumulate(prev, axis=2)
-        ok &= (h - running_min <= bmax[None, :, None] + tol).all(axis=(1, 2))
-        vals = np.log1p(np.sum(cands * gains[None], axis=1)).sum(axis=1)
+        # slot by slot: the energy drawn so far never passes the harvest,
+        # and never rises more than the battery above its lowest level
+        drawn = np.zeros_like(cands[:, 0])
+        low = np.zeros_like(drawn)
+        ok = np.ones(cands.shape[2], dtype=bool)
+        rates = np.empty((cands.shape[2], n_slots))
+        for k in range(n_slots):
+            drawn += cands[:, k]
+            h = drawn - cum_e[:, k:k + 1]
+            ok &= (h <= tol).all(axis=0) & (h - low <= room).all(axis=0)
+            np.minimum(low, h, out=low)
+            rates[:, k] = np.log1p((cands[:, k] * gains[:, k:k + 1]).sum(axis=0))
+        vals = rates.sum(axis=1)
         vals[~ok] = -np.inf
         i = int(np.argmax(vals))
-        return float(vals[i]), cands[i]
+        return float(vals[i]), cands[:, :, i].copy()
 
     def scan(center, width):
         offsets = np.linspace(-width, width, grid_pts)
-        mesh = np.stack(np.meshgrid(*[offsets] * n_axes, indexing="ij"),
-                        axis=-1).reshape(-1, n_axes)
-        cands = center.reshape(1, n_axes) + mesh
-        np.clip(cands, 0.0, upper.reshape(1, n_axes), out=cands)
-        return evaluate(cands.reshape(-1, n_users, n_slots))
+        cands = center.reshape(n_axes, 1) + offsets[pick]
+        np.clip(cands, 0.0, upper.reshape(n_axes, 1), out=cands)
+        return evaluate(cands.reshape(n_users, n_slots, -1))
 
     best_p = np.zeros((n_users, n_slots))
     best_v = 0.0                      # the zero schedule is always feasible

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ehwf.mac as mac
 from ehwf.baselines import iterative_modified_staircase
-from ehwf.bench import GenParams, gen_scenario
+from ehwf.bench import PRESETS, GenParams, gen_scenario
 from ehwf.mac import (effective_gain, first_iteration_gap_bound,
                       iterate_best_response, solve_mac)
 from ehwf.model import Scenario, UserEnv, check_feasible, sum_rate
@@ -146,9 +146,9 @@ def test_solve_mac_single_user_reduction():
     want, _, _, _ = solve_single(sc.user(0))
     assert np.allclose(sol.p[0], want, atol=1e-12)
     assert sol.converged
-    # second sweep reproduces the first, so the loop stops at iteration 2
-    assert sol.iterations == 2
-    assert sol.trace[0] == pytest.approx(sol.trace[1])
+    # with one user the first sweep is the exact single-user solve, so its
+    # gap already certifies it and no second sweep runs
+    assert sol.iterations == 1
 
 
 def test_solve_mac_matches_grid_oracle_tiny():
@@ -191,6 +191,23 @@ def test_solve_mac_stops_on_the_duality_gap():
     assert not first.converged
     assert first.gap == first_order_certificate(sc, first.p)[1] > 1e-6 * 20
     assert iterative_modified_staircase(sc).gap is None
+
+
+def test_solve_mac_stops_at_the_first_certified_sweep():
+    # fig9/fig10-grid instances: a budget one sweep short of the run must
+    # leave a gap past tol, or an earlier sweep was already certified
+    means = PRESETS["fig9"]["sweep"]["values"]
+    variances = (PRESETS["fig9"]["harvest_var"], PRESETS["fig10"]["harvest_var"])
+    grid = [(m, v) for v in variances for m in means]
+    for i in range(48):
+        mean, var = grid[i % len(grid)]
+        sc = gen_scenario(GenParams(n_users=5, n_slots=20, harvest_mean=mean,
+                                    harvest_var=var, battery_max=20.0,
+                                    power_max=15.0, seed=4000 + i))
+        sol = solve_mac(sc)
+        assert sol.converged
+        if sol.iterations > 1:
+            assert not solve_mac(sc, max_iter=sol.iterations - 1).converged, i
 
 
 def test_solve_mac_respects_max_iter():
@@ -335,18 +352,16 @@ def test_line_search_steps_raise_the_rate_inside_the_tube(data):
 
     def recorded(scenario, e_tilde, p_prev, p, rate):
         before = p.copy()
-        after = line_search(scenario, e_tilde, p_prev, p, rate)
-        steps.append((before, p.copy(), rate, after))
-        return after
+        line_search(scenario, e_tilde, p_prev, p, rate)
+        steps.append((before, p.copy(), rate))
 
     with mock.patch.object(mac, "_line_search", recorded):
         sol = solve_mac(sc, max_iter=20)
-    for before, after, rate, stepped_rate in steps:
+    for before, after, rate in steps:
+        assert rate == sum_rate(sc, before)
         if np.array_equal(before, after):
-            assert stepped_rate == rate
             continue
-        assert stepped_rate > rate
-        assert stepped_rate == sum_rate(sc, after)
+        assert sum_rate(sc, after) > rate
         # a step keeps a feasible sweep feasible under solve_mac's wastage
         if check_feasible(sc, before, sol.d).ok:
             assert check_feasible(sc, after, sol.d).ok

@@ -276,9 +276,14 @@ def json_user(num_users=1, num_slots=2, **fields):
     (json_user(battery_max=[1]), "battery_max and power_max must be numbers or null"),
     (json_user(num_slots=2.9), "num_users and num_slots must be integers"),
     (json_user(num_users=True), "num_users and num_slots must be integers"),
+    (json_user(harvest=[10**400, 1]), "too large to convert to float"),
+    (json_user(gain=[1, 10**400]), "too large to convert to float"),
+    (json_user(battery_max=10**400), "too large to convert to float"),
+    (json_user(power_max=10**400), "too large to convert to float"),
 ], ids=["no-battery-max", "no-harvest", "users-int", "users-dict", "user-list",
         "string-harvest", "bool-gain", "nested-harvest", "string-cap", "bool-cap",
-        "list-cap", "fractional-slots", "bool-users"])
+        "list-cap", "fractional-slots", "bool-users", "huge-harvest", "huge-gain",
+        "huge-battery-max", "huge-power-max"])
 def test_scenario_from_json_rejects_malformed_users(obj, message):
     with pytest.raises(ValueError, match="malformed scenario object") as info:
         Scenario.from_json_dict(obj)
