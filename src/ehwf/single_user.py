@@ -329,8 +329,12 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
 
     def draws(level, near, bound):
         # every prefix's draw at level, and the prefixes where near(draw,
-        # bound) holds, closed by the horizon n
-        drawn = np.minimum(np.maximum(level - inv, 0.0), power_max).cumsum()
+        # bound) holds, closed by the horizon n; at level -inf (lo before
+        # its first move) every draw is exactly 0.0
+        if level == -math.inf:
+            drawn = np.zeros(n)
+        else:
+            drawn = np.minimum(np.maximum(level - inv, 0.0), power_max).cumsum()
         return drawn, near(drawn, bound).nonzero()[0].tolist() + [n]
 
     hi, hi_at, lo, lo_at = math.inf, n, -math.inf, 0

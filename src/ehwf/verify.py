@@ -23,7 +23,9 @@ wastage to fit between them.
 
 The reduced set is what one flow network delivers (harvest in, a battery
 of capacity B_max between slots, cap P out, free discard), a polymatroid,
-so Edmonds' greedy maximises a linear function over it exactly.
+so a greedy maximises a linear function over it exactly.  max_linear runs
+it backward in time: each slot's harvest serves the most valuable demand
+it can still reach, found in O(log K) from a list sorted by value.
 
 ReducedPolytope.contains is the one membership predicate: induced_wastage,
 kkt_certificate and first_order_certificate all decide feasibility through
@@ -36,6 +38,7 @@ unit of energy.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -105,31 +108,69 @@ class ReducedPolytope:
         return worst <= FEAS_TOL * energy_scale(self.cum_energy), worst
 
     def max_linear(self, c) -> np.ndarray:
-        """A member q maximising c . q, by Edmonds' greedy.
+        """A member q maximising c . q, by one backward sweep over the slots.
 
-        In decreasing c > 0, each q_k is raised as far as the cap, the
-        causality of later slots and the battery windows allow: with h =
-        cumsum(q) - cum_energy, by min(P, min(0, B + min_{j<k} h_j) -
-        max_{m>=k} h_m).  A c of another length than the horizon, or with
-        a non-finite entry, raises ValueError.
+        The polytope is a flow network: slot k's harvest E_k - E_{k-1}
+        can serve slot k or any later slot, the battery carries at most B
+        across each slot boundary, and slot m takes at most P.  Walking
+        from slot K down to 1, the sweep keeps the demand still open at
+        slots m >= k as entries (c_m, m, amount) sorted by c_m.  Before
+        slot k it cuts them to their top B units, as no more crosses the
+        boundary after slot k; then it opens slot k's demand when c_k > 0
+        and serves slot k's harvest from the top.  An entry is capped at
+        min(P, E_k), which causality implies, so none is infinite.  Each
+        slot is opened once and closed at most once: O(K log K)
+        comparisons plus list moves.  Among equal c the earlier slot is
+        served first and cut last; a different order gives another
+        maximiser.  A c of another length than the horizon, or with a
+        non-finite entry, raises ValueError.
         """
         c = _schedule(c, self.cum_energy.shape)
         if not np.isfinite(c).all():
             raise ValueError("max_linear needs finite coefficients")
         c = c.tolist()
-        n = len(c)
-        h = (-self.cum_energy).tolist()
-        q = [0.0] * n
-        for k in sorted(range(n), key=c.__getitem__, reverse=True):
-            if not c[k] > 0.0:
-                break
-            step = min(self.power_max,
-                       min(0.0, self.battery_max + min(h[:k], default=0.0))
-                       - max(h[k:]))
-            if step > 0.0:
-                q[k] = step
-                for m in range(k, n):
-                    h[m] += step
+        cum = self.cum_energy.tolist()
+        bmax, cap = self.battery_max, self.power_max
+        q = [0.0] * len(cum)
+        values, slots, amounts = [], [], []    # the open demand, ascending by value
+        total = 0.0                            # sum(amounts), kept as it runs
+        for k in range(len(cum) - 1, -1, -1):
+            if total > bmax:
+                # drop the lowest units; the running total may have drifted
+                # past the list's own sum, so the loop may empty the list
+                excess = total - bmax
+                drop = 0
+                for amount in amounts:
+                    if amount > excess:
+                        amounts[drop] = amount - excess
+                        break
+                    excess -= amount
+                    drop += 1
+                del values[:drop], slots[:drop], amounts[:drop]
+                total = bmax if amounts else 0.0
+            energy = cum[k]
+            if c[k] > 0.0:
+                amount = cap if cap < energy else energy
+                if amount > 0.0:
+                    i = bisect.bisect_right(values, c[k])
+                    values.insert(i, c[k])
+                    slots.insert(i, k)
+                    amounts.insert(i, amount)
+                    total += amount
+            harvest = energy - cum[k - 1] if k else energy
+            while harvest > 0.0 and amounts:
+                amount = amounts[-1]
+                if amount > harvest:
+                    amounts[-1] = amount - harvest
+                    q[slots[-1]] += harvest
+                    total -= harvest
+                    break
+                q[slots[-1]] += amount
+                harvest -= amount
+                total -= amount
+                values.pop()
+                slots.pop()
+                amounts.pop()
         return np.array(q)
 
     def gap(self, c, p) -> float:

@@ -11,7 +11,9 @@ the same boundaries; clip_to_battery_reference, the package's earlier
 battery clip, kept as it was, min and max builtins included, to hold the
 comparison clamps to the same bits; check_feasible_reference, the
 package's earlier per-slot feasibility loop, kept as it was, to hold the
-vectorised check to the same report; brute_force_tiny, which takes the
+vectorised check to the same report; max_linear_reference, the package's
+earlier Edmonds greedy, kept as it was, to hold the backward sweep to the
+same objective value; brute_force_tiny, which takes the
 package's tolerance rule (energy_scale) so that its grid filter accepts
 what the checkers accept; and wastage_minimality_check, which tests the
 package's own optimal_wastage.
@@ -422,3 +424,32 @@ def check_feasible_reference(scenario: Scenario, p, d):
             if levels[k] > bmax + tol:
                 violations.append((n, k, "battery-above-cap", levels[k] - bmax))
     return tuple(violations)
+
+
+def max_linear_reference(poly, c):
+    """The O(K^2) Edmonds greedy that ReducedPolytope.max_linear's sweep replaced.
+
+    Kept unchanged, on the polytope's fields, as the reference for the
+    sweep's objective value: both must reach the same c . q within
+    rounding, though their q may differ among equal c.
+
+    In decreasing c > 0, each q_k is raised as far as the cap, the
+    causality of later slots and the battery windows allow: with h =
+    cumsum(q) - cum_energy, by min(P, min(0, B + min_{j<k} h_j) -
+    max_{m>=k} h_m).
+    """
+    c = np.asarray(c, dtype=float).tolist()
+    n = len(c)
+    h = (-poly.cum_energy).tolist()
+    q = [0.0] * n
+    for k in sorted(range(n), key=c.__getitem__, reverse=True):
+        if not c[k] > 0.0:
+            break
+        step = min(poly.power_max,
+                   min(0.0, poly.battery_max + min(h[:k], default=0.0))
+                   - max(h[k:]))
+        if step > 0.0:
+            q[k] = step
+            for m in range(k, n):
+                h[m] += step
+    return np.array(q)

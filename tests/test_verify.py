@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -12,7 +12,7 @@ from ehwf.verify import (ReducedPolytope, first_order_certificate,
                          induced_wastage, kkt_certificate, reduce_polytope)
 
 import _oracles
-from _oracles import brute_force_tiny, wastage_minimality_check
+from _oracles import brute_force_tiny, max_linear_reference, wastage_minimality_check
 from conftest import user_envs
 
 
@@ -217,18 +217,100 @@ def _lp_max(poly, c):
 def test_max_linear_matches_linprog():
     rng = np.random.default_rng(21)
     for i in range(300):
-        k = int(rng.integers(1, 25))
+        k = int(rng.integers(1, 61))
         harvest = rng.uniform(0.0, 10.0, k) * (rng.random(k) > 0.2)
         if i % 10 == 0:
             harvest[:] = 0.0
         c = rng.exponential(1.0, k) * (rng.random(k) > 0.2)
         c[rng.random(k) < 0.1] *= -1.0
         poly = ReducedPolytope(np.cumsum(harvest), (0.0, 0.5, 5.0, 20.0, math.inf)[i % 5],
-                               (1.0, 3.0, 15.0, math.inf)[(i // 5) % 4])
+                               (0.0, 1.0, 3.0, 15.0, math.inf)[(i // 5) % 5])
         q = poly.max_linear(c)
         assert poly.contains(q)
         want = _lp_max(poly, c)
         assert abs(float(c @ q) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("harvest, bmax, pmax, c, want", [
+    # no battery: each slot spends at most its own harvest, up to the cap
+    ([3.0, 1.0, 2.0], 0.0, 2.0, [1.0, 5.0, -2.0], [2.0, 1.0, 0.0]),
+    # an uncapped slot with a finite battery: only B reaches slot 1
+    ([4.0, 0.0, 0.0], 1.0, math.inf, [1.0, 3.0, 2.0], [3.0, 1.0, 0.0]),
+    # three uncapped slots behind a battery of 2: the best later slot wins
+    ([5.0, 0.0, 0.0, 0.0], 2.0, math.inf, [1.0, 2.0, 4.0, 3.0], [3.0, 0.0, 2.0, 0.0]),
+    # an infinite battery and cap: everything goes to the best reachable slot
+    ([1.0, 2.0, 0.0], math.inf, math.inf, [3.0, 1.0, 2.0], [1.0, 0.0, 2.0]),
+    # nothing harvested, whatever c says
+    ([0.0, 0.0, 0.0], 5.0, math.inf, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0], math.inf, 4.0, [1.0, 1.0], [0.0, 0.0]),
+    # a zero cap or no positive coefficient opens no demand
+    ([1.0, 2.0], 5.0, 0.0, [1.0, 2.0], [0.0, 0.0]),
+    ([1.0, 2.0], 5.0, 3.0, [0.0, -1.0], [0.0, 0.0]),
+])
+def test_max_linear_edge_cases(harvest, bmax, pmax, c, want):
+    poly = ReducedPolytope(np.cumsum(harvest), bmax, pmax)
+    assert poly.max_linear(c).tolist() == want
+
+
+def test_max_linear_tiny_energies_do_not_raise():
+    # near the bottom of the float range the sweep's running total drifts
+    # from the sum of its entries; cuts must stop at an empty list
+    rng = np.random.default_rng(8)
+    for i in range(300):
+        k = int(rng.integers(1, 40))
+        scale = 10.0 ** rng.uniform(-310.0, -295.0)
+        harvest = rng.uniform(0.0, 10.0, k) * scale * (rng.random(k) > 0.3)
+        c = rng.uniform(-0.2, 1.0, k)
+        c[rng.random(k) < 0.3] = 0.5
+        poly = ReducedPolytope(np.cumsum(harvest), (0.0, 0.3 * scale, math.inf)[i % 3],
+                               (0.0, 2.0 * scale, math.inf)[(i // 3) % 3])
+        q = poly.max_linear(c)
+        assert poly.contains(q)
+        want = float(c @ max_linear_reference(poly, c))
+        assert abs(float(c @ q) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+_coefficient = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                         st.floats(min_value=-1.0, max_value=3.0))
+_harvest_entry = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=1, max_value=60).flatmap(
+           lambda k: st.tuples(st.lists(_harvest_entry, min_size=k, max_size=k),
+                               st.lists(_coefficient, min_size=k, max_size=k))),
+       st.sampled_from([0.0, 0.5, 5.0, 20.0, math.inf]),
+       st.sampled_from([0.0, 1.0, 15.0, math.inf]),
+       st.floats(min_value=-6.0, max_value=12.0))
+def test_max_linear_matches_the_reference_greedy(rows, bmax, pmax, exponent):
+    # the sweep against the O(K^2) greedy it replaced, in any unit of energy
+    harvest, c = rows
+    scale = 10.0 ** exponent
+    poly = ReducedPolytope(np.cumsum(harvest) * scale, bmax * scale, pmax * scale)
+    c = np.array(c)
+    q = poly.max_linear(c)
+    assert poly.contains(q)
+    want = float(c @ max_linear_reference(poly, c))
+    assert abs(float(c @ q) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_max_linear_matches_the_reference_greedy_at_k800():
+    # beyond linprog's reach: two random and two dense users of the long
+    # horizon, at the certificate's own gradient
+    rng = np.random.default_rng(800)
+    for i in range(4):
+        if i % 2:
+            env = UserEnv(np.sort(rng.uniform(1.0, 4.0, 800)), np.ones(800), 1e9, math.inf)
+        else:
+            env = UserEnv(rng.uniform(0.0, 10.0, 800), rng.standard_exponential(800),
+                          20.0, 15.0)
+        p = solve_single(env)[0]
+        c = env.gain / (1.0 + env.gain * p)
+        poly = reduce_polytope(env)
+        q = poly.max_linear(c)
+        assert poly.contains(q)
+        want = float(c @ max_linear_reference(poly, c))
+        assert abs(float(c @ q) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("c", [[1.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]],
