@@ -6,7 +6,7 @@ Scenario, UserEnv     immutable problem data (per-slot harvest/gain, caps)
 FeasibilityReport     outcome of a constraint check
 energy_scale          the power of two every feasibility tolerance scales by
 cumulative_harvest    per-slot increments -> running totals
-user_battery_trace    end-of-slot battery levels for one user, no clamping
+user_battery_trace    end-of-slot battery levels, no clamping
 check_feasible        check a (transmission, wastage) pair
 sum_rate              the objective, in nats
 
@@ -299,22 +299,23 @@ def cumulative_harvest(harvest) -> np.ndarray:
 
 
 def user_battery_trace(harvest, p, d=None) -> np.ndarray:
-    """End-of-slot battery levels from one user's per-slot vectors.
+    """End-of-slot battery levels from per-slot vectors, along the last axis.
 
-    level[k] = harvested-through-k - consumed-through-k - wasted-through-k.
-    No clamping: an infeasible schedule shows up as a level outside
+    level[..., k] = harvested-through-k - consumed-through-k -
+    wasted-through-k, for one user's vectors or a row per user.  No
+    clamping: an infeasible schedule shows up as a level outside
     [0, battery_max], which `check_feasible` then flags.
     """
     harvest = np.asarray(harvest, dtype=float)
     p = np.asarray(p, dtype=float)
     if p.shape != harvest.shape:
         raise ValueError("p must have one entry per slot")
-    total = np.cumsum(harvest - p)
+    total = np.cumsum(harvest - p, axis=-1)
     if d is not None:
         d = np.asarray(d, dtype=float)
         if d.shape != harvest.shape:
             raise ValueError("d must have one entry per slot")
-        total -= np.cumsum(d)
+        total -= np.cumsum(d, axis=-1)
     return total
 
 
@@ -345,7 +346,7 @@ def check_feasible(scenario: Scenario, p, d) -> FeasibilityReport:
     cap = scenario.power_max[:, None]
     bmax = scenario.battery_max[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = np.cumsum(scenario.harvest - p, axis=1) - np.cumsum(d, axis=1)
+        levels = user_battery_trace(scenario.harvest, p, d)
         # NaN fails every comparison, so non-finite entries get their own test
         inf = np.full(shape, math.inf)
         checks = (

@@ -4,8 +4,8 @@ Contents
 --------
 optimal_wastage        minimal-total-wastage forward recurrence
 effective_energy       cumulative harvest net of wastage
-water_fill_segment     capped water-filling at one constant level, on lists;
-                       every segment fill calls it
+water_fill_segment     capped water-filling at one constant level on a list of
+                       inverse gains; every segment fill calls it
 solve_reduced          forward tube walk on (gain, e_tilde, B, P) alone,
                        optionally warm-started from a guessed boundary list
 solve_single           the full pipeline: wastage, then boundary search
@@ -25,28 +25,35 @@ capacity).  The walk keeps the running minimum of the upper bounds and
 the running maximum of the lower ones; where they cross, the water level
 has to move, rising after the depletion point that set the minimum (BDP)
 or falling after the full point that set the maximum (BFP), and at the
-horizon the segment ends where the minimum was last attained.  Zero-gain
-slots walk with one finite burn level above every positive-gain slot's
-cap, so energy is burned on them only where nothing else can take it.
-The walk and the warm-start check below run on energies divided by
-model.energy_scale of the budget, so their FEAS_TOL comparisons mean the
-same at any scale.  The checkers in model and verify take the same scale
-of the cumulative harvest, which the budget never exceeds, so a schedule
-the solver accepts is never held to a tighter tolerance by a checker.
+horizon the segment ends where the minimum was last attained.
+
+The walk, every fill and the warm-start check read one list of inverse
+gains, which solve_reduced builds once per solve.  A zero-gain slot is
+just a slot at one finite burn level there, above every positive-gain
+slot's inverse gain plus its cap (or plus the whole budget, if smaller),
+so it draws only where nothing else can take the energy, and every slot
+has a positive gain: the problem's optimum is unique.  The walk and the
+warm-start check run on energies divided by model.energy_scale of the
+budget, so their FEAS_TOL comparisons mean the same at any scale.  The
+checkers in model and verify take the same scale of the cumulative
+harvest, which the budget never exceeds, so a schedule the solver
+accepts is never held to a tighter tolerance by a checker.
 
 Every segment, whatever its length, is filled and checked by one helper,
-_fill_segment: its target energy, one water_fill_segment call, and one
-pass, _segment_status, for feasibility and the warm-start margins; the
-target and the pass share one lookup of the budget before the segment.  Its
-water level, and the walk's prefix levels, come from one level function:
-a sweep over the slots' sorted fill and saturation breakpoints that
-stops at the target.  That layer (fill, level, target, feasibility,
-warm-start check) runs on Python floats converted once per solve: its
-segments are a few slots long, where a numpy call costs more than its
-arithmetic.  Python's float operations are numpy's elementwise ones and
-the running battery sums add in np.cumsum's order, so results are bit
-for bit those of array code.  The per-slot clamps are comparisons, not
-calls to the min and max builtins, which cost ten times the arithmetic:
+_fill_segment: its target energy, one water_fill_segment call on its
+slice of the inverse-gain list, and one pass, _segment_status, for
+feasibility and the warm-start margins; the target and the pass share
+one lookup of the budget before the segment.  No fill inverts a gain,
+and no caller inverts the water level a fill returns.  That level, and
+the walk's prefix levels, come from one level function: a sweep over the
+slots' sorted fill and saturation breakpoints that stops at the target.
+That layer (fill, level, target, feasibility, warm-start check) runs on
+Python floats converted once per solve: its segments are a few slots
+long, where a numpy call costs more than its arithmetic.  Python's float
+operations are numpy's elementwise ones and the running battery sums add
+in np.cumsum's order, so results are bit for bit those of array code.
+The per-slot clamps are comparisons, not calls to the min and max
+builtins, which cost ten times the arithmetic:
 max(x, 0.0) is written 0.0 if x < 0.0 else x and min(x, cap) is cap if
 cap < x else x.  Both keep the builtins' tie order: the first argument
 wins unless the other compares strictly past it, so a -0.0 against 0.0,
@@ -65,10 +72,11 @@ the switch falls never moves a boundary.
 
 solve_reduced(gain, e_tilde, B, P, guess=boundaries) first refills the
 guessed segments once each and returns them untouched when they meet the
-KKT conditions of the reduced problem, which on positive gains has a
-unique optimum; any other guess falls through to the walk.  Best-response
-sweeps pass each user's effective gains, and its boundaries from its
-previous response, which stop changing long before the sum rate does.
+KKT conditions of the reduced problem on the inverse-gain list, whose
+optimum is unique; any other guess falls through to the walk.
+Best-response sweeps pass each user's effective gains, and its
+boundaries from its previous response, which stop changing long before
+the sum rate does.
 """
 
 from __future__ import annotations
@@ -141,38 +149,36 @@ def effective_energy(env: UserEnv, d_star) -> np.ndarray:
     return cumulative_harvest(env.harvest) - np.cumsum(d_star)
 
 
-def water_fill_segment(gains: list, target, cap):
+def water_fill_segment(inv: list, target, cap):
     """Allocate target across slots at one water level, capped per slot.
 
-    Solves sum_k min(cap, max(0, L - 1/gain_k)) = target for the level L
-    exactly (see _fill_level).  Zero-gain slots always get 0, as do slots
-    whose gain is too small to invert.  gains is a list of floats; returns
-    (p, w), p a list and w = 1/L (+inf for a zero target).  Every segment
-    fill calls it by name.  A NaN or infinite target, or a NaN or negative
-    cap, raises ValueError.
+    Solves sum_k clamp(L - inv_k, 0, cap) = target for the level L exactly
+    (see _fill_level), inv a list of the slots' inverse gains; returns (p,
+    L), p the list of draws clamp(L - inv_k, 0, cap), and L = 0.0 for a
+    zero target.  Every segment fill calls it by name.  A NaN, negative or
+    infinite entry, a NaN or infinite target, a NaN or negative cap, or a
+    target above len(inv) * cap raises ValueError.
     """
     cap = float(cap)
     target = float(target)
     if not (cap >= 0.0 and -math.inf < target < math.inf):
         raise ValueError(f"water_fill_segment needs a finite target and a "
                          f"nonnegative cap, got target {target!r}, cap {cap!r}")
+    starts = sorted(inv)
+    total = sum(starts)     # NaN if an entry is; if none is, the ends bound them
+    if starts and not (0.0 <= starts[0] and starts[-1] < math.inf and total == total):
+        raise ValueError("water_fill_segment needs finite, nonnegative inverse gains")
     if target <= 0.0:
-        return [0.0] * len(gains), math.inf
+        return [0.0] * len(starts), 0.0
+    limit = len(starts) * cap
+    if not starts or target > limit + FEAS_TOL:
+        raise ValueError("target energy exceeds segment capacity")
+    target = limit if limit < target else target
 
-    inv = [1.0 / g for g in gains if g > GAIN_FLOOR]
-    npos = len(inv)
-    if npos == 0:
-        raise ValueError("cannot water-fill positive energy over all-zero gains")
-    if math.isfinite(cap):
-        if target > npos * cap + FEAS_TOL:
-            raise ValueError("target energy exceeds positive-gain slot capacity")
-        limit = npos * cap
-        target = limit if limit < target else target
-
-    level = _fill_level(inv, cap, target)
+    level = _fill_level(starts, cap, target)
     p = []
-    for g in gains:
-        x = level - 1.0 / g if g > GAIN_FLOOR else 0.0
+    for v in inv:
+        x = level - v
         x = 0.0 if x < 0.0 else x
         p.append(cap if cap < x else x)
     # One exact correction pass: spread the float residual over the slots
@@ -186,22 +192,21 @@ def water_fill_segment(gains: list, target, cap):
                 x = p[i] + step
                 x = 0.0 if x < 0.0 else x
                 p[i] = cap if cap < x else x
-    return p, 1.0 / level
+    return p, level
 
 
-def _fill_level(inv, cap, target):
+def _fill_level(starts, cap, target):
     """Smallest water level whose total draw over these slots reaches target.
 
-    inv holds the inverse gains (a list, target > 0); each slot draws
-    clamp(level - inv, 0, cap), so the total is piecewise linear and
-    nondecreasing in the level, with a slope that rises by one where a slot
-    starts filling (inv) and drops by one where it saturates (inv + cap).
-    Both breakpoint streams come out of one sort of inv, and the sweep
-    merges them, a saturation before a start at equal points.  A target at
-    or above the total capacity returns the level where every slot
-    saturates.
+    starts holds the inverse gains in ascending order (a list, target > 0);
+    each slot draws clamp(level - inv, 0, cap), so the total is piecewise
+    linear and nondecreasing in the level, with a slope that rises by one
+    where a slot starts filling (inv) and drops by one where it saturates
+    (inv + cap).  Both breakpoint streams come out of that one order, and
+    the sweep merges them, a saturation before a start at equal points.  A
+    target at or above the total capacity returns the level where every
+    slot saturates.
     """
-    starts = sorted(inv)
     ends = [v + cap for v in starts] if math.isfinite(cap) else []
     n, m = len(starts), len(ends)
     i = j = slope = 0
@@ -249,18 +254,17 @@ def _segment_status(p_seg, e_seg, base, start, battery_max, power_max):
     return True, free and inside
 
 
-def _fill_segment(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
+def _fill_segment(inv, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     """Fill segment (a, b], slots a+1 .. b, for its boundary kinds and check it.
 
     The target is the budget over the segment, plus a full battery after a
     BFP start and less one before a BFP end, clamped to [0, (b-a) * P].
-    gains and e_tilde are lists of floats; returns (p_segment list, w,
-    feasible, settled): w from water_fill_segment, and feasible and settled
-    from _segment_status, settled only on a segment whose gains are all
-    positive.  On such a segment, the warm start's case, the target is
-    within the cap and the fill takes it whole.  Otherwise the energy the
-    boundary condition forces through the segment beyond what its
-    positive-gain slots carry under the cap is burned evenly on its
+    inv and e_tilde are lists of floats, inv solve_reduced's inverse gains;
+    returns (p_segment list, level, feasible, settled): the level from
+    water_fill_segment, and feasible and settled from _segment_status.  A
+    zero-gain slot sits at the burn level, so it draws only once every
+    positive-gain slot of the segment is capped: what the boundary
+    condition forces through beyond their caps is burned evenly on the
     zero-gain slots, at no rate either way.
     """
     base = e_tilde[a - 1] if a > 0 else 0.0
@@ -269,18 +273,10 @@ def _fill_segment(gains, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     supply = (e_seg[-1] - base) + (start - (battery_max if kind_b == BFP else 0.0))
     limit = (b - a) * power_max
     target = supply if supply < limit else limit    # max(0.0, min(limit, supply))
-    target = fill_target = target if target > 0.0 else 0.0
-    gains = gains[a:b]
-    positive = min(gains) > GAIN_FLOOR
-    if not positive:
-        npos = sum(g > GAIN_FLOOR for g in gains)
-        fill_target = min(target, npos * power_max) if npos else 0.0
-    p_seg, w = water_fill_segment(gains, fill_target, power_max)
-    if fill_target < target:
-        burn = (target - fill_target) / (b - a - npos)
-        p_seg = [x if g > GAIN_FLOOR else burn for g, x in zip(gains, p_seg)]
+    target = target if target > 0.0 else 0.0
+    p_seg, level = water_fill_segment(inv[a:b], target, power_max)
     feasible, settled = _segment_status(p_seg, e_seg, base, start, battery_max, power_max)
-    return p_seg, w, feasible, settled and positive
+    return p_seg, level, feasible, settled
 
 
 def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, kind_a):
@@ -379,7 +375,7 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
             return a + lo_at, BFP
         if at_hi >= u - FEAS_TOL:
             if at_hi > u + FEAS_TOL:
-                hi = _fill_level(inv_list[a:a + j + 1], power_max, u)
+                hi = _fill_level(sorted(inv_list[a:a + j + 1]), power_max, u)
                 if upper is None:
                     at_hi = prefix_draw(hi, j)
                 else:
@@ -387,7 +383,7 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
             hi_at = j + 1
         if at_lo <= l + FEAS_TOL:
             if at_lo < l - FEAS_TOL:
-                lo = _fill_level(inv_list[a:a + j + 1], power_max, l)
+                lo = _fill_level(sorted(inv_list[a:a + j + 1]), power_max, l)
                 if upper is None:
                     at_lo = prefix_draw(lo, j)
                 else:
@@ -416,18 +412,18 @@ def _checked_boundaries(x, k_slots):
     return x
 
 
-def _refill_guess(gains, e_tilde, bmax, cap, guess):
-    """Fill each guessed segment once; (p, heights) if that is the optimum.
+def _refill_guess(inv, e_tilde, bmax, cap, guess):
+    """Fill each guessed segment once; (p, levels) if that is the optimum.
 
-    Accepts only when every condition of the reduced problem's KKT system
-    holds: each segment has positive gains and a target strictly inside
-    (0, (b-a)*P), so its boundary battery levels are met exactly; its fill
-    is feasible and has a slot more than FEAS_TOL inside (0, P), which pins
-    the level; the height rises across every BDP and falls across every
-    BFP; and the list ends at (K, BDP).  The optimum is then unique, so
-    the guess describes the walk's own schedule.
+    Accepts only when every condition of the KKT system of the problem on
+    inv holds: each segment's fill is feasible and has a slot more than
+    FEAS_TOL inside (0, P), which pins its level and puts its target
+    strictly inside (0, (b-a)*P), so its boundary battery levels are met
+    exactly; the level rises across every BDP and falls across every BFP;
+    and the list ends at (K, BDP).  Every gain 1/inv is positive, so the
+    optimum is unique and the guess describes the walk's own schedule.
 
-    Two margins make the boundary list unique as well: the height must
+    Two margins make the boundary list unique as well: the level must
     move by more than FEAS_TOL (relative) at each boundary, and the
     battery must stay more than FEAS_TOL inside (0, B) within each
     segment.  Where a level is flat or a battery bound is touched inside a
@@ -435,28 +431,26 @@ def _refill_guess(gains, e_tilde, bmax, cap, guess):
     case), and the walk, which gives ties to the later prefix, may have
     chosen another; such guesses fall back.  A battery of infinite
     capacity is never full, so a guess with a BFP falls back there too.
-    gains and e_tilde are lists of floats, and so is the p returned.
+    inv and e_tilde are lists of floats, and so is the p returned.
     Returns None otherwise.
     """
     if guess[-1][1] != BDP or (bmax == math.inf
                                and any(kind == BFP for _, kind in guess)):
         return None
     p = []
-    heights = []
+    levels = []
     for (a, kind_a), (b, kind_b) in zip(guess, guess[1:]):
-        # a slot strictly inside (0, P) also puts the target strictly inside
-        # (0, (b-a)*P), so the boundary levels are met exactly
-        p_seg, w, _, settled = _fill_segment(gains, e_tilde, bmax, cap, a, kind_a, b, kind_b)
+        p_seg, level, _, settled = _fill_segment(inv, e_tilde, bmax, cap, a, kind_a, b, kind_b)
         if not settled:
             return None
-        height = 1.0 / w        # finite: a slot inside (0, P) drew energy
-        if heights:
-            rise = (height - heights[-1]) * (1.0 if kind_a == BDP else -1.0)
-            if not rise > FEAS_TOL * max(1.0, heights[-1]):
+        if levels:
+            prev = levels[-1]
+            rise = (level - prev) * (1.0 if kind_a == BDP else -1.0)
+            if not rise > FEAS_TOL * (prev if prev > 1.0 else 1.0):   # max(1.0, prev)
                 return None
         p += p_seg
-        heights.append(height)
-    return p, heights
+        levels.append(level)
+    return p, levels
 
 
 def _check_reachable(e_tilde, battery_max, power_max):
@@ -480,9 +474,9 @@ def solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
     e_tilde is the cumulative energy actually available per slot (harvest
     net of wastage).  Returns (p, boundaries, water_levels) where
     boundaries is the ordered (slot, kind) list starting at (0, BDP) and
-    water_levels holds one height per segment (0 for a segment with no
-    positive-gain slot, the saturation level for one whose positive-gain
-    slots are all capped).
+    water_levels holds each segment's fill level, or 0.0 where no
+    positive-gain slot prices its energy: a segment with a zero target, or
+    one filled at or above the burn level below.
 
     gain and e_tilde must hold K >= 1 finite, nonnegative entries each,
     each cap be nonnegative or infinite, and some schedule meet e_tilde;
@@ -497,11 +491,10 @@ def solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
     otherwise the walk below runs as if no guess was given.  A malformed
     guess raises ValueError.
 
-    From each confirmed boundary a forward tube walk (_close_segment)
-    finds the next one, and that segment is filled once.  Zero-gain slots
-    walk with one finite burn level, above every positive-gain slot's cap
-    plus the whole budget, so they draw only where every positive-gain
-    slot of their segment is capped.
+    The walk, the guess check and every fill read one list of inverse
+    gains, built here; a zero-gain slot's entry is the burn level (see the
+    module doc).  From each confirmed boundary a forward tube walk
+    (_close_segment) finds the next one, and that segment is filled once.
     """
     gain, e_tilde = np.asarray(gain, dtype=float), np.asarray(e_tilde, dtype=float)
     k_slots = gain.size
@@ -513,44 +506,46 @@ def solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
     bmax, cap = float(battery_max), float(power_max)
     if not (bmax >= 0.0 and cap >= 0.0):
         raise ValueError("battery_max and power_max must be nonnegative or infinite")
-    total = float(e_tilde[-1])
     scale = energy_scale(e_tilde)
     e = e_tilde / scale
     bmax, cap = bmax / scale, cap / scale
-    gains = gain * scale
     # segments are filled and checked on Python floats: the same IEEE
     # operations as numpy's, without a numpy call per few-slot segment
-    gain_list, e_list = gains.tolist(), e.tolist()
+    e_list = e.tolist()
+    gains = (gain * scale).tolist()
+    if min(gains) > GAIN_FLOOR:
+        inv, burn = [1.0 / g for g in gains], math.inf
+    else:
+        # at or above the burn level every positive-gain slot draws its cap
+        # or more than the whole budget
+        priced = [1.0 / g for g in gains if g > GAIN_FLOOR]
+        burn = (max(priced) if priced else 0.0) + min(cap, e_list[-1]) + 1.0
+        inv = [1.0 / g if g > GAIN_FLOOR else burn for g in gains]
+    warm = None
     if guess is not None:
-        guess = _checked_boundaries(guess, k_slots)
-        warm = _refill_guess(gain_list, e_list, bmax, cap, guess)
-        if warm is not None:
-            return np.array(warm[0]) * scale, guess, [h * scale for h in warm[1]]
-    pos = gains > GAIN_FLOOR
-    inv = np.empty(k_slots)
-    inv[pos] = 1.0 / gains[pos]
-    # the burn level: at or above it every positive-gain slot draws its cap
-    # or more than the whole budget
-    inv[~pos] = (inv[pos].max() if pos.any() else 0.0) + min(cap, total / scale) + 1.0
-    inv_list = inv.tolist()
-    p = []
-    confirmed = [(0, BDP)]
-    heights = []
-    while confirmed[-1][0] < k_slots:
-        a, kind_a = confirmed[-1]
-        b, kind_b = _close_segment(inv, e, inv_list, e_list, bmax, cap, a, kind_a)
-        feasible = b > a        # an empty segment: the budget dips below zero
-        if feasible:
-            p_seg, w, feasible, _ = _fill_segment(gain_list, e_list, bmax, cap,
-                                                  a, kind_a, b, kind_b)
-        if not feasible:
-            # only a budget no schedule meets gets here; say so
-            _check_reachable(e_list, bmax, cap)
-            raise RuntimeError("closed segment did not fill feasibly")
-        p += p_seg
-        confirmed.append((b, kind_b))
-        heights.append(1.0 / w * scale if math.isfinite(w) else 0.0)
-    return np.array(p) * scale, confirmed, heights
+        boundaries = _checked_boundaries(guess, k_slots)
+        warm = _refill_guess(inv, e_list, bmax, cap, boundaries)
+    if warm is not None:
+        p, levels = warm
+    else:
+        inv_array = np.array(inv)       # for the walk's second phase
+        p, boundaries, levels = [], [(0, BDP)], []
+        while boundaries[-1][0] < k_slots:
+            a, kind_a = boundaries[-1]
+            b, kind_b = _close_segment(inv_array, e, inv, e_list, bmax, cap, a, kind_a)
+            feasible = b > a        # an empty segment: the budget dips below zero
+            if feasible:
+                p_seg, level, feasible, _ = _fill_segment(inv, e_list, bmax, cap,
+                                                          a, kind_a, b, kind_b)
+            if not feasible:
+                # only a budget no schedule meets gets here; say so
+                _check_reachable(e_list, bmax, cap)
+                raise RuntimeError("closed segment did not fill feasibly")
+            p += p_seg
+            boundaries.append((b, kind_b))
+            levels.append(level)
+    return (np.array(p) * scale, boundaries,
+            [v * scale if v < burn else 0.0 for v in levels])
 
 
 def solve_single(env: UserEnv):

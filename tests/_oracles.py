@@ -307,7 +307,8 @@ def close_segment_reference(inv, e_tilde, battery_max, power_max, a, kind_a):
 
     Kept unchanged as the reference for single_user._close_segment: from
     the same boundary a, both must return the same closing (b, kind).  inv
-    and e_tilde are the arrays solve_reduced builds.
+    and e_tilde are the arrays solve_reduced builds.  Its level solves call
+    the package's level sweep, which takes the inverse gains sorted.
 
     Prefix j of the segment (slots a+1 .. a+j) draws D_j(L), the sum of
     clamp(L - inv, 0, P) over its slots, and must keep its battery in
@@ -355,12 +356,12 @@ def close_segment_reference(inv, e_tilde, battery_max, power_max, a, kind_a):
             return a + lo_at, BFP
         if at_hi >= u - FEAS_TOL:
             if at_hi > u + FEAS_TOL:
-                hi = _fill_level(inv[:j + 1].tolist(), power_max, u)
+                hi = _fill_level(sorted(inv[:j + 1].tolist()), power_max, u)
                 draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
             hi_at = j + 1
         if at_lo <= l + FEAS_TOL:
             if at_lo < l - FEAS_TOL:
-                lo = _fill_level(inv[:j + 1].tolist(), power_max, l)
+                lo = _fill_level(sorted(inv[:j + 1].tolist()), power_max, l)
                 draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
             lo_at = j + 1
 

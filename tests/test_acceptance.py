@@ -347,12 +347,12 @@ def test_criterion_9_gradient_and_fill_residuals(monkeypatch):
     records = []
     original = ehwf.single_user.water_fill_segment
 
-    def audited(gains, target_energy, power_max):
-        p, w = original(gains, target_energy, power_max)
+    def audited(inv, target_energy, power_max):
+        p, level = original(inv, target_energy, power_max)
         target = float(target_energy)
         if target > 0.0:
             records.append((target, abs(target - float(np.sum(p)))))
-        return p, w
+        return p, level
 
     monkeypatch.setattr(ehwf.single_user, "water_fill_segment", audited)
     for i in range(60):

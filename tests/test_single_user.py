@@ -85,8 +85,8 @@ def test_effective_energy_rejects_a_wastage_of_another_length(d_star):
 
 def fill_total(e_tilde, bmax, cap, a, kind_a, b, kind_b):
     # the energy _fill_segment puts through segment (a, b] on unit gains
-    gains = [1.0] * len(e_tilde)
-    p_seg, _, _, _ = su._fill_segment(gains, e_tilde, bmax, cap, a, kind_a, b, kind_b)
+    inv = [1.0] * len(e_tilde)
+    p_seg, _, _, _ = su._fill_segment(inv, e_tilde, bmax, cap, a, kind_a, b, kind_b)
     return math.fsum(p_seg)
 
 
@@ -105,23 +105,38 @@ def test_segment_target_energy_never_negative():
 # ---- segment water filling ---------------------------------------------------
 
 def test_water_fill_segment_values():
-    p, w = su.water_fill_segment([1.0, 1.0], 2.0, 10.0)
+    p, level = su.water_fill_segment([1.0, 1.0], 2.0, 10.0)
     assert np.allclose(p, [1.0, 1.0], atol=1e-9)
-    assert w == pytest.approx(0.5)
+    assert level == pytest.approx(2.0)
 
-    p, w = su.water_fill_segment([2.0, 1.0], 1.0, 10.0)
+    p, level = su.water_fill_segment([0.5, 1.0], 1.0, 10.0)
     assert np.allclose(p, [0.75, 0.25], atol=1e-9)
-    assert w == pytest.approx(0.8)
+    assert level == pytest.approx(1.25)
 
-    p, w = su.water_fill_segment([2.0, 1.0], 1.0, 0.6)
+    p, level = su.water_fill_segment([0.5, 1.0], 1.0, 0.6)
     assert np.allclose(p, [0.6, 0.4], atol=1e-9)
-    assert w == pytest.approx(1.0 / 1.4)
+    assert level == pytest.approx(1.4)
 
 
 def test_water_fill_segment_zero_target_sentinel():
-    p, w = su.water_fill_segment([1.0, 2.0], 0.0, 5.0)
+    p, level = su.water_fill_segment([1.0, 0.5], 0.0, 5.0)
     assert p == [0.0, 0.0]
-    assert w == math.inf
+    assert level == 0.0
+
+
+def inverse_gains(gains, budget):
+    # solve_reduced's list for these gains: 1/g, and for a zero gain the
+    # burn level, above every positive-gain slot's inverse plus budget
+    priced = [1.0 / g for g in gains if g > 0.0]
+    burn = max(priced, default=0.0) + budget + 1.0
+    return [1.0 / g if g > 0.0 else burn for g in gains]
+
+
+def fill_on_gains(gains, target, cap):
+    # the fill on the inverse of positive gains, its level returned as the
+    # array reference's w = 1/L (+inf for a zero target)
+    p, level = su.water_fill_segment([1.0 / g for g in gains], target, cap)
+    return p, 1.0 / level if level else math.inf
 
 
 @pytest.mark.parametrize("gains, target, cap", [
@@ -129,27 +144,52 @@ def test_water_fill_segment_zero_target_sentinel():
     ([1.0, 0.5], 0.0, 3.0),             # a zero target
     ([1.0, 0.5], 1.0, 1.0),             # slot 1's gap 2.0 - 1.0 is the cap
     ([1.0, 0.5, 0.25], 3.0, 2.0),       # level 3.0: slot 1 at the cap exactly
-    ([4.0, 0.0, 0.5], 1.75, 1.75),      # both ties at level 2.0, a zero gain between
+    ([4.0, 0.015625, 0.5], 1.75, 1.75),  # both ties at level 2.0, a dry slot between
 ])
 def test_fill_ties_match_array_fill_bit_for_bit(gains, target, cap):
     # draws that land exactly on a clamp bound, which hypothesis seldom hits
     want_p, want_w = _oracles.wf_array_reference(np.array(gains), target, cap)
-    p, w = su.water_fill_segment(gains, target, cap)
+    p, w = fill_on_gains(gains, target, cap)
     assert np.array(p).tobytes() == want_p.tobytes()
     assert float.hex(w) == float.hex(want_w)
 
 
 def test_water_fill_segment_errors():
-    with pytest.raises(ValueError):
-        su.water_fill_segment([0.0, 0.0], 1.0, 5.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds segment capacity"):
         su.water_fill_segment([1.0, 1.0], 11.0, 5.0)
-    with pytest.raises(ValueError, match="exceeds positive-gain slot capacity"):
-        su.water_fill_segment([1.0, 0.0], 7.0, 5.0)
+    with pytest.raises(ValueError, match="exceeds segment capacity"):
+        su.water_fill_segment([1.0, 4.0, 2.0], 15.5, 5.0)
+    for cap in (5.0, math.inf):         # no slots, no capacity
+        with pytest.raises(ValueError, match="exceeds segment capacity"):
+            su.water_fill_segment([], 1e-12, cap)
+    assert su.water_fill_segment([], 0.0, 5.0) == ([], 0.0)
     for target, cap in ((math.nan, 1.0), (math.inf, math.inf), (-math.inf, 1.0),
                         (1.0, math.nan), (1.0, -1.0), (0.0, -1.0)):
         with pytest.raises(ValueError, match="finite target and a nonnegative cap"):
-            su.water_fill_segment([1.0, 2.0], target, cap)
+            su.water_fill_segment([1.0, 0.5], target, cap)
+
+
+@pytest.mark.parametrize("inv", [
+    [math.nan, 1.0], [1.0, math.nan, 2.0], [-1.0, 1.0], [1.0, -0.5],
+    [1.0, math.inf], [math.inf], [-math.inf, math.inf], [2.0, math.nan, -1.0],
+])
+@pytest.mark.parametrize("target", [0.0, 1.0])
+def test_water_fill_segment_rejects_bad_inverse_gains(inv, target):
+    # a NaN anywhere, not only first, or a negative or infinite entry
+    with pytest.raises(ValueError, match="finite, nonnegative inverse gains"):
+        su.water_fill_segment(inv, target, 5.0)
+
+
+def test_segments_without_a_priced_level_report_zero():
+    # slot 1 is capped at 5 and slot 2, of zero gain, burns the other 5:
+    # the segment's level is at the burn level, and no gain prices it
+    p, _, levels = su.solve_reduced([1.0, 0.0], [10.0, 10.0], 10.0, 5.0)
+    assert p.tolist() == [5.0, 5.0]
+    assert levels == [0.0]
+    # a segment of zero-gain slots alone burns evenly, and reports 0 too
+    p, _, levels = su.solve_reduced([0.0, 0.0], [1.0, 2.0], 5.0, math.inf)
+    assert p.tolist() == [1.0, 1.0]
+    assert levels == [0.0]
 
 
 def test_guess_with_a_full_point_on_an_unbounded_battery_falls_back():
@@ -165,11 +205,12 @@ def test_guess_with_a_full_point_on_an_unbounded_battery_falls_back():
                                               env.power_max, guess=guess), cold)
 
 
-def draw_fill_case(data):
+def draw_fill_case(data, zeros=True):
     # short and long spans, and spans whose inverse gains sit on a grid of
     # cap multiples, where one slot saturates exactly where another starts
-    # filling; long draws keep zero gains rare.  Returns (gains, cap, hi),
-    # hi the most energy the positive-gain slots take (50 with no cap).
+    # filling; long draws keep zero gains rare, and zeros=False draws none.
+    # Returns (gains, cap, hi), hi the most energy the positive-gain slots
+    # take (50 with no cap).
     k = data.draw(st.one_of(st.integers(min_value=1, max_value=10),
                             st.integers(min_value=48, max_value=120)))
     if data.draw(st.booleans()):
@@ -179,12 +220,12 @@ def draw_fill_case(data):
         gains = [1.0 / (m * cap) for m in steps]
     else:
         gain = st.floats(min_value=1e-6, max_value=10.0)
-        if k <= 10:
+        if zeros and k <= 10:
             gain = st.one_of(st.just(0.0), gain)
         gains = data.draw(st.lists(gain, min_size=k, max_size=k))
         cap = data.draw(st.one_of(
             st.floats(min_value=0.1, max_value=20.0), st.just(math.inf)))
-    for i in data.draw(st.lists(st.integers(0, k - 1), max_size=k // 10)):
+    for i in data.draw(st.lists(st.integers(0, k - 1), max_size=k // 10 if zeros else 0)):
         gains[i] = 0.0
     if not any(g > 0 for g in gains):
         gains[0] = 1.0
@@ -198,7 +239,8 @@ def draw_fill_case(data):
 def test_water_fill_matches_bisection_oracle(data):
     gains, cap, hi = draw_fill_case(data)
     target = data.draw(st.floats(min_value=0.0, max_value=hi))
-    p, _ = su.water_fill_segment(gains, target, cap)
+    # a zero-gain slot sits at the burn level, where the level never gets
+    p, _ = su.water_fill_segment(inverse_gains(gains, min(cap, hi)), target, cap)
     ref = _oracles.wf_bisection(gains, target, cap)
     assert np.allclose(p, ref, atol=1e-6)
     assert abs(math.fsum(p) - min(target, hi)) <= 1e-10 * max(1.0, target)
@@ -208,12 +250,12 @@ def test_water_fill_matches_bisection_oracle(data):
 @settings(max_examples=150)
 def test_list_fill_matches_array_fill_bit_for_bit(data):
     # the fill runs on Python floats; the numpy fill it replaced is the
-    # reference, and every bit of p and w must agree
-    gains, cap, hi = draw_fill_case(data)
+    # reference, and every bit of p and w = 1/L must agree on positive gains
+    gains, cap, hi = draw_fill_case(data, zeros=False)
     target = data.draw(st.one_of(st.just(0.0), st.just(hi),
                                  st.floats(min_value=0.0, max_value=hi)))
     want_p, want_w = _oracles.wf_array_reference(np.array(gains), target, cap)
-    p, w = su.water_fill_segment(list(gains), target, cap)
+    p, w = fill_on_gains(gains, target, cap)
     assert type(p) is list
     assert np.array(p).tobytes() == want_p.tobytes()
     assert float.hex(w) == float.hex(want_w)
@@ -224,12 +266,12 @@ def test_long_fills_go_through_the_one_fill(monkeypatch):
     records = []
     original = su.water_fill_segment
 
-    def audited(gains, target_energy, power_max):
-        p, w = original(gains, target_energy, power_max)
+    def audited(inv, target_energy, power_max):
+        p, level = original(inv, target_energy, power_max)
         target = float(target_energy)
         if target > 0.0:
-            records.append((len(gains), target, abs(target - math.fsum(p))))
-        return p, w
+            records.append((len(inv), target, abs(target - math.fsum(p))))
+        return p, level
 
     monkeypatch.setattr(su, "water_fill_segment", audited)
     # a battery of 200 gives this K = 200 draw one 77-slot segment
@@ -521,8 +563,9 @@ def test_stale_guess_from_another_instance_gives_cold_result():
 
 
 @pytest.mark.parametrize("harvest, gain, bmax, pmax, falls_back", [
-    # a zero-gain slot in every segment cannot price its level
-    ([3.0, 1.0, 4.0, 2.0], [1.0, 0.0, 2.0, 0.0], 5.0, 10.0, True),
+    # zero-gain slots, the last segment's alone: each sits at the burn
+    # level like any other slot, so the cold boundaries are accepted
+    ([3.0, 1.0, 4.0, 2.0], [1.0, 0.0, 2.0, 0.0], 5.0, 10.0, False),
     # no battery: every slot is both a BDP and a BFP
     ([3.0, 1.0, 4.0, 2.0], [1.0, 0.5, 2.0, 1.5], 0.0, 10.0, False),
     # no cap
@@ -543,7 +586,7 @@ def test_edge_case_guesses_match_cold_result(harvest, gain, bmax, pmax,
         assert_same_solution(su.solve_reduced(env.gain, e_tilde, bmax, pmax,
                                               guess=guess), cold)
         if falls_back:
-            assert su._refill_guess(env.gain.tolist(), e_tilde.tolist(),
+            assert su._refill_guess([1.0 / g for g in env.gain], e_tilde.tolist(),
                                     bmax, pmax, guess) is None
 
 
