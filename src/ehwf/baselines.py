@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Scenario, UserEnv, cumulative_harvest
-from .single_user import _clip_to_battery, optimal_wastage, solve_reduced
+from .single_user import _ReducedProblem, _clip_to_battery, optimal_wastage, solve_reduced
 from .mac import MacSolution, iterate_best_response
 
 __all__ = [
@@ -74,19 +74,20 @@ def modified_staircase(env: UserEnv):
 def iterative_modified_staircase(scenario: Scenario, max_iter: int = 50) -> MacSolution:
     """Round-robin sweeps where each response is the modified staircase.
 
-    Each user's staircase is warm-started from its depletion points in the
-    previous sweep, as solve_mac does, and its budget, the running total
-    of its harvest, is built once per solve.  Its fixed point is not
-    optimal, so the sweeps stop once the sum rate changes by at most 1e-5
-    nats, or after max_iter.  The solution's d is the wastage of each
+    Each user's staircase problem (its budget, the running total of its
+    harvest, with no cap and no battery limit) is prepared once per solve,
+    and each sweep solves it for the new gains, warm-started from its
+    depletion points in the previous sweep, as solve_mac does.  Its fixed
+    point is not optimal, so the sweeps stop once the sum rate changes by
+    at most 1e-5 nats, or after max_iter.  The solution's d is the wastage of each
     user's last clipped response.
     """
     envs = [scenario.user(n) for n in range(scenario.num_users)]
-    budgets = cumulative_harvest(scenario.harvest)
-    stairs = [None] * scenario.num_users
+    stairs = [_ReducedProblem(budget, np.inf, np.inf)
+              for budget in cumulative_harvest(scenario.harvest)]
 
     def respond(n, gains):
-        stair, stairs[n], _ = solve_reduced(gains, budgets[n], np.inf, np.inf, stairs[n])
+        stair, _, _ = stairs[n].solve(gains)
         p_n, d_n, _ = _clip_to_battery(envs[n], stair)
         return p_n, d_n
 

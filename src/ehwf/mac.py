@@ -10,7 +10,10 @@ MacSolution               schedules, trace, and convergence diagnostics
 
 Each user's subproblem against the others' fixed schedules is exactly the
 single-user problem with the gain replaced by the effective gain, so one
-sweep is N solve_reduced calls, fed those gains with no UserEnv built.
+sweep is N single-user solves, fed those gains with no UserEnv built.
+Only the gains change between sweeps: solve_mac prepares each user's
+reduced problem (single_user._ReducedProblem, the form solve_reduced
+solves once) a single time, with its budget and caps checked and scaled.
 The sum rate never decreases across a best response, and at a fixed
 point the joint schedule is globally optimal; solve_mac prices the
 duality gap of every sweep's schedule, the one
@@ -22,10 +25,10 @@ result to the next (_line_search).  The trace holds best-response
 rates, and p is always a full sweep's.
 
 Later sweeps mostly only polish the rate: a user's segment boundaries
-settle long before its levels do.  So solve_mac hands each user's previous
-boundary list to solve_reduced as a guess, which is refilled once and
-kept only when it passes a strict KKT check; the outputs are those of a
-cold solve.
+settle long before its levels do.  So each user's prepared problem
+refills the boundary list of its previous answer once and keeps it only
+when it passes a strict KKT check; the outputs are those of a cold
+solve.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Scenario, sum_rate
-from .single_user import effective_energy, optimal_wastage, solve_reduced
+# solve_reduced is imported only to keep the name ehwf.mac.solve_reduced,
+# which the benchmark's self-test wraps to check the tracer
+from .single_user import _ReducedProblem, effective_energy, optimal_wastage, solve_reduced
 from .verify import GAP_TOL_PER_SLOT, _capped_gap, _user_polytopes
 
 __all__ = [
@@ -134,9 +139,9 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
     """Maximum-sum-rate schedule for all users via best-response sweeps.
 
     Per-user wastage is fixed once up front (it does not depend on the
-    others), then each sweep re-solves every user against the latest
-    schedules, warm-started from that user's boundaries in the previous
-    sweep (solve_reduced's guess).  The duality gap of each sweep's p is
+    others), then each sweep re-solves every user's prepared problem
+    against the latest schedules, warm-started from that user's
+    boundaries in the previous sweep.  The duality gap of each sweep's p is
     priced as it ends, and sweeps stop at the first whose gap is at most
     tol nats (default GAP_TOL_PER_SLOT per slot) or after max_iter;
     converged is gap <= tol.  The guesses survive _line_search's moves,
@@ -156,12 +161,12 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
         e_tilde[n] = effective_energy(env, d[n])
     polytopes = _user_polytopes(scenario)
 
-    boundaries = [None] * n_users
+    users = [_ReducedProblem(e_tilde[n], scenario.battery_max[n], scenario.power_max[n])
+             for n in range(n_users)]
     snap_gains = np.array(scenario.gain, dtype=float, copy=True)
-    bmax, cap = scenario.battery_max.tolist(), scenario.power_max.tolist()
 
     def respond(n, gains):
-        p_n, boundaries[n], _ = solve_reduced(gains, e_tilde[n], bmax[n], cap[n], boundaries[n])
+        p_n, _, _ = users[n].solve(gains)
         snap_gains[n] = gains
         return p_n, d[n]
 
@@ -175,7 +180,8 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
                                 lambda *args: _line_search(scenario, e_tilde, *args))
     gap = gaps[-1] if sol.converged else _capped_gap(scenario, polytopes, sol.p, math.inf)
     return replace(sol, converged=gap <= tol, gap=gap,
-                   user_boundaries=boundaries, user_gains=snap_gains)
+                   user_boundaries=[user.boundaries for user in users],
+                   user_gains=snap_gains)
 
 
 def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> None:

@@ -73,18 +73,24 @@ def _as_float_array(x, name, ndim):
 
 
 def _check_entries(harvest, gain, caps):
-    # One pass per array when all is well (NaN fails every comparison); the
-    # message is worked out only on failure.  A zero cap forces slot-by-slot
-    # spending and an infinite one means "no limit".  Every solver and
-    # checker takes the harvest's running total, so it must stay finite:
-    # K entries of at most float max / 2K cannot overflow it, and only a
-    # larger entry pays for the exact test.
+    # One reduction per bound when all is well (NaN propagates through min
+    # and max and fails every comparison); the message is worked out only
+    # on failure.  A zero cap forces slot-by-slot spending and an infinite
+    # one means "no limit".  Every solver and checker takes the harvest's
+    # running total, so it must stay finite: K entries of at most float
+    # max / 2K cannot overflow it.  No user spends more than its total in a
+    # slot, so the received power sum_n gain[n, k] * total_n bounds every
+    # slot's, and it must stay finite too: N K max(harvest) max(gain) bounds
+    # it in turn.  Only an input past either cheap bound pays for the exact
+    # tests.
     k_slots = harvest.shape[-1]
     if k_slots == 0:
         raise ValueError("harvest and gain must cover at least one slot, got 0")
-    if (((harvest >= 0) & (harvest <= sys.float_info.max / (2 * k_slots))).all()
-            and ((gain >= 0) & (gain < math.inf)).all()
-            and all(cap >= 0 for cap in caps)):
+    top_harvest, top_gain = float(harvest.max()), float(gain.max())
+    if (harvest.min() >= 0 and top_harvest <= sys.float_info.max / (2 * k_slots)
+            and gain.min() >= 0 and top_gain < math.inf
+            and all(cap >= 0 for cap in caps)
+            and top_harvest * top_gain * harvest.size < sys.float_info.max / 2):
         return
     if not (np.isfinite(harvest).all() and np.isfinite(gain).all()):
         raise ValueError("harvest and gain entries must be finite")
@@ -95,9 +101,15 @@ def _check_entries(harvest, gain, caps):
     if not ((harvest >= 0).all() and (gain >= 0).all()):
         raise ValueError("harvest and gain entries must be nonnegative")
     with np.errstate(over="ignore"):
-        totals = cumulative_harvest(harvest)[..., -1]
+        totals = cumulative_harvest(harvest.reshape(-1, k_slots))[:, -1:]
     if not (totals < math.inf).all():
         raise ValueError("the running total of harvest overflows the float range")
+    with np.errstate(over="ignore"):
+        received = np.sum(totals * gain.reshape(-1, k_slots), axis=0)
+    if not (received < math.inf).all():
+        raise ValueError("the received power overflows the float range: in some "
+                         "slot, the users' gains times their total harvests sum "
+                         "past it")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ or falling after the full point that set the maximum (BFP), and at the
 horizon the segment ends where the minimum was last attained.
 
 The walk, every fill and the warm-start check read one list of inverse
-gains, which solve_reduced builds once per solve.  A zero-gain slot is
+gains, built once per solve.  A zero-gain slot is
 just a slot at one finite burn level there, above every positive-gain
 slot's inverse gain plus its cap (or plus the whole budget, if smaller),
 so it draws only where nothing else can take the energy, and every slot
@@ -73,10 +73,13 @@ the switch falls never moves a boundary.
 solve_reduced(gain, e_tilde, B, P, guess=boundaries) first refills the
 guessed segments once each and returns them untouched when they meet the
 KKT conditions of the reduced problem on the inverse-gain list, whose
-optimum is unique; any other guess falls through to the walk.
-Best-response sweeps pass each user's effective gains, and its
-boundaries from its previous response, which stop changing long before
-the sum rate does.
+optimum is unique; any other guess falls through to the walk.  It is one
+solve of _ReducedProblem(e_tilde, B, P), which checks and scales the
+budget and the caps once and then solves for one gain vector after
+another, each time refilling the boundaries of its own last answer.
+Best-response sweeps hold one such problem per user, since only the
+effective gains change between sweeps, and the boundaries stop changing
+long before the sum rate does.
 """
 
 from __future__ import annotations
@@ -259,7 +262,7 @@ def _fill_segment(inv, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
 
     The target is the budget over the segment, plus a full battery after a
     BFP start and less one before a BFP end, clamped to [0, (b-a) * P].
-    inv and e_tilde are lists of floats, inv solve_reduced's inverse gains;
+    inv and e_tilde are lists of floats, inv the solve's inverse gains;
     returns (p_segment list, level, feasible, settled): the level from
     water_fill_segment, and feasible and settled from _segment_status.  A
     zero-gain slot sits at the burn level, so it draws only once every
@@ -468,6 +471,85 @@ def _check_reachable(e_tilde, battery_max, power_max):
                              f"cap and the battery meets it at slot {k}")
 
 
+class _ReducedProblem:
+    """One user's reduced problem with its gains left open: solve(gain).
+
+    Built from (e_tilde, battery_max, power_max), which best-response
+    sweeps hold fixed while only the effective gains change.  The budget
+    and the caps are checked and divided by energy_scale(e_tilde) here,
+    once; each solve checks and scales only its gains.  boundaries is the
+    boundary list of the last answer, or a checked guess before the first:
+    each solve refills it once and keeps it if it passes _refill_guess, and
+    walks cold otherwise, so a solve returns what a cold one would.
+    """
+
+    __slots__ = ("scale", "e", "e_list", "bmax", "cap", "boundaries")
+
+    def __init__(self, e_tilde, battery_max, power_max):
+        e_tilde = np.asarray(e_tilde, dtype=float)
+        if not e_tilde.size or e_tilde.shape != (e_tilde.size,):
+            raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
+                             f"e_tilde of shape {e_tilde.shape}")
+        if not all(0.0 <= v < math.inf for v in e_tilde.tolist()):
+            raise ValueError("gain and e_tilde entries must be finite and nonnegative")
+        bmax, cap = float(battery_max), float(power_max)
+        if not (bmax >= 0.0 and cap >= 0.0):
+            raise ValueError("battery_max and power_max must be nonnegative or infinite")
+        self.scale = scale = energy_scale(e_tilde)
+        self.e = e_tilde / scale
+        # segments are filled and checked on Python floats: the same IEEE
+        # operations as numpy's, without a numpy call per few-slot segment
+        self.e_list = self.e.tolist()
+        self.bmax, self.cap = bmax / scale, cap / scale
+        self.boundaries = None
+
+    def solve(self, gain):
+        """solve_reduced's (p, boundaries, water_levels) for these gains."""
+        e_list, bmax, cap, scale = self.e_list, self.bmax, self.cap, self.scale
+        k_slots = len(e_list)
+        gain = np.asarray(gain, dtype=float)
+        if gain.shape != (k_slots,):
+            raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
+                             f"shapes {gain.shape} and {(k_slots,)}")
+        if not all(0.0 <= v < math.inf for v in gain.tolist()):
+            raise ValueError("gain and e_tilde entries must be finite and nonnegative")
+        gains = (gain * scale).tolist()
+        if min(gains) > GAIN_FLOOR:
+            inv, burn = [1.0 / g for g in gains], math.inf
+        else:
+            # at or above the burn level every positive-gain slot draws its cap
+            # or more than the whole budget
+            priced = [1.0 / g for g in gains if g > GAIN_FLOOR]
+            burn = (max(priced) if priced else 0.0) + min(cap, e_list[-1]) + 1.0
+            inv = [1.0 / g if g > GAIN_FLOOR else burn for g in gains]
+        boundaries = self.boundaries
+        warm = None if boundaries is None else _refill_guess(inv, e_list, bmax, cap,
+                                                              boundaries)
+        if warm is not None:
+            p, levels = warm
+        else:
+            inv_array = np.array(inv)       # for the walk's second phase
+            p, boundaries, levels = [], [(0, BDP)], []
+            while boundaries[-1][0] < k_slots:
+                a, kind_a = boundaries[-1]
+                b, kind_b = _close_segment(inv_array, self.e, inv, e_list, bmax, cap,
+                                           a, kind_a)
+                feasible = b > a        # an empty segment: the budget dips below zero
+                if feasible:
+                    p_seg, level, feasible, _ = _fill_segment(inv, e_list, bmax, cap,
+                                                              a, kind_a, b, kind_b)
+                if not feasible:
+                    # only a budget no schedule meets gets here; say so
+                    _check_reachable(e_list, bmax, cap)
+                    raise RuntimeError("closed segment did not fill feasibly")
+                p += p_seg
+                boundaries.append((b, kind_b))
+                levels.append(level)
+            self.boundaries = boundaries
+        return (np.array(p) * scale, boundaries,
+                [v * scale if v < burn else 0.0 for v in levels])
+
+
 def solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
     """Optimal schedule for gains, a fixed cumulative energy budget and caps.
 
@@ -492,60 +574,15 @@ def solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
     guess raises ValueError.
 
     The walk, the guess check and every fill read one list of inverse
-    gains, built here; a zero-gain slot's entry is the burn level (see the
-    module doc).  From each confirmed boundary a forward tube walk
+    gains, built per solve; a zero-gain slot's entry is the burn level (see
+    the module doc).  From each confirmed boundary a forward tube walk
     (_close_segment) finds the next one, and that segment is filled once.
+    This is one solve of _ReducedProblem, the form sweeps hold per user.
     """
-    gain, e_tilde = np.asarray(gain, dtype=float), np.asarray(e_tilde, dtype=float)
-    k_slots = gain.size
-    if not k_slots or gain.shape != (k_slots,) or e_tilde.shape != (k_slots,):
-        raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
-                         f"shapes {gain.shape} and {e_tilde.shape}")
-    if not all(0.0 <= v < math.inf for v in gain.tolist() + e_tilde.tolist()):
-        raise ValueError("gain and e_tilde entries must be finite and nonnegative")
-    bmax, cap = float(battery_max), float(power_max)
-    if not (bmax >= 0.0 and cap >= 0.0):
-        raise ValueError("battery_max and power_max must be nonnegative or infinite")
-    scale = energy_scale(e_tilde)
-    e = e_tilde / scale
-    bmax, cap = bmax / scale, cap / scale
-    # segments are filled and checked on Python floats: the same IEEE
-    # operations as numpy's, without a numpy call per few-slot segment
-    e_list = e.tolist()
-    gains = (gain * scale).tolist()
-    if min(gains) > GAIN_FLOOR:
-        inv, burn = [1.0 / g for g in gains], math.inf
-    else:
-        # at or above the burn level every positive-gain slot draws its cap
-        # or more than the whole budget
-        priced = [1.0 / g for g in gains if g > GAIN_FLOOR]
-        burn = (max(priced) if priced else 0.0) + min(cap, e_list[-1]) + 1.0
-        inv = [1.0 / g if g > GAIN_FLOOR else burn for g in gains]
-    warm = None
+    problem = _ReducedProblem(e_tilde, battery_max, power_max)
     if guess is not None:
-        boundaries = _checked_boundaries(guess, k_slots)
-        warm = _refill_guess(inv, e_list, bmax, cap, boundaries)
-    if warm is not None:
-        p, levels = warm
-    else:
-        inv_array = np.array(inv)       # for the walk's second phase
-        p, boundaries, levels = [], [(0, BDP)], []
-        while boundaries[-1][0] < k_slots:
-            a, kind_a = boundaries[-1]
-            b, kind_b = _close_segment(inv_array, e, inv, e_list, bmax, cap, a, kind_a)
-            feasible = b > a        # an empty segment: the budget dips below zero
-            if feasible:
-                p_seg, level, feasible, _ = _fill_segment(inv, e_list, bmax, cap,
-                                                          a, kind_a, b, kind_b)
-            if not feasible:
-                # only a budget no schedule meets gets here; say so
-                _check_reachable(e_list, bmax, cap)
-                raise RuntimeError("closed segment did not fill feasibly")
-            p += p_seg
-            boundaries.append((b, kind_b))
-            levels.append(level)
-    return (np.array(p) * scale, boundaries,
-            [v * scale if v < burn else 0.0 for v in levels])
+        problem.boundaries = _checked_boundaries(guess, len(problem.e_list))
+    return problem.solve(gain)
 
 
 def solve_single(env: UserEnv):

@@ -162,6 +162,10 @@ SOLVER_ERRORS = ("error: closed segment did not fill feasibly\n",
 @example(with_user(harvest=[1.0, 10**400]), False)
 @example(with_user(harvest=[math.nan, 1.0]), False)
 @example(dict(VALID, users=[]), False)
+# every entry and running total finite, but gain times total harvest not
+@example(dict(VALID, num_users=2,
+              users=[dict(VALID["users"][0], harvest=[1e300, 1.0], gain=[1e10, 1.0],
+                          battery_max=None)] * 2), False)
 # low SNR: gain times energy per slot far below 1e-13 ends in the internal
 # error, or in a schedule that the certificate fails
 @example(with_user(gain=[1e-160, 1e-160], battery_max=0.0), False)

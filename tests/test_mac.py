@@ -99,6 +99,27 @@ def test_sweeps_build_no_user_env(monkeypatch):
         assert len(built) <= sc.num_users, solve.__name__
 
 
+def test_sweeps_prepare_each_user_once(monkeypatch):
+    # a user's budget and caps are checked and scaled once per solve, not
+    # once per sweep: each solver prepares exactly one problem per user
+    import ehwf.single_user as su
+
+    prepared = []
+    original = su._ReducedProblem.__init__
+
+    def counted(self, *args):
+        prepared.append(1)
+        original(self, *args)
+
+    sc = random_scenario(np.random.default_rng(13), 4, 12)
+    monkeypatch.setattr(su._ReducedProblem, "__init__", counted)
+    for solve in (solve_mac, iterative_modified_staircase):
+        prepared.clear()
+        sol = solve(sc)
+        assert sol.iterations > 1
+        assert len(prepared) == sc.num_users, solve.__name__
+
+
 def test_best_response_single_user_is_solve_single():
     rng = np.random.default_rng(2)
     sc = random_scenario(rng, 1, 6)
@@ -241,10 +262,9 @@ def test_iterate_best_response_generic_loop():
 
 def test_warm_start_leaves_sweep_outputs_unchanged(monkeypatch):
     # every sweep after the first warm-starts each user from its previous
-    # boundaries; forcing every guess to None must not move a bit
+    # boundaries; refusing every refilled guess must not move a bit
     import ehwf.baselines as baselines
-    import ehwf.mac as mac
-    from ehwf.single_user import solve_reduced
+    import ehwf.single_user as su
 
     rng = np.random.default_rng(12)
     scenarios = [random_scenario(rng, 5, 20) for _ in range(6)]
@@ -261,13 +281,17 @@ def test_warm_start_leaves_sweep_outputs_unchanged(monkeypatch):
         return out
 
     warm = run_all()
+    refused = []
 
-    def cold_solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
-        return solve_reduced(gain, e_tilde, battery_max, power_max)
+    def refuse(*args):
+        # the one place a guess becomes an answer
+        refused.append(1)
 
-    monkeypatch.setattr(mac, "solve_reduced", cold_solve_reduced)
-    monkeypatch.setattr(baselines, "solve_reduced", cold_solve_reduced)
+    monkeypatch.setattr(su, "_refill_guess", refuse)
     assert run_all() == warm
+    # each user offers its guess once in every sweep after the first
+    users = [sc.num_users for sc in scenarios for _ in range(2)]
+    assert len(refused) == sum((out[3] - 1) * n for out, n in zip(warm, users))
 
 
 def test_first_iteration_gap_bound_values():

@@ -148,6 +148,19 @@ def test_scenario_validation():
     sc = Scenario(harvest=np.ones((1, 2)), gain=np.ones((1, 2)),
                   battery_max=np.zeros(1), power_max=np.zeros(1))
     assert sc.battery_max[0] == 0.0 and sc.power_max[0] == 0.0
+    # each entry and each running total is finite, but a slot's received
+    # power, gain times total harvest summed over users, is not: rejected
+    # here, with no numpy warning, before a solver meets it
+    with pytest.raises(ValueError, match="received power overflows"):
+        Scenario(harvest=[[1e300, 1.0], [1e300, 1.0]], gain=[[1e10, 1.0], [1e10, 1.0]],
+                 battery_max=[math.inf, math.inf], power_max=[math.inf, math.inf])
+    with pytest.raises(ValueError, match="received power overflows"):
+        UserEnv([1e300, 1.0], [1e10, 1.0], math.inf, math.inf)
+    # a received power that fits loads, also where the largest harvest
+    # and the largest gain belong to different users
+    for gain in ([[1e7, 1.0], [1e7, 1.0]], [[1e-10, 1e-10], [1e300, 1e300]]):
+        Scenario(harvest=[[1e300, 0.0], [0.0, 1.0]], gain=gain,
+                 battery_max=[math.inf, math.inf], power_max=[math.inf, math.inf])
 
 
 @pytest.mark.parametrize("bmax, pmax", [(0.0, 0.0), (0.0, 3.0), (4.0, 0.0)])

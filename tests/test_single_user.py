@@ -652,6 +652,41 @@ def test_malformed_guess_raises(guess):
         kkt_certificate(env, np.zeros(4), guess)
 
 
+@pytest.mark.parametrize("bmax", [0.0, 5.0, math.inf])
+@pytest.mark.parametrize("pmax", [3.0, math.inf])
+def test_prepared_solves_match_solve_reduced(bmax, pmax):
+    # one problem solved for gains in turn, as a sweep does, answers each
+    # exactly as a cold solve_reduced and as one guessing the last answer
+    rng = np.random.default_rng(33)
+    for _ in range(8):
+        k = int(rng.integers(1, 16))
+        env = env_of(rng.uniform(0.0, 10.0, k), np.ones(k), bmax=bmax, pmax=pmax)
+        d, _, _ = su.optimal_wastage(env)
+        e_tilde = su.effective_energy(env, d)
+        problem = su._ReducedProblem(e_tilde, bmax, pmax)
+        base = rng.standard_exponential(k)
+        previous = None
+        for gain in (base, base * 1.01, np.zeros(k), base * (rng.random(k) > 0.3),
+                     base * rng.uniform(0.5, 2.0, k), base):
+            got = problem.solve(gain)
+            assert_same_solution(got, su.solve_reduced(gain, e_tilde, bmax, pmax))
+            if previous is not None:
+                assert_same_solution(got, su.solve_reduced(gain, e_tilde, bmax, pmax,
+                                                           guess=previous))
+            previous = got[1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_prepared_solve_rejects_bad_gains_on_every_call(bad):
+    problem = su._ReducedProblem([1.0, 2.0, 3.0], 5.0, 5.0)
+    good = problem.solve([1.0, 0.5, 2.0])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            problem.solve([1.0, bad, 2.0])
+    # a rejected call leaves the last answer in place
+    assert_same_solution(problem.solve([1.0, 0.5, 2.0]), good)
+
+
 @given(user_envs(allow_inf_caps=False))
 @settings(max_examples=80)
 def test_solve_single_level_steps_match_boundary_kinds(env):
