@@ -29,7 +29,7 @@ import numpy as np
 
 from .baselines import iterative_modified_staircase, non_iterative_multiuser
 from .mac import solve_mac
-from .model import Scenario, sum_rate
+from .model import Scenario, _is_json_number, sum_rate
 from .verify import first_order_certificate, kkt_certificate
 
 __all__ = [
@@ -52,6 +52,10 @@ POLICIES = _ITERATIVE_POLICIES[:1] + _SINGLE_SHOT_POLICIES + _ITERATIVE_POLICIES
 
 _SWEEP_SHORT = {"harvest_var": "v", "harvest_mean": "m",
                 "battery_max": "B", "power_max": "P"}
+
+# the GenParams fields a config sets, every one but seed, by JSON type
+_COUNT_FIELDS = ("n_users", "n_slots")
+_ENERGY_FIELDS = ("harvest_mean", "harvest_var", "battery_max", "power_max")
 
 
 @dataclass(frozen=True)
@@ -244,18 +248,57 @@ def _run_cell(base, sweep_param, value, trial, root_seed, policies, label):
     return rows, traces
 
 
+def _is_count(x) -> bool:
+    # an integer, Python's or numpy's, but not a bool
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _malformed(what: str) -> ValueError:
+    return ValueError(f"malformed experiment config: {what}")
+
+
 def _resolve_config(config) -> dict:
+    """The preset of that name, or the config dict given, checked.
+
+    An unknown preset or a missing key raises KeyError.  Counts must be
+    integers, the energy fields numbers (neither a bool nor a string),
+    sweep.param a GenParams field other than seed, its values of that
+    field's type, and policies a list of names; anything else raises
+    ValueError.
+    """
     if isinstance(config, str):
         if config not in PRESETS:
             raise KeyError(f"unknown preset {config!r}; "
                            f"have {', '.join(sorted(PRESETS))}")
         return dict(PRESETS[config])
+    if not isinstance(config, dict):
+        raise _malformed(f"expected an object, got {type(config).__name__}")
     cfg = dict(config)
-    required = ("label", "n_users", "n_slots", "harvest_mean", "harvest_var",
-                "battery_max", "power_max", "sweep", "policies")
+    required = ("label",) + _COUNT_FIELDS + _ENERGY_FIELDS + ("sweep", "policies")
     missing = [k for k in required if k not in cfg]
+    sweep = cfg.get("sweep")
+    if isinstance(sweep, dict):
+        missing += [f"sweep.{k}" for k in ("param", "values") if k not in sweep]
     if missing:
         raise KeyError(f"config is missing {', '.join(missing)}")
+    for k in _COUNT_FIELDS + ("trials",):
+        if k in cfg and not _is_count(cfg[k]):
+            raise _malformed(f"{k} must be an integer, got {cfg[k]!r}")
+    for k in _ENERGY_FIELDS:
+        if not _is_json_number(cfg[k]):
+            raise _malformed(f"{k} must be a number, got {cfg[k]!r}")
+    if not isinstance(sweep, dict):
+        raise _malformed("sweep must map param and values")
+    param, values = sweep["param"], sweep["values"]
+    if param not in _COUNT_FIELDS + _ENERGY_FIELDS:
+        raise _malformed(f"sweep.param must be one of "
+                         f"{', '.join(_COUNT_FIELDS + _ENERGY_FIELDS)}, got {param!r}")
+    of_type = _is_count if param in _COUNT_FIELDS else _is_json_number
+    if not (isinstance(values, (list, tuple)) and all(map(of_type, values))):
+        raise _malformed(f"sweep.values must be a list of {param} values, got {values!r}")
+    policies = cfg["policies"]
+    if not (isinstance(policies, (list, tuple)) and all(isinstance(p, str) for p in policies)):
+        raise _malformed(f"policies must be a list of names, got {policies!r}")
     return cfg
 
 
@@ -269,7 +312,9 @@ def run_experiment(config, trials: int | None = None,
     """
     cfg = _resolve_config(config)
     if trials is None:
-        trials = int(cfg.get("trials", DEFAULT_TRIALS))
+        trials = cfg.get("trials", DEFAULT_TRIALS)
+    elif not _is_count(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     sweep_param = cfg["sweep"]["param"]
@@ -278,7 +323,7 @@ def run_experiment(config, trials: int | None = None,
     unknown = [pol for pol in policies if pol not in POLICIES]
     if unknown:
         raise ValueError(f"unknown policies: {', '.join(unknown)}")
-    base = GenParams(n_users=int(cfg["n_users"]), n_slots=int(cfg["n_slots"]),
+    base = GenParams(n_users=cfg["n_users"], n_slots=cfg["n_slots"],
                      harvest_mean=float(cfg["harvest_mean"]),
                      harvest_var=float(cfg["harvest_var"]),
                      battery_max=float(cfg["battery_max"]),

@@ -83,11 +83,12 @@ class MacSolution:
 def effective_gain(scenario: Scenario, p, n: int):
     """User n's gain per slot, discounted by the other users' interference.
 
-    p must have the scenario's (N, K) shape and n lie in 0 .. N-1;
-    anything else raises ValueError.
+    p must have the scenario's (N, K) shape and n be an integer (a Python
+    or numpy one, not a bool) in 0 .. N-1; anything else raises ValueError.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != scenario.gain.shape or not 0 <= n < scenario.num_users:
+    if (p.shape != scenario.gain.shape or isinstance(n, bool)
+            or not isinstance(n, (int, np.integer)) or not 0 <= n < scenario.num_users):
         raise ValueError(f"need p of shape {scenario.gain.shape} and a user in "
                          f"0..{scenario.num_users - 1}, got {p.shape} and {n!r}")
     interference = np.sum(p * scenario.gain, axis=0) - p[n] * scenario.gain[n]

@@ -65,8 +65,17 @@ def energy_scale(cum_energy) -> float:
     return 2.0 ** round(math.log2(mean)) if mean > 0.0 else 1.0
 
 
+def _float_array(x, name):
+    # numpy's own conversion errors, for a dict, a complex or an integer
+    # past float range, become the ValueError every bad entry raises
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must hold real numbers: {exc}") from None
+
+
 def _as_float_array(x, name, ndim):
-    arr = np.asarray(x, dtype=float)
+    arr = _float_array(x, name)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     return arr
@@ -141,13 +150,16 @@ class UserEnv:
         gain = _as_float_array(self.gain, "gain", 1)
         if harvest.shape != gain.shape:
             raise ValueError("harvest and gain must have the same length")
-        _check_entries(harvest, gain, (self.battery_max, self.power_max))
+        # each cap converts as a Scenario's row of caps does
+        bmax = float(_as_float_array(self.battery_max, "battery_max", 0))
+        cap = float(_as_float_array(self.power_max, "power_max", 0))
+        _check_entries(harvest, gain, (bmax, cap))
         harvest.setflags(write=False)
         gain.setflags(write=False)
         object.__setattr__(self, "harvest", harvest)
         object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "battery_max", float(self.battery_max))
-        object.__setattr__(self, "power_max", float(self.power_max))
+        object.__setattr__(self, "battery_max", bmax)
+        object.__setattr__(self, "power_max", cap)
 
     @property
     def num_slots(self) -> int:

@@ -6,8 +6,7 @@ optimal_wastage        minimal-total-wastage forward recurrence
 effective_energy       cumulative harvest net of wastage
 water_fill_segment     capped water-filling at one constant level on a list of
                        inverse gains; every segment fill calls it
-solve_reduced          forward tube walk on (gain, e_tilde, B, P) alone,
-                       optionally warm-started from a guessed boundary list
+solve_reduced          forward tube walk on (gain, e_tilde, B, P) alone
 solve_single           the full pipeline: wastage, then boundary search
 
 The solver works in two stages.  First the wastage schedule is fixed by a
@@ -70,13 +69,12 @@ Python walk, while over a long idle stretch one vectorised pass beats a
 Python loop over every slot.  Either phase sees the same bits, so where
 the switch falls never moves a boundary.
 
-solve_reduced(gain, e_tilde, B, P, guess=boundaries) first refills the
-guessed segments once each and returns them untouched when they meet the
-KKT conditions of the reduced problem on the inverse-gain list, whose
-optimum is unique; any other guess falls through to the walk.  It is one
-solve of _ReducedProblem(e_tilde, B, P), which checks and scales the
-budget and the caps once and then solves for one gain vector after
-another, each time refilling the boundaries of its own last answer.
+solve_reduced(gain, e_tilde, B, P) is one solve of _ReducedProblem(e_tilde,
+B, P), which checks and scales the budget and the caps once and then
+solves for one gain vector after another.  Each solve first refills the
+segments of its own last answer once each and returns them untouched
+when they meet the KKT conditions of the reduced problem on the
+inverse-gain list, whose optimum is unique; otherwise it walks.
 Best-response sweeps hold one such problem per user, since only the
 effective gains change between sweeps, and the boundaries stop changing
 long before the sum rate does.
@@ -89,7 +87,8 @@ import math
 
 import numpy as np
 
-from .model import FEAS_TOL, GAIN_FLOOR, UserEnv, cumulative_harvest, energy_scale
+from .model import (FEAS_TOL, GAIN_FLOOR, UserEnv, _float_array, cumulative_harvest,
+                    energy_scale)
 
 __all__ = [
     "BDP",
@@ -394,37 +393,20 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
             lo_at = j + 1
 
 
-def _checked_boundaries(x, k_slots):
-    """x as a boundary list in solve_reduced's own output form, or ValueError.
-
-    The one check of a boundary list, for solve_reduced's guess and for
-    verify.kkt_certificate.
-    """
-    try:
-        x = [(int(slot), kind) for slot, kind in x]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"boundary list must hold (slot, kind) pairs: {exc}") from None
-    if not x or x[0] != (0, BDP):
-        raise ValueError("boundary list must start at (0, BDP)")
-    if x[-1][0] != k_slots:
-        raise ValueError(f"boundary list must end at slot {k_slots}")
-    if any(b <= a for (a, _), (b, _) in zip(x, x[1:])):
-        raise ValueError("boundary list slots must be strictly increasing")
-    if any(kind not in (BDP, BFP) for _, kind in x):
-        raise ValueError("boundary list kinds must be BDP or BFP")
-    return x
-
-
 def _refill_guess(inv, e_tilde, bmax, cap, guess):
-    """Fill each guessed segment once; (p, levels) if that is the optimum.
+    """Fill each segment of guess once; (p, levels) if that is the optimum.
 
-    Accepts only when every condition of the KKT system of the problem on
-    inv holds: each segment's fill is feasible and has a slot more than
-    FEAS_TOL inside (0, P), which pins its level and puts its target
-    strictly inside (0, (b-a)*P), so its boundary battery levels are met
-    exactly; the level rises across every BDP and falls across every BFP;
-    and the list ends at (K, BDP).  Every gain 1/inv is positive, so the
-    optimum is unique and the guess describes the walk's own schedule.
+    guess is the boundary list of an answer the walk gave, so it runs from
+    (0, BDP) to (K, BDP), and it holds no BFP where the battery is
+    unbounded: the walk closes at the horizon only as a BDP, and with
+    B = inf its lower bound stays at -inf.  Accepts only when every other
+    condition of the KKT system of the problem on inv holds: each
+    segment's fill is feasible and has a slot more than FEAS_TOL inside
+    (0, P), which pins its level and puts its target strictly inside
+    (0, (b-a)*P), so its boundary battery levels are met exactly; and the
+    level rises across every BDP and falls across every BFP.  Every gain
+    1/inv is positive, so the optimum is unique and the guess describes
+    the walk's own schedule.
 
     Two margins make the boundary list unique as well: the level must
     move by more than FEAS_TOL (relative) at each boundary, and the
@@ -432,14 +414,9 @@ def _refill_guess(inv, e_tilde, bmax, cap, guess):
     segment.  Where a level is flat or a battery bound is touched inside a
     segment, several lists describe one schedule (B = 0 is the extreme
     case), and the walk, which gives ties to the later prefix, may have
-    chosen another; such guesses fall back.  A battery of infinite
-    capacity is never full, so a guess with a BFP falls back there too.
-    inv and e_tilde are lists of floats, and so is the p returned.
-    Returns None otherwise.
+    chosen another; such guesses fall back.  inv and e_tilde are lists of
+    floats, and so is the p returned.  Returns None otherwise.
     """
-    if guess[-1][1] != BDP or (bmax == math.inf
-                               and any(kind == BFP for _, kind in guess)):
-        return None
     p = []
     levels = []
     for (a, kind_a), (b, kind_b) in zip(guess, guess[1:]):
@@ -478,21 +455,24 @@ class _ReducedProblem:
     sweeps hold fixed while only the effective gains change.  The budget
     and the caps are checked and divided by energy_scale(e_tilde) here,
     once; each solve checks and scales only its gains.  boundaries is the
-    boundary list of the last answer, or a checked guess before the first:
-    each solve refills it once and keeps it if it passes _refill_guess, and
-    walks cold otherwise, so a solve returns what a cold one would.
+    boundary list of the last answer (None before the first): each solve
+    refills it once and keeps it if it passes _refill_guess, and walks cold
+    otherwise, so a solve returns what a cold one would.
     """
 
     __slots__ = ("scale", "e", "e_list", "bmax", "cap", "boundaries")
 
     def __init__(self, e_tilde, battery_max, power_max):
-        e_tilde = np.asarray(e_tilde, dtype=float)
+        e_tilde = _float_array(e_tilde, "e_tilde")
         if not e_tilde.size or e_tilde.shape != (e_tilde.size,):
             raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
                              f"e_tilde of shape {e_tilde.shape}")
         if not all(0.0 <= v < math.inf for v in e_tilde.tolist()):
             raise ValueError("gain and e_tilde entries must be finite and nonnegative")
-        bmax, cap = float(battery_max), float(power_max)
+        try:
+            bmax, cap = float(battery_max), float(power_max)
+        except (TypeError, ValueError, OverflowError):
+            bmax = cap = math.nan       # not a number: rejected just below
         if not (bmax >= 0.0 and cap >= 0.0):
             raise ValueError("battery_max and power_max must be nonnegative or infinite")
         self.scale = scale = energy_scale(e_tilde)
@@ -507,7 +487,7 @@ class _ReducedProblem:
         """solve_reduced's (p, boundaries, water_levels) for these gains."""
         e_list, bmax, cap, scale = self.e_list, self.bmax, self.cap, self.scale
         k_slots = len(e_list)
-        gain = np.asarray(gain, dtype=float)
+        gain = _float_array(gain, "gain")
         if gain.shape != (k_slots,):
             raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
                              f"shapes {gain.shape} and {(k_slots,)}")
@@ -550,7 +530,7 @@ class _ReducedProblem:
                 [v * scale if v < burn else 0.0 for v in levels])
 
 
-def solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
+def solve_reduced(gain, e_tilde, battery_max, power_max):
     """Optimal schedule for gains, a fixed cumulative energy budget and caps.
 
     e_tilde is the cumulative energy actually available per slot (harvest
@@ -562,27 +542,19 @@ def solve_reduced(gain, e_tilde, battery_max, power_max, guess=None):
 
     gain and e_tilde must hold K >= 1 finite, nonnegative entries each,
     each cap be nonnegative or infinite, and some schedule meet e_tilde;
-    anything else raises ValueError.  Every fill, the guess check's too,
-    runs on energies divided by energy_scale(e_tilde), gains multiplied by
-    it: that power of two is exact in floating point, so p and the heights
-    come back bit for bit, and the tolerances become scale-free.
+    anything else raises ValueError.  Every fill runs on energies divided
+    by energy_scale(e_tilde), gains multiplied by it: that power of two is
+    exact in floating point, so p and the heights come back bit for bit,
+    and the tolerances become scale-free.
 
-    guess, when given, is a boundary list in that same form, typically
-    this user's previous answer.  It is refilled once and returned as the
-    answer if it satisfies the KKT conditions (see _refill_guess);
-    otherwise the walk below runs as if no guess was given.  A malformed
-    guess raises ValueError.
-
-    The walk, the guess check and every fill read one list of inverse
-    gains, built per solve; a zero-gain slot's entry is the burn level (see
-    the module doc).  From each confirmed boundary a forward tube walk
+    The walk and every fill read one list of inverse gains, built per
+    solve; a zero-gain slot's entry is the burn level (see the module
+    doc).  From each confirmed boundary a forward tube walk
     (_close_segment) finds the next one, and that segment is filled once.
-    This is one solve of _ReducedProblem, the form sweeps hold per user.
+    This is one solve of a fresh _ReducedProblem, the form sweeps hold per
+    user to warm-start each solve from the last.
     """
-    problem = _ReducedProblem(e_tilde, battery_max, power_max)
-    if guess is not None:
-        problem.boundaries = _checked_boundaries(guess, len(problem.e_list))
-    return problem.solve(gain)
+    return _ReducedProblem(e_tilde, battery_max, power_max).solve(gain)
 
 
 def solve_single(env: UserEnv):

@@ -6,7 +6,7 @@ ReducedPolytope          one user's feasible set, wastage eliminated
 reduce_polytope          build it from a UserEnv
 induced_wastage          a concrete wastage schedule for a given p, if any
 kkt_certificate          one user's feasibility and exact gap on its own problem
-                         (its boundary list checked as solve_reduced's guess is)
+                         (its boundary list checked for solve_reduced's form)
 first_order_certificate  global check: the Frank-Wolfe duality gap, an upper
                          bound on f* - f(p), is within GAP_TOL_PER_SLOT*K
 DualCertificate          kkt_certificate's two conditions and their residuals
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FEAS_TOL, Scenario, UserEnv, cumulative_harvest, energy_scale
-from .single_user import _checked_boundaries
+from .single_user import BDP, BFP
 
 __all__ = [
     "GAP_TOL_PER_SLOT",
@@ -239,13 +239,30 @@ class DualCertificate:
     conditions: dict
 
 
+def _checked_boundaries(x, k_slots):
+    """x as a boundary list in solve_reduced's own output form, or ValueError."""
+    try:
+        x = [(int(slot), kind) for slot, kind in x]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"boundary list must hold (slot, kind) pairs: {exc}") from None
+    if not x or x[0] != (0, BDP):
+        raise ValueError("boundary list must start at (0, BDP)")
+    if x[-1][0] != k_slots:
+        raise ValueError(f"boundary list must end at slot {k_slots}")
+    if any(b <= a for (a, _), (b, _) in zip(x, x[1:])):
+        raise ValueError("boundary list slots must be strictly increasing")
+    if any(kind not in (BDP, BFP) for _, kind in x):
+        raise ValueError("boundary list kinds must be BDP or BFP")
+    return x
+
+
 def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
     """Certify p optimal for one user's own problem, max sum ln(1 + g p).
 
-    x, the solver's boundary list, is checked for form only, by the check
-    solve_reduced applies to a guess: a list that does not run from
-    (0, BDP) to slot K raises ValueError.  Conditions, each with its
-    residual:
+    x, the solver's boundary list, is checked for form only: a list of
+    (slot, kind) pairs that does not run from (0, BDP) to slot K through
+    strictly increasing slots of kind BDP or BFP raises ValueError.
+    Conditions, each with its residual:
       feasible     ReducedPolytope.contains(p) (its largest violation);
       duality-gap  the Frank-Wolfe gap of p under the gradient g / (1 + g p)
                    is at most GAP_TOL_PER_SLOT per slot (infinite for a

@@ -137,6 +137,43 @@ def test_run_experiment_bad_inputs():
         run_experiment(bad, trials=1)
 
 
+@pytest.mark.parametrize("config", [
+    dict(MINI, n_slots=2.9),            # used to run with K = 2
+    dict(MINI, n_users=True),           # used to run with one user
+    dict(MINI, harvest_mean="5"),       # used to load as a number
+    dict(MINI, battery_max="20"),
+    dict(MINI, power_max=None),
+    dict(MINI, trials=1.7),             # used to run one trial
+    dict(MINI, trials=True),
+    # a sweep value of another type, or a parameter no GenParams field
+    # (but seed) holds, used to escape as TypeError
+    dict(MINI, sweep={"param": "harvest_mean", "values": ["2"]}),
+    dict(MINI, sweep={"param": "harvest_mean", "values": [True]}),
+    dict(MINI, sweep={"param": "n_slots", "values": [3.0]}),
+    dict(MINI, sweep={"param": "seed", "values": [1]}),
+    dict(MINI, sweep={"param": "label", "values": [1.0]}),
+    dict(MINI, sweep={"param": "harvest_mean", "values": 3.0}),
+    dict(MINI, sweep=[3.0, 4.0]),
+    dict(MINI, policies="optimal greedy"),
+    dict(MINI, policies=["optimal", 1]),
+    [MINI],
+])
+def test_run_experiment_rejects_malformed_configs(config):
+    with pytest.raises(ValueError, match="malformed experiment config"):
+        run_experiment(config, trials=1)
+
+
+def test_cli_experiment_rejects_a_malformed_config(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(MINI, n_slots=2.9)))
+    out = tmp_path / "res.csv"
+    rc = cli_main(["experiment", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: malformed experiment config: "
+                                       "n_slots must be an integer, got 2.9\n")
+    assert not out.exists()
+
+
 def test_presets_well_formed():
     assert DEFAULT_TRIALS == 500
     for name, cfg in PRESETS.items():

@@ -73,11 +73,17 @@ def test_effective_gain_vector_matches_scalar():
     (np.zeros((2, 4)), 0),      # too many slots
     (np.zeros((2, 3)), -1),     # used to read user 1's gains
     (np.zeros((2, 3)), 2),
+    (np.zeros((2, 3)), True),   # used to index as a boolean mask
+    (np.zeros((2, 3)), 1.0),    # used to escape as IndexError
+    (np.zeros((2, 3)), 1.5),
 ])
 def test_effective_gain_rejects_bad_shape_or_user(p, n):
     sc = random_scenario(np.random.default_rng(2), 2, 3)
     with pytest.raises(ValueError, match="need p of shape"):
         effective_gain(sc, p, n)
+    # a numpy integer is a user like a Python one
+    assert effective_gain(sc, np.zeros((2, 3)), np.int64(1)).tobytes() == \
+        effective_gain(sc, np.zeros((2, 3)), 1).tobytes()
 
 
 def test_sweeps_build_no_user_env(monkeypatch):

@@ -23,6 +23,13 @@ def env_of(harvest, gain=None, bmax=100.0, pmax=100.0):
                    battery_max=bmax, power_max=pmax)
 
 
+def warm_solve(gain, e_tilde, bmax, pmax, guess):
+    # a prepared problem whose last answer had the boundary list guess
+    problem = su._ReducedProblem(e_tilde, bmax, pmax)
+    problem.boundaries = guess
+    return problem.solve(gain)
+
+
 # ---- optimal wastage ---------------------------------------------------------
 
 def test_optimal_wastage_overflow_case():
@@ -201,8 +208,8 @@ def test_guess_with_a_full_point_on_an_unbounded_battery_falls_back():
     cold = su.solve_reduced(env.gain, e_tilde, env.battery_max, env.power_max)
     for guess in ([(0, su.BDP), (1, su.BFP), (3, su.BDP)],
                   [(0, su.BDP), (1, su.BFP), (2, su.BFP), (3, su.BDP)]):
-        assert_same_solution(su.solve_reduced(env.gain, e_tilde, env.battery_max,
-                                              env.power_max, guess=guess), cold)
+        assert_same_solution(warm_solve(env.gain, e_tilde, env.battery_max,
+                                        env.power_max, guess), cold)
 
 
 def draw_fill_case(data, zeros=True):
@@ -353,15 +360,15 @@ def test_solve_single_passes_certificate(env, data):
     # warm starts from its own boundaries and from a stale guess, the
     # answer on other gains, both give the cold result
     e_tilde = su.effective_energy(env, d)
-    assert_same_solution(su.solve_reduced(env.gain, e_tilde, env.battery_max,
-                                          env.power_max, guess=x), (p, x, levels))
+    assert_same_solution(warm_solve(env.gain, e_tilde, env.battery_max,
+                                    env.power_max, x), (p, x, levels))
     k = env.num_slots
     other = UserEnv(env.harvest,
                     np.array(data.draw(st.lists(finite_gain, min_size=k, max_size=k))),
                     env.battery_max, env.power_max)
     _, _, stale, _ = su.solve_single(other)
-    assert_same_solution(su.solve_reduced(env.gain, e_tilde, env.battery_max,
-                                          env.power_max, guess=stale), (p, x, levels))
+    assert_same_solution(warm_solve(env.gain, e_tilde, env.battery_max,
+                                    env.power_max, stale), (p, x, levels))
 
 
 def assert_certified(env, p, d, x):
@@ -541,8 +548,8 @@ def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
             e_tilde = su.effective_energy(env, d)
             cold = su.solve_reduced(env.gain, e_tilde, env.battery_max, env.power_max)
             calls.clear()
-            warm = su.solve_reduced(env.gain, e_tilde, env.battery_max, env.power_max,
-                                    guess=cold[1])
+            warm = warm_solve(env.gain, e_tilde, env.battery_max, env.power_max,
+                              cold[1])
             assert_same_solution(warm, cold)
             assert len(calls) == len(cold[1]) - 1, c
 
@@ -557,8 +564,8 @@ def test_stale_guess_from_another_instance_gives_cold_result():
     for env, (p, d, x, levels) in zip(envs, answers):
         e_tilde = su.effective_energy(env, d)
         for _, _, stale, _ in answers:
-            warm = su.solve_reduced(env.gain, e_tilde, env.battery_max,
-                                    env.power_max, guess=stale)
+            warm = warm_solve(env.gain, e_tilde, env.battery_max,
+                              env.power_max, stale)
             assert_same_solution(warm, (p, x, levels))
 
 
@@ -583,8 +590,7 @@ def test_edge_case_guesses_match_cold_result(harvest, gain, bmax, pmax,
     guesses = [cold[1], [(0, su.BDP), (k, su.BDP)],
                [(0, su.BDP)] + [(t, su.BDP) for t in range(1, k + 1)]]
     for guess in guesses:
-        assert_same_solution(su.solve_reduced(env.gain, e_tilde, bmax, pmax,
-                                              guess=guess), cold)
+        assert_same_solution(warm_solve(env.gain, e_tilde, bmax, pmax, guess), cold)
         if falls_back:
             assert su._refill_guess([1.0 / g for g in env.gain], e_tilde.tolist(),
                                     bmax, pmax, guess) is None
@@ -642,12 +648,7 @@ def test_unreachable_e_tilde_raises(bmax, pmax, e_tilde):
     [(0, su.BDP), 4],
 ])
 def test_malformed_guess_raises(guess):
-    # one boundary-list check serves both of its callers
     env = env_of([3.0, 1.0, 4.0, 2.0], [1.0, 0.5, 2.0, 1.5], bmax=5.0, pmax=10.0)
-    d, _, _ = su.optimal_wastage(env)
-    with pytest.raises(ValueError, match="boundary list"):
-        su.solve_reduced(env.gain, su.effective_energy(env, d), env.battery_max,
-                         env.power_max, guess=guess)
     with pytest.raises(ValueError, match="boundary list"):
         kkt_certificate(env, np.zeros(4), guess)
 
@@ -656,7 +657,8 @@ def test_malformed_guess_raises(guess):
 @pytest.mark.parametrize("pmax", [3.0, math.inf])
 def test_prepared_solves_match_solve_reduced(bmax, pmax):
     # one problem solved for gains in turn, as a sweep does, answers each
-    # exactly as a cold solve_reduced and as one guessing the last answer
+    # exactly as a cold solve_reduced and as a fresh problem warm-started
+    # from the last answer
     rng = np.random.default_rng(33)
     for _ in range(8):
         k = int(rng.integers(1, 16))
@@ -671,9 +673,32 @@ def test_prepared_solves_match_solve_reduced(bmax, pmax):
             got = problem.solve(gain)
             assert_same_solution(got, su.solve_reduced(gain, e_tilde, bmax, pmax))
             if previous is not None:
-                assert_same_solution(got, su.solve_reduced(gain, e_tilde, bmax, pmax,
-                                                           guess=previous))
+                assert_same_solution(got, warm_solve(gain, e_tilde, bmax, pmax,
+                                                     previous))
             previous = got[1]
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_prepared_answers_end_at_a_depletion_point(data):
+    # the only boundary lists a prepared problem refills are its own
+    # answers': each runs from (0, BDP) to (K, BDP), with no BFP where the
+    # battery is unbounded, cold or warm-started on perturbed gains
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    harvest = data.draw(st.lists(finite_energy, min_size=k, max_size=k))
+    gain = np.array(data.draw(st.lists(finite_gain, min_size=k, max_size=k)))
+    bmax = data.draw(st.sampled_from([0.0, 5.0, math.inf]))
+    pmax = data.draw(st.sampled_from([3.0, math.inf]))
+    factors = data.draw(st.lists(st.floats(min_value=0.5, max_value=2.0),
+                                 min_size=k, max_size=k))
+    env = env_of(harvest, gain, bmax=bmax, pmax=pmax)
+    d, _, _ = su.optimal_wastage(env)
+    problem = su._ReducedProblem(su.effective_energy(env, d), bmax, pmax)
+    for g in (gain, gain * np.array(factors)):
+        _, x, _ = problem.solve(g)
+        assert x[0] == (0, su.BDP) and x[-1] == (k, su.BDP)
+        if bmax == math.inf:
+            assert all(kind == su.BDP for _, kind in x)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
