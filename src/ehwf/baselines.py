@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Scenario, UserEnv, cumulative_harvest
-from .single_user import _ReducedProblem, _clip_to_battery, optimal_wastage, solve_reduced
+from .single_user import (_ReducedProblem, _clip, _clip_to_battery, optimal_wastage,
+                          solve_reduced)
 from .mac import MacSolution, iterate_best_response
 
 __all__ = [
@@ -77,18 +78,21 @@ def iterative_modified_staircase(scenario: Scenario, max_iter: int = 50) -> MacS
     Each user's staircase problem (its budget, the running total of its
     harvest, with no cap and no battery limit) is prepared once per solve,
     and each sweep solves it for the new gains, warm-started from its
-    depletion points in the previous sweep, as solve_mac does.  Its fixed
-    point is not optimal, so the sweeps stop once the sum rate changes by
-    at most 1e-5 nats, or after max_iter.  The solution's d is the wastage of each
+    depletion points in the previous sweep, as solve_mac does.  The
+    staircase comes back as a list, and is clipped against the user's
+    harvest list, also built once per solve.  Its fixed point is not
+    optimal, so the sweeps stop once the sum rate changes by at most 1e-5
+    nats, or after max_iter.  The solution's d is the wastage of each
     user's last clipped response.
     """
-    envs = [scenario.user(n) for n in range(scenario.num_users)]
+    harvests = scenario.harvest.tolist()
+    bmax, cap = scenario.battery_max.tolist(), scenario.power_max.tolist()
     stairs = [_ReducedProblem(budget, np.inf, np.inf)
               for budget in cumulative_harvest(scenario.harvest)]
 
     def respond(n, gains):
         stair, _, _ = stairs[n].solve(gains)
-        p_n, d_n, _ = _clip_to_battery(envs[n], stair)
+        p_n, d_n, _ = _clip(harvests[n], bmax[n], cap[n], stair)
         return p_n, d_n
 
     return iterate_best_response(

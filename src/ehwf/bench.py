@@ -71,6 +71,13 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
+        # the types a config is held to (see _resolve_config); seed an integer
+        if not all(_is_count(getattr(self, k)) for k in _COUNT_FIELDS + ("seed",)):
+            raise ValueError(f"n_users, n_slots and seed must be integers, got "
+                             f"{self.n_users!r}, {self.n_slots!r} and {self.seed!r}")
+        if not all(_is_json_number(getattr(self, k)) for k in _ENERGY_FIELDS):
+            raise ValueError("harvest_mean, harvest_var, battery_max and power_max "
+                             "must be numbers")
         if self.n_users < 1 or self.n_slots < 1:
             raise ValueError("need at least one user and one slot")
         if not 0.0 <= self.harvest_mean < math.inf:

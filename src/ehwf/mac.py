@@ -11,9 +11,13 @@ MacSolution               schedules, trace, and convergence diagnostics
 Each user's subproblem against the others' fixed schedules is exactly the
 single-user problem with the gain replaced by the effective gain, so one
 sweep is N single-user solves, fed those gains with no UserEnv built.
+The sweeps take the gains from effective_gain's arithmetic,
+_effective_gain, and run its argument checks once per solve on their own
+schedule, whose shape never changes, and on each user.
 Only the gains change between sweeps: solve_mac prepares each user's
 reduced problem (single_user._ReducedProblem, the form solve_reduced
-solves once) a single time, with its budget and caps checked and scaled.
+solves once) a single time, with its budget and caps checked and scaled,
+and each solve hands back its schedule as a list.
 The sum rate never decreases across a best response, and at a fixed
 point the joint schedule is globally optimal; solve_mac prices the
 duality gap of every sweep's schedule, the one
@@ -38,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Scenario, sum_rate
+from .model import Scenario, _is_index, sum_rate
 # solve_reduced is imported only to keep the name ehwf.mac.solve_reduced,
 # which the benchmark's self-test wraps to check the tracer
 from .single_user import _ReducedProblem, effective_energy, optimal_wastage, solve_reduced
@@ -87,12 +91,21 @@ def effective_gain(scenario: Scenario, p, n: int):
     or numpy one, not a bool) in 0 .. N-1; anything else raises ValueError.
     """
     p = np.asarray(p, dtype=float)
-    if (p.shape != scenario.gain.shape or isinstance(n, bool)
-            or not isinstance(n, (int, np.integer)) or not 0 <= n < scenario.num_users):
+    _check_schedule_and_user(scenario, p, n)
+    return _effective_gain(scenario.gain, p, n)
+
+
+def _check_schedule_and_user(scenario: Scenario, p, n):
+    if p.shape != scenario.gain.shape or not _is_index(n, scenario.num_users):
         raise ValueError(f"need p of shape {scenario.gain.shape} and a user in "
                          f"0..{scenario.num_users - 1}, got {p.shape} and {n!r}")
-    interference = np.sum(p * scenario.gain, axis=0) - p[n] * scenario.gain[n]
-    return scenario.gain[n] / (1.0 + interference)
+
+
+def _effective_gain(gain, p, n):
+    # effective_gain on arguments already checked; np.add.reduce is np.sum's
+    # own reduction, without its dispatch
+    interference = np.add.reduce(p * gain, axis=0) - p[n] * gain[n]
+    return gain[n] / (1.0 + interference)
 
 
 def iterate_best_response(scenario: Scenario, responder, stop,
@@ -100,7 +113,8 @@ def iterate_best_response(scenario: Scenario, responder, stop,
     """Round-robin sweeps of a per-user responder until stop says so.
 
     responder(n, gains) takes a user and its effective gains against the
-    current schedule and returns that user's new (p_n, d_n) slot vectors;
+    current schedule and returns that user's new (p_n, d_n) slot vectors,
+    arrays or lists;
     the solution's d holds each user's wastage from its last response.
     Sweeps run in user-index order; the loop ends when stop(p, rate_gain)
     returns True (converged) or after max_iter sweeps.  stop gets the
@@ -113,14 +127,18 @@ def iterate_best_response(scenario: Scenario, responder, stop,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     p = np.zeros_like(scenario.harvest)
+    gain = scenario.gain
+    users = range(scenario.num_users)
+    for n in users:        # every (p, n) the sweeps pass; p changes in place only
+        _check_schedule_and_user(scenario, p, n)
     d = np.zeros_like(scenario.harvest)
     swept = np.zeros_like(scenario.harvest)
     trace = []
     v_prev = 0.0
     converged = False
     for sweep in range(max_iter):
-        for n in range(scenario.num_users):
-            p[n], d[n] = responder(n, effective_gain(scenario, p, n))
+        for n in users:
+            p[n], d[n] = responder(n, _effective_gain(gain, p, n))
         v = sum_rate(scenario, p)
         trace.append(v)
         if stop(p, v - v_prev):

@@ -208,7 +208,13 @@ class Scenario:
         return self.harvest.shape[1]
 
     def user(self, n: int) -> UserEnv:
-        """Slice out user n's data."""
+        """Slice out user n's data.
+
+        n must be an integer (a Python or numpy one, not a bool) in
+        0 .. N-1; anything else raises ValueError.
+        """
+        if not _is_index(n, self.num_users):
+            raise ValueError(f"need a user in 0..{self.num_users - 1}, got {n!r}")
         return UserEnv(self.harvest[n], self.gain[n],
                        float(self.battery_max[n]), float(self.power_max[n]))
 
@@ -295,6 +301,11 @@ def _cap_to_json(cap):
 
 def _cap_from_json(cap) -> float:
     return math.inf if cap is None else float(cap)
+
+
+def _is_index(n, size: int) -> bool:
+    # an integer, Python's or numpy's but not a bool, in 0 .. size-1
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 0 <= n < size
 
 
 def _is_json_number(x) -> bool:

@@ -5,7 +5,7 @@ Contents
 optimal_wastage        minimal-total-wastage forward recurrence
 effective_energy       cumulative harvest net of wastage
 water_fill_segment     capped water-filling at one constant level on a list of
-                       inverse gains; every segment fill calls it
+                       inverse gains: checks, then the fill every segment calls
 solve_reduced          forward tube walk on (gain, e_tilde, B, P) alone
 solve_single           the full pipeline: wastage, then boundary search
 
@@ -27,7 +27,7 @@ or falling after the full point that set the maximum (BFP), and at the
 horizon the segment ends where the minimum was last attained.
 
 The walk, every fill and the warm-start check read one list of inverse
-gains, built once per solve.  A zero-gain slot is
+gains, built and checked once per solve.  A zero-gain slot is
 just a slot at one finite burn level there, above every positive-gain
 slot's inverse gain plus its cap (or plus the whole budget, if smaller),
 so it draws only where nothing else can take the energy, and every slot
@@ -39,13 +39,18 @@ harvest, which the budget never exceeds, so a schedule the solver
 accepts is never held to a tighter tolerance by a checker.
 
 Every segment, whatever its length, is filled and checked by one helper,
-_fill_segment: its target energy, one water_fill_segment call on its
-slice of the inverse-gain list, and one pass, _segment_status, for
-feasibility and the warm-start margins; the target and the pass share
-one lookup of the budget before the segment.  No fill inverts a gain,
-and no caller inverts the water level a fill returns.  That level, and
-the walk's prefix levels, come from one level function: a sweep over the
-slots' sorted fill and saturation breakpoints that stops at the target.
+_fill_segment: its target energy, one _water_fill call on its slice of
+the inverse-gain list, and one pass, _segment_status, for feasibility
+and the warm-start margins; the target and the pass share one lookup of
+the budget before the segment.  _water_fill is the level, the draws and
+their residual correction, with no check of its own: the solve checked
+the list it slices, and the target is clamped into range.  Every segment
+fill calls _water_fill by name, and water_fill_segment, the checked
+public entry, calls it too, so the arithmetic has one copy.  No fill
+inverts a gain, and no caller inverts the water level a fill returns.
+That level, and the walk's prefix levels, come from one level function:
+a sweep over the slots' sorted fill and saturation breakpoints that
+stops at the target.
 That layer (fill, level, target, feasibility, warm-start check) runs on
 Python floats converted once per solve: its segments are a few slots
 long, where a numpy call costs more than its arithmetic.  Python's float
@@ -67,14 +72,17 @@ event.  The switch is a property of the walk, not an option or a size
 threshold: on a 3-5-slot segment one numpy call costs more than the whole
 Python walk, while over a long idle stretch one vectorised pass beats a
 Python loop over every slot.  Either phase sees the same bits, so where
-the switch falls never moves a boundary.
+the switch falls never moves a boundary.  With an unbounded battery the
+lower bound never moves, so neither phase draws at it or builds its
+arrays.
 
 solve_reduced(gain, e_tilde, B, P) is one solve of _ReducedProblem(e_tilde,
 B, P), which checks and scales the budget and the caps once and then
-solves for one gain vector after another.  Each solve first refills the
-segments of its own last answer once each and returns them untouched
-when they meet the KKT conditions of the reduced problem on the
-inverse-gain list, whose optimum is unique; otherwise it walks.
+solves for one gain vector after another; each solve returns its
+schedule as a list, which solve_reduced turns into an array.  Each solve
+first refills the segments of its own last answer once each and returns
+them untouched when they meet the KKT conditions of the reduced problem
+on the inverse-gain list, whose optimum is unique; otherwise it walks.
 Best-response sweeps hold one such problem per user, since only the
 effective gains change between sweeps, and the boundaries stop changing
 long before the sum rate does.
@@ -109,9 +117,14 @@ def _clip_to_battery(env: UserEnv, want):
     want is one number for every slot or a per-slot vector.  Returns
     (p, d, battery): consumption, wastage and end-of-slot battery level.
     """
-    bmax, cap = env.battery_max, env.power_max
     harvest = env.harvest.tolist()
     wants = want.tolist() if isinstance(want, np.ndarray) else [float(want)] * len(harvest)
+    p, d, battery = _clip(harvest, env.battery_max, env.power_max, wants)
+    return np.array(p), np.array(d), np.array(battery)
+
+
+def _clip(harvest, bmax, cap, wants):
+    """_clip_to_battery on lists of floats: (p, d, battery) lists."""
     p, d, battery = [], [], []
     level = 0.0
     for h, w in zip(harvest, wants):
@@ -125,7 +138,7 @@ def _clip_to_battery(env: UserEnv, want):
         p.append(p_k)
         d.append(d_k)
         battery.append(level)
-    return np.array(p), np.array(d), np.array(battery)
+    return p, d, battery
 
 
 def optimal_wastage(env: UserEnv):
@@ -157,27 +170,51 @@ def water_fill_segment(inv: list, target, cap):
     Solves sum_k clamp(L - inv_k, 0, cap) = target for the level L exactly
     (see _fill_level), inv a list of the slots' inverse gains; returns (p,
     L), p the list of draws clamp(L - inv_k, 0, cap), and L = 0.0 for a
-    zero target.  Every segment fill calls it by name.  A NaN, negative or
-    infinite entry, a NaN or infinite target, a NaN or negative cap, or a
-    target above len(inv) * cap raises ValueError.
+    zero target.  This is the checked entry to _water_fill, the fill every
+    segment of a solve calls by name on its slice of an inverse-gain list
+    the solve has checked once.  A NaN, negative or infinite entry, a NaN
+    or infinite target, a NaN or negative cap, or a target above len(inv) *
+    cap raises ValueError.
     """
     cap = float(cap)
     target = float(target)
     if not (cap >= 0.0 and -math.inf < target < math.inf):
         raise ValueError(f"water_fill_segment needs a finite target and a "
                          f"nonnegative cap, got target {target!r}, cap {cap!r}")
-    starts = sorted(inv)
-    total = sum(starts)     # NaN if an entry is; if none is, the ends bound them
-    if starts and not (0.0 <= starts[0] and starts[-1] < math.inf and total == total):
-        raise ValueError("water_fill_segment needs finite, nonnegative inverse gains")
-    if target <= 0.0:
-        return [0.0] * len(starts), 0.0
-    limit = len(starts) * cap
-    if not starts or target > limit + FEAS_TOL:
-        raise ValueError("target energy exceeds segment capacity")
-    target = limit if limit < target else target
+    _check_inverse_gains(inv)
+    if target > 0.0:
+        limit = len(inv) * cap
+        if len(inv) == 0 or target > limit + FEAS_TOL:
+            raise ValueError("target energy exceeds segment capacity")
+        target = limit if limit < target else target
+    return _water_fill(inv, target, cap)
 
-    level = _fill_level(starts, cap, target)
+
+def _finite_nonnegative(values) -> bool:
+    """Whether every entry of a list of floats is finite and nonnegative.
+
+    min and max may pass over a NaN, but the sum never does.
+    """
+    if len(values) == 0:
+        return True
+    total = sum(values)
+    return 0.0 <= min(values) and max(values) < math.inf and total == total
+
+
+def _check_inverse_gains(inv):
+    if not _finite_nonnegative(inv):
+        raise ValueError("water_fill_segment needs finite, nonnegative inverse gains")
+
+
+def _water_fill(inv, target, cap):
+    """water_fill_segment's (p, level) on inputs already checked.
+
+    inv is a list of finite, nonnegative inverse gains and cap a
+    nonnegative float; a target above 0.0 is at most len(inv) * cap.
+    """
+    if target <= 0.0:
+        return [0.0] * len(inv), 0.0
+    level = _fill_level(sorted(inv), cap, target)
     p = []
     for v in inv:
         x = level - v
@@ -261,10 +298,11 @@ def _fill_segment(inv, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
 
     The target is the budget over the segment, plus a full battery after a
     BFP start and less one before a BFP end, clamped to [0, (b-a) * P].
-    inv and e_tilde are lists of floats, inv the solve's inverse gains;
-    returns (p_segment list, level, feasible, settled): the level from
-    water_fill_segment, and feasible and settled from _segment_status.  A
-    zero-gain slot sits at the burn level, so it draws only once every
+    inv and e_tilde are lists of floats, inv the solve's inverse gains,
+    checked once per solve; returns (p_segment list, level, feasible,
+    settled): p and the level from one _water_fill call on inv's slice,
+    with no further check, and feasible and settled from _segment_status.
+    A zero-gain slot sits at the burn level, so it draws only once every
     positive-gain slot of the segment is capped: what the boundary
     condition forces through beyond their caps is burned evenly on the
     zero-gain slots, at no rate either way.
@@ -276,7 +314,7 @@ def _fill_segment(inv, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
     limit = (b - a) * power_max
     target = supply if supply < limit else limit    # max(0.0, min(limit, supply))
     target = target if target > 0.0 else 0.0
-    p_seg, level = water_fill_segment(inv[a:b], target, power_max)
+    p_seg, level = _water_fill(inv[a:b], target, power_max)
     feasible, settled = _segment_status(p_seg, e_seg, base, start, battery_max, power_max)
     return p_seg, level, feasible, settled
 
@@ -311,6 +349,11 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
     by bisection.  The switch depends on the walk alone: a walk that closes
     within a few slots never calls numpy, and a long idle stretch costs one
     pass per bound instead of a Python step per slot.
+
+    With B = inf every floor is -inf, so lo never moves from -inf, where
+    every prefix draws exactly 0.0: neither phase draws at lo or builds
+    the floors, and only a ceiling below 0.0 (a budget that falls below
+    its level at a) can still close the segment at lo's prefix 0.
     """
     start = battery_max if kind_a == BFP else 0.0
     base = e_list[a - 1] if a > 0 else 0.0
@@ -337,8 +380,10 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
 
     hi, hi_at, lo, lo_at = math.inf, n, -math.inf, 0
     at_hi = at_lo = 0.0
+    bounded = battery_max < math.inf    # else lo stays at -inf, where every draw is 0.0
     events = idle = 0
     upper = None            # the second phase's prefix bounds, once it starts
+    hits_lo = [n]           # the second phase's lo events: just the horizon if unbounded
     j = -1
     while True:
         if upper is None:
@@ -348,9 +393,10 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
                 x = hi - v
                 x = 0.0 if x < 0.0 else x
                 at_hi += power_max if power_max < x else x
-                x = lo - v
-                x = 0.0 if x < 0.0 else x
-                at_lo += power_max if power_max < x else x
+                if bounded:
+                    x = lo - v
+                    x = 0.0 if x < 0.0 else x
+                    at_lo += power_max if power_max < x else x
                 u = start + (e_list[a + j] - base)
                 l = u - battery_max
                 if not (at_hi >= u - FEAS_TOL or at_lo <= l + FEAS_TOL):
@@ -358,17 +404,21 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
                     if idle > events:
                         inv = inv[a:]
                         upper = start + (e_tilde[a:] - base)
-                        lower = upper - battery_max
-                        near_upper, near_lower = upper - FEAS_TOL, lower + FEAS_TOL
+                        near_upper = upper - FEAS_TOL
                         draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
-                        draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+                        if bounded:
+                            near_lower = upper - battery_max + FEAS_TOL
+                            draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
                     continue
                 events += 1
         else:
             j = min(hits_hi[bisect.bisect_right(hits_hi, j)],
                     hits_lo[bisect.bisect_right(hits_lo, j)])
             if j < n:
-                at_hi, at_lo, u, l = draw_hi[j], draw_lo[j], float(upper[j]), float(lower[j])
+                at_hi, u = draw_hi[j], float(upper[j])
+                l = u - battery_max
+                if bounded:
+                    at_lo = draw_lo[j]
         if j == n:
             return a + (hi_at if hi < math.inf else n), BDP
         if at_hi < l - FEAS_TOL:
@@ -467,7 +517,7 @@ class _ReducedProblem:
         if not e_tilde.size or e_tilde.shape != (e_tilde.size,):
             raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
                              f"e_tilde of shape {e_tilde.shape}")
-        if not all(0.0 <= v < math.inf for v in e_tilde.tolist()):
+        if not _finite_nonnegative(e_tilde.tolist()):
             raise ValueError("gain and e_tilde entries must be finite and nonnegative")
         try:
             bmax, cap = float(battery_max), float(power_max)
@@ -484,16 +534,17 @@ class _ReducedProblem:
         self.boundaries = None
 
     def solve(self, gain):
-        """solve_reduced's (p, boundaries, water_levels) for these gains."""
+        """solve_reduced's (p, boundaries, water_levels), with p a list of floats."""
         e_list, bmax, cap, scale = self.e_list, self.bmax, self.cap, self.scale
         k_slots = len(e_list)
         gain = _float_array(gain, "gain")
         if gain.shape != (k_slots,):
             raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
                              f"shapes {gain.shape} and {(k_slots,)}")
-        if not all(0.0 <= v < math.inf for v in gain.tolist()):
+        gains = gain.tolist()
+        if not _finite_nonnegative(gains):
             raise ValueError("gain and e_tilde entries must be finite and nonnegative")
-        gains = (gain * scale).tolist()
+        gains = [g * scale for g in gains]
         if min(gains) > GAIN_FLOOR:
             inv, burn = [1.0 / g for g in gains], math.inf
         else:
@@ -502,6 +553,7 @@ class _ReducedProblem:
             priced = [1.0 / g for g in gains if g > GAIN_FLOOR]
             burn = (max(priced) if priced else 0.0) + min(cap, e_list[-1]) + 1.0
             inv = [1.0 / g if g > GAIN_FLOOR else burn for g in gains]
+        _check_inverse_gains(inv)       # once for every fill's slice
         boundaries = self.boundaries
         warm = None if boundaries is None else _refill_guess(inv, e_list, bmax, cap,
                                                               boundaries)
@@ -526,7 +578,8 @@ class _ReducedProblem:
                 boundaries.append((b, kind_b))
                 levels.append(level)
             self.boundaries = boundaries
-        return (np.array(p) * scale, boundaries,
+        # scale is a power of two: these products are exact
+        return ([v * scale for v in p], boundaries,
                 [v * scale if v < burn else 0.0 for v in levels])
 
 
@@ -554,7 +607,8 @@ def solve_reduced(gain, e_tilde, battery_max, power_max):
     This is one solve of a fresh _ReducedProblem, the form sweeps hold per
     user to warm-start each solve from the last.
     """
-    return _ReducedProblem(e_tilde, battery_max, power_max).solve(gain)
+    p, boundaries, levels = _ReducedProblem(e_tilde, battery_max, power_max).solve(gain)
+    return np.array(p), boundaries, levels
 
 
 def solve_single(env: UserEnv):

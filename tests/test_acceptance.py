@@ -345,7 +345,7 @@ def test_criterion_9_gradient_and_fill_residuals(monkeypatch):
 
     # audit every level solve across a mixed solver workload
     records = []
-    original = ehwf.single_user.water_fill_segment
+    original = ehwf.single_user._water_fill
 
     def audited(inv, target_energy, power_max):
         p, level = original(inv, target_energy, power_max)
@@ -354,7 +354,7 @@ def test_criterion_9_gradient_and_fill_residuals(monkeypatch):
             records.append((target, abs(target - float(np.sum(p)))))
         return p, level
 
-    monkeypatch.setattr(ehwf.single_user, "water_fill_segment", audited)
+    monkeypatch.setattr(ehwf.single_user, "_water_fill", audited)
     for i in range(60):
         solve_single(_random_user(i, 30, seed=9000))
     for i in range(20):

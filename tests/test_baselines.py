@@ -11,7 +11,8 @@ from ehwf.baselines import (balanced_policy, greedy_policy,
 from ehwf.bench import GenParams, gen_scenario
 from ehwf.model import (Scenario, UserEnv, check_feasible, cumulative_harvest,
                         sum_rate)
-from ehwf.single_user import _clip_to_battery, optimal_wastage, solve_reduced
+from ehwf.mac import effective_gain
+from ehwf.single_user import _clip, _clip_to_battery, optimal_wastage, solve_reduced
 
 import _oracles
 from conftest import user_envs
@@ -64,7 +65,11 @@ def test_clipping_policies_match_the_builtin_clip_bit_for_bit(env):
     assert as_bytes((p, d, battery)) == as_bytes(ref(env, env.power_max))
     tau = float(env.harvest.sum()) / env.num_slots
     assert as_bytes(balanced_policy(env)) == as_bytes(ref(env, tau)[:2])
-    assert as_bytes(modified_staircase(env)) == as_bytes(ref(env, staircase_wf(env))[:2])
+    stair = staircase_wf(env)
+    assert as_bytes(modified_staircase(env)) == as_bytes(ref(env, stair)[:2])
+    # the sweeps' clip on lists, as iterative_modified_staircase calls it
+    got = _clip(env.harvest.tolist(), env.battery_max, env.power_max, stair.tolist())
+    assert as_bytes(map(np.array, got)) == as_bytes(ref(env, stair))
 
 
 def test_clip_keeps_the_builtin_tie_order():
@@ -75,6 +80,27 @@ def test_clip_keeps_the_builtin_tie_order():
     got = _clip_to_battery(env, want)
     ref = _oracles.clip_to_battery_reference(env, want)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+    got = _clip(env.harvest.tolist(), env.battery_max, env.power_max, want.tolist())
+    assert [np.array(a).tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+def test_staircase_sweeps_match_a_replay_on_arrays():
+    # each response, the prepared staircase list clipped against the harvest
+    # list, is bit for bit the reference clip of a cold solve_reduced array
+    # on the public effective gains, sweep after sweep
+    for seed in range(6):
+        sc = gen_scenario(GenParams(n_users=3, n_slots=10, harvest_mean=5.0 + seed,
+                                    harvest_var=3.5, battery_max=20.0,
+                                    power_max=15.0, seed=seed))
+        sol = iterative_modified_staircase(sc, max_iter=4)
+        p, d = np.zeros_like(sc.harvest), np.zeros_like(sc.harvest)
+        for _ in range(sol.iterations):
+            for n in range(sc.num_users):
+                stair, _, _ = solve_reduced(effective_gain(sc, p, n),
+                                            cumulative_harvest(sc.harvest[n]),
+                                            math.inf, math.inf)
+                p[n], d[n], _ = _oracles.clip_to_battery_reference(sc.user(n), stair)
+        assert p.tobytes() == sol.p.tobytes() and d.tobytes() == sol.d.tobytes()
 
 
 def test_balanced_policy_examples():

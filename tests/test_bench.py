@@ -59,6 +59,26 @@ def test_gen_params_validation():
                       battery_max=1.0, power_max=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_slots", 2.9),           # used to escape as numpy's TypeError
+    ("n_users", True),
+    ("n_users", "2"),
+    ("seed", 1.5),
+    ("seed", None),
+    ("battery_max", "20"),      # used to load as 20.0
+    ("power_max", True),
+    ("harvest_mean", None),
+    ("harvest_var", [1.0]),
+])
+def test_gen_params_rejects_a_field_of_the_wrong_type(field, value):
+    good = dict(n_users=2, n_slots=3, harvest_mean=1.0, harvest_var=1.0,
+                battery_max=1.0, power_max=1.0, seed=4)
+    with pytest.raises(ValueError, match="must be"):
+        GenParams(**dict(good, **{field: value}))
+    # numpy integers count, and an integer energy is a number
+    GenParams(**dict(good, n_users=np.int64(2), seed=np.uint64(4), battery_max=20))
+
+
 def test_gen_scenario_shapes_and_determinism():
     params = GenParams(n_users=5, n_slots=20, harvest_mean=5.0, harvest_var=3.5,
                        battery_max=20.0, power_max=15.0, seed=42)

@@ -86,6 +86,40 @@ def test_effective_gain_rejects_bad_shape_or_user(p, n):
         effective_gain(sc, np.zeros((2, 3)), 1).tobytes()
 
 
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
+def test_sweep_gains_match_effective_gain_bit_for_bit(n_users, k, data):
+    # the sweeps' unchecked helper is effective_gain's arithmetic, and both
+    # are the np.sum expression effective_gain computed before the helper
+    def rows(lo, hi):
+        floats = st.floats(min_value=lo, max_value=hi)
+        return np.array(data.draw(st.lists(st.lists(floats, min_size=k, max_size=k),
+                                           min_size=n_users, max_size=n_users)))
+
+    sc = scenario_of(np.ones((n_users, k)), rows(0.0, 1e3), np.full(n_users, 5.0),
+                     np.full(n_users, 5.0))
+    p = rows(0.0, 1e3)
+    for n in range(n_users):
+        want = sc.gain[n] / (1.0 + (np.sum(p * sc.gain, axis=0) - p[n] * sc.gain[n]))
+        assert mac._effective_gain(sc.gain, p, n).tobytes() == want.tobytes()
+        assert effective_gain(sc, p, n).tobytes() == want.tobytes()
+
+
+def test_sweeps_check_their_schedule_once_per_solve(monkeypatch):
+    # the sweeps run effective_gain's argument checks up front, once per
+    # user, and then call the unchecked helper for every response
+    checks, gains = [], []
+    check, helper = mac._check_schedule_and_user, mac._effective_gain
+    monkeypatch.setattr(mac, "_check_schedule_and_user",
+                        lambda *args: checks.append(args[2]) or check(*args))
+    monkeypatch.setattr(mac, "_effective_gain",
+                        lambda *args: gains.append(args[2]) or helper(*args))
+    sc = random_scenario(np.random.default_rng(13), 4, 12)
+    sol = solve_mac(sc)
+    assert sol.iterations > 1
+    assert checks == [0, 1, 2, 3]
+    assert gains == [0, 1, 2, 3] * sol.iterations
+
+
 def test_sweeps_build_no_user_env(monkeypatch):
     # a best response reads only the reduced problem: each solver builds at
     # most one UserEnv per user up front, however many sweeps it runs

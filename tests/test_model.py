@@ -163,6 +163,19 @@ def test_scenario_validation():
                  battery_max=[math.inf, math.inf], power_max=[math.inf, math.inf])
 
 
+@pytest.mark.parametrize("n", [-1, 2, True, False, 1.0, 1.5, np.int64(-1), "0", None])
+def test_scenario_user_rejects_a_bad_index(n):
+    # -1 used to return the last user; True escaped as TypeError, and 1.0
+    # or 2 as IndexError
+    sc = Scenario(harvest=[[1.0, 2.0], [3.0, 4.0]], gain=np.ones((2, 2)),
+                  battery_max=[5.0, 6.0], power_max=[7.0, 8.0])
+    with pytest.raises(ValueError, match=r"need a user in 0\.\.1"):
+        sc.user(n)
+    # a numpy integer is a user like a Python one
+    env = sc.user(np.int64(1))
+    assert env.harvest.tolist() == [3.0, 4.0] and env.battery_max == 6.0
+
+
 @pytest.mark.parametrize("bmax, pmax", [(0.0, 0.0), (0.0, 3.0), (4.0, 0.0)])
 def test_zero_caps_round_trip_and_certify(bmax, pmax):
     # B = 0 banks nothing between slots, P = 0 spends nothing

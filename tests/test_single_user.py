@@ -269,9 +269,9 @@ def test_list_fill_matches_array_fill_bit_for_bit(data):
 
 
 def test_long_fills_go_through_the_one_fill(monkeypatch):
-    # every segment fill, long ones included, is one water_fill_segment call
+    # every segment fill, long ones included, is one _water_fill call
     records = []
-    original = su.water_fill_segment
+    original = su._water_fill
 
     def audited(inv, target_energy, power_max):
         p, level = original(inv, target_energy, power_max)
@@ -280,7 +280,7 @@ def test_long_fills_go_through_the_one_fill(monkeypatch):
             records.append((len(inv), target, abs(target - math.fsum(p))))
         return p, level
 
-    monkeypatch.setattr(su, "water_fill_segment", audited)
+    monkeypatch.setattr(su, "_water_fill", audited)
     # a battery of 200 gives this K = 200 draw one 77-slot segment
     rng = np.random.default_rng(8000)
     k = 200
@@ -341,10 +341,11 @@ def test_solve_single_zero_battery_degenerates_to_slotwise():
 
 
 def assert_same_solution(got, want):
-    # bit for bit: the warm start may only skip work, never move an output
+    # bit for bit: the warm start may only skip work, never move an output;
+    # a prepared solve's p is a list, solve_reduced's an array
     p, x, levels = got
     p0, x0, levels0 = want
-    assert p.tobytes() == p0.tobytes()
+    assert np.asarray(p, dtype=float).tobytes() == np.asarray(p0, dtype=float).tobytes()
     assert x == x0
     assert levels == levels0
 
@@ -508,6 +509,9 @@ def dense_envs(draw, max_slots=200):
 @example(env_of([3.0, 3.0, 3.0], bmax=10.0, pmax=3.0))
 # slot 1 fills the battery: lo's prefix draws its floor 10.0 - 2.0 exactly
 @example(env_of([10.0, 0.0, 0.0, 4.0], [1.0, 1.0, 0.5, 1.0], bmax=2.0, pmax=math.inf))
+# an unbounded battery keeps no lower bound, in the numpy phase as well:
+# every slot is a depletion point and every walk crosses the horizon idle
+@example(env_of(np.linspace(1.0, 2.0, 40) ** 2, bmax=math.inf, pmax=math.inf))
 def test_walk_matches_the_numpy_reference_walk(env):
     # from every boundary the cold solve confirms, the two-phase walk closes
     # the segment where the earlier all-numpy walk does; short segments
@@ -526,17 +530,31 @@ def test_walk_matches_the_numpy_reference_walk(env):
         su.solve_single(env)
 
 
+@pytest.mark.parametrize("pmax", [3.0, math.inf])
+def test_unbounded_walk_still_closes_below_its_zero_floor(pmax):
+    # with B = inf the walk drops its lower bound, whose draws are all 0.0,
+    # but a prefix ceiling below that floor still closes the segment at
+    # once, as a BFP, where the reference walk does; here after an idle
+    # stretch, in the numpy phase
+    e_tilde = [5.0, 6.0, 8.0, 11.0, 15.0, 20.0, 26.0, 4.0]
+    inv = [1.0] * len(e_tilde)
+    args = (np.array(inv), np.array(e_tilde))
+    want = _oracles.close_segment_reference(*args, math.inf, pmax, 1, su.BDP)
+    assert want == (1, su.BFP)
+    assert su._close_segment(*args, inv, e_tilde, math.inf, pmax, 1, su.BDP) == want
+
+
 def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
     # the guess is checked in the walk's own units: energies times c and
     # gains over c accept it exactly as at unit scale
     calls = []
-    original = su.water_fill_segment
+    original = su._water_fill
 
     def counted(*args):
         calls.append(len(args[0]))
         return original(*args)
 
-    monkeypatch.setattr(su, "water_fill_segment", counted)
+    monkeypatch.setattr(su, "_water_fill", counted)
     rng = np.random.default_rng(31)
     for _ in range(40):
         k = int(rng.integers(1, 40))
@@ -636,6 +654,16 @@ def test_unreachable_e_tilde_raises(bmax, pmax, e_tilde):
         su.solve_reduced([1.0, 1.0], e_tilde, bmax, pmax)
 
 
+@pytest.mark.parametrize("pmax", [0.0, 1.0, math.inf])
+def test_falling_e_tilde_is_reachable_on_an_unbounded_battery(pmax):
+    # the falling budget above has no schedule with B = 0; with B = inf the
+    # floor e_k - B never rises past 0, so spending nothing more than the
+    # budget's minimum meets it, and the solve does
+    p, x, _ = su.solve_reduced([1.0, 1.0, 1.0], [3.0, 2.0, 1.0], math.inf, pmax)
+    assert x == [(0, su.BDP), (3, su.BDP)]
+    assert p.tolist() == ([0.0] * 3 if pmax == 0.0 else [1.0 / 3.0] * 3)
+
+
 @pytest.mark.parametrize("guess", [
     [],
     [(1, su.BDP), (4, su.BDP)],
@@ -671,6 +699,7 @@ def test_prepared_solves_match_solve_reduced(bmax, pmax):
         for gain in (base, base * 1.01, np.zeros(k), base * (rng.random(k) > 0.3),
                      base * rng.uniform(0.5, 2.0, k), base):
             got = problem.solve(gain)
+            assert type(got[0]) is list and all(type(v) is float for v in got[0])
             assert_same_solution(got, su.solve_reduced(gain, e_tilde, bmax, pmax))
             if previous is not None:
                 assert_same_solution(got, warm_solve(gain, e_tilde, bmax, pmax,
