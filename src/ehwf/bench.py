@@ -23,13 +23,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import iterative_modified_staircase, non_iterative_multiuser
+from .baselines import _POLICIES, iterative_modified_staircase, non_iterative_multiuser
 from .mac import solve_mac
-from .model import Scenario, _is_json_number, sum_rate
+from .model import Scenario, _is_integer, _is_json_number, sum_rate
 from .verify import first_order_certificate, kkt_certificate
 
 __all__ = [
@@ -46,21 +46,22 @@ RESULT_COLUMNS = ("scenario_id", "seed", "policy", "sum_rate_nats",
                   "iterations", "wall_time_ms")
 TRACE_COLUMNS = ("scenario_id", "iteration", "sum_rate_nats")
 
-_ITERATIVE_POLICIES = ("optimal", "staircase-iter")
-_SINGLE_SHOT_POLICIES = ("greedy", "balanced", "staircase")
-POLICIES = _ITERATIVE_POLICIES[:1] + _SINGLE_SHOT_POLICIES + _ITERATIVE_POLICIES[1:]
+# the iterative optimum, the single-shot baselines, the iterative staircase
+POLICIES = ("optimal", *_POLICIES, "staircase-iter")
 
 _SWEEP_SHORT = {"harvest_var": "v", "harvest_mean": "m",
                 "battery_max": "B", "power_max": "P"}
 
-# the GenParams fields a config sets, every one but seed, by JSON type
-_COUNT_FIELDS = ("n_users", "n_slots")
-_ENERGY_FIELDS = ("harvest_mean", "harvest_var", "battery_max", "power_max")
-
 
 @dataclass(frozen=True)
 class GenParams:
-    """Parameters of one random instance; identical limits for all users."""
+    """Parameters of one random instance; identical limits for all users.
+
+    The one statement of a config's field rules: an int field takes a
+    Python or numpy integer, a float field any number (neither takes a
+    bool); anything else, or a value out of range, raises ValueError
+    naming the field.
+    """
 
     n_users: int
     n_slots: int
@@ -71,19 +72,25 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
-        # the types a config is held to (see _resolve_config); seed an integer
-        if not all(_is_count(getattr(self, k)) for k in _COUNT_FIELDS + ("seed",)):
-            raise ValueError(f"n_users, n_slots and seed must be integers, got "
-                             f"{self.n_users!r}, {self.n_slots!r} and {self.seed!r}")
-        if not all(_is_json_number(getattr(self, k)) for k in _ENERGY_FIELDS):
-            raise ValueError("harvest_mean, harvest_var, battery_max and power_max "
-                             "must be numbers")
+        # the annotations are the rules: under `from __future__ import
+        # annotations` they are the strings "int" and "float"
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_integer(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_json_number(value):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if self.n_users < 1 or self.n_slots < 1:
-            raise ValueError("need at least one user and one slot")
+            raise ValueError(f"n_users and n_slots must be at least 1, got "
+                             f"{self.n_users!r} and {self.n_slots!r}")
         if not 0.0 <= self.harvest_mean < math.inf:
             raise ValueError("harvest_mean must be finite and nonnegative")
         if not 0.0 < self.harvest_var < math.inf:
             raise ValueError("harvest_var must be finite and positive")
+
+
+# the fields a config sets: every GenParams field but seed
+_CONFIG_FIELDS = tuple(f.name for f in fields(GenParams) if f.name != "seed")
 
 
 def truncated_gaussian(mean: float, var: float, rng, size=None):
@@ -188,21 +195,14 @@ class ExperimentResult:
     traces: tuple
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RESULT_COLUMNS)
-            for row in self.rows:
-                writer.writerow([row["scenario_id"], row["seed"], row["policy"],
-                                 f"{row['sum_rate_nats']:.9g}",
-                                 row["iterations"],
-                                 f"{row['wall_time_ms']:.9g}"])
+        _write_csv(path, RESULT_COLUMNS,
+                   ([row["scenario_id"], row["seed"], row["policy"],
+                     f"{row['sum_rate_nats']:.9g}", row["iterations"],
+                     f"{row['wall_time_ms']:.9g}"] for row in self.rows))
 
     def write_trace_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for sid, iteration, value in self.traces:
-                writer.writerow([sid, iteration, f"{value:.9g}"])
+        _write_csv(path, TRACE_COLUMNS,
+                   ([sid, iteration, f"{value:.9g}"] for sid, iteration, value in self.traces))
 
     def mean_sum_rate(self, policy: str, sweep_value) -> float:
         vals = [row["sum_rate_nats"] for row in self.rows
@@ -210,6 +210,13 @@ class ExperimentResult:
         if not vals:
             raise KeyError(f"no rows for {policy!r} at {sweep_value!r}")
         return float(np.mean(vals))
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _trial_seed(root_seed: int, trial: int) -> int:
@@ -234,11 +241,11 @@ def _run_policy(policy: str, scenario: Scenario, max_iter: int | None = None):
     return sol.p, sol.iterations, sol
 
 
-def _run_cell(base, sweep_param, value, trial, root_seed, policies, label):
-    """All policies for one (sweep value, trial) cell."""
+def _run_cell(params, sweep_param, trial, root_seed, policies, label):
+    """All policies for one (sweep value, trial) cell; params holds the value."""
     seed = _trial_seed(root_seed, trial)
-    params = replace(base, **{sweep_param: value}, seed=seed)
-    scenario = gen_scenario(params)
+    scenario = gen_scenario(replace(params, seed=seed))
+    value = getattr(params, sweep_param)
     sid = f"{label}-{_SWEEP_SHORT.get(sweep_param, sweep_param)}{value:g}-t{trial:03d}"
     rows, traces = [], []
     for policy in policies:
@@ -255,23 +262,17 @@ def _run_cell(base, sweep_param, value, trial, root_seed, policies, label):
     return rows, traces
 
 
-def _is_count(x) -> bool:
-    # an integer, Python's or numpy's, but not a bool
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _malformed(what: str) -> ValueError:
     return ValueError(f"malformed experiment config: {what}")
 
 
 def _resolve_config(config) -> dict:
-    """The preset of that name, or the config dict given, checked.
+    """The preset of that name, or the config dict given, checked in outline.
 
-    An unknown preset or a missing key raises KeyError.  Counts must be
-    integers, the energy fields numbers (neither a bool nor a string),
-    sweep.param a GenParams field other than seed, its values of that
-    field's type, and policies a list of names; anything else raises
-    ValueError.
+    An unknown preset or a missing key raises KeyError.  sweep must map
+    param, a GenParams field other than seed, to a list of values, trials
+    (if set) be an integer and policies a list of POLICIES names; anything
+    else raises ValueError.  The fields are GenParams' to check.
     """
     if isinstance(config, str):
         if config not in PRESETS:
@@ -281,31 +282,23 @@ def _resolve_config(config) -> dict:
     if not isinstance(config, dict):
         raise _malformed(f"expected an object, got {type(config).__name__}")
     cfg = dict(config)
-    required = ("label",) + _COUNT_FIELDS + _ENERGY_FIELDS + ("sweep", "policies")
+    required = ("label",) + _CONFIG_FIELDS + ("sweep", "policies")
     missing = [k for k in required if k not in cfg]
     sweep = cfg.get("sweep")
     if isinstance(sweep, dict):
         missing += [f"sweep.{k}" for k in ("param", "values") if k not in sweep]
     if missing:
         raise KeyError(f"config is missing {', '.join(missing)}")
-    for k in _COUNT_FIELDS + ("trials",):
-        if k in cfg and not _is_count(cfg[k]):
-            raise _malformed(f"{k} must be an integer, got {cfg[k]!r}")
-    for k in _ENERGY_FIELDS:
-        if not _is_json_number(cfg[k]):
-            raise _malformed(f"{k} must be a number, got {cfg[k]!r}")
-    if not isinstance(sweep, dict):
-        raise _malformed("sweep must map param and values")
-    param, values = sweep["param"], sweep["values"]
-    if param not in _COUNT_FIELDS + _ENERGY_FIELDS:
-        raise _malformed(f"sweep.param must be one of "
-                         f"{', '.join(_COUNT_FIELDS + _ENERGY_FIELDS)}, got {param!r}")
-    of_type = _is_count if param in _COUNT_FIELDS else _is_json_number
-    if not (isinstance(values, (list, tuple)) and all(map(of_type, values))):
-        raise _malformed(f"sweep.values must be a list of {param} values, got {values!r}")
+    if not (isinstance(sweep, dict) and sweep["param"] in _CONFIG_FIELDS
+            and isinstance(sweep["values"], (list, tuple))):
+        raise _malformed(f"sweep must map param, one of {', '.join(_CONFIG_FIELDS)}, "
+                         f"to a list of values, got {sweep!r}")
+    if "trials" in cfg and not _is_integer(cfg["trials"]):
+        raise _malformed(f"trials must be an integer, got {cfg['trials']!r}")
     policies = cfg["policies"]
-    if not (isinstance(policies, (list, tuple)) and all(isinstance(p, str) for p in policies)):
-        raise _malformed(f"policies must be a list of names, got {policies!r}")
+    if not (isinstance(policies, (list, tuple)) and all(p in POLICIES for p in policies)):
+        raise _malformed(f"policies must be a list of {', '.join(POLICIES)}, "
+                         f"got {policies!r}")
     return cfg
 
 
@@ -313,39 +306,37 @@ def run_experiment(config, trials: int | None = None,
                    seed: int = 0) -> ExperimentResult:
     """Run a preset (by name) or an explicit config dict.
 
-    trials and seed override anything in the config.  Per trial, the same
-    derived seed feeds every sweep value, so curves differ only through
-    the swept parameter.
+    trials and seed override anything in the config.  Every sweep value's
+    GenParams is built first: a field it rejects raises "malformed
+    experiment config: " and its message before any instance is drawn.
+    Per trial, the same derived seed feeds every sweep value, so curves
+    differ only through the swept parameter.
     """
     cfg = _resolve_config(config)
     if trials is None:
         trials = cfg.get("trials", DEFAULT_TRIALS)
-    elif not _is_count(trials):
+    elif not _is_integer(trials):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     sweep_param = cfg["sweep"]["param"]
-    sweep_values = list(cfg["sweep"]["values"])
-    policies = list(cfg["policies"])
-    unknown = [pol for pol in policies if pol not in POLICIES]
-    if unknown:
-        raise ValueError(f"unknown policies: {', '.join(unknown)}")
-    base = GenParams(n_users=cfg["n_users"], n_slots=cfg["n_slots"],
-                     harvest_mean=float(cfg["harvest_mean"]),
-                     harvest_var=float(cfg["harvest_var"]),
-                     battery_max=float(cfg["battery_max"]),
-                     power_max=float(cfg["power_max"]))
+    sweep_values = tuple(cfg["sweep"]["values"])
+    policies = tuple(cfg["policies"])
+    try:
+        base = GenParams(**{k: cfg[k] for k in _CONFIG_FIELDS})
+        cells = [replace(base, **{sweep_param: value}) for value in sweep_values]
+    except ValueError as exc:
+        raise _malformed(str(exc)) from exc
 
     rows, traces = [], []
-    for value in sweep_values:
+    for params in cells:
         for trial in range(trials):
-            cell_rows, cell_traces = _run_cell(base, sweep_param, value, trial,
+            cell_rows, cell_traces = _run_cell(params, sweep_param, trial,
                                                seed, policies, cfg["label"])
             rows.extend(cell_rows)
             traces.extend(cell_traces)
     return ExperimentResult(label=cfg["label"], sweep_param=sweep_param,
-                            sweep_values=tuple(sweep_values),
-                            policies=tuple(policies),
+                            sweep_values=sweep_values, policies=policies,
                             rows=tuple(rows), traces=tuple(traces))
 
 

@@ -12,8 +12,8 @@ Each user's subproblem against the others' fixed schedules is exactly the
 single-user problem with the gain replaced by the effective gain, so one
 sweep is N single-user solves, fed those gains with no UserEnv built.
 The sweeps take the gains from effective_gain's arithmetic,
-_effective_gain, and run its argument checks once per solve on their own
-schedule, whose shape never changes, and on each user.
+_effective_gain, and check nothing: the schedule is their own, of the
+scenario's shape from the start, and the users are 0 .. N-1.
 Only the gains change between sweeps: solve_mac prepares each user's
 reduced problem (single_user._ReducedProblem, the form solve_reduced
 solves once) a single time, with its budget and caps checked and scaled,
@@ -91,19 +91,15 @@ def effective_gain(scenario: Scenario, p, n: int):
     or numpy one, not a bool) in 0 .. N-1; anything else raises ValueError.
     """
     p = np.asarray(p, dtype=float)
-    _check_schedule_and_user(scenario, p, n)
-    return _effective_gain(scenario.gain, p, n)
-
-
-def _check_schedule_and_user(scenario: Scenario, p, n):
     if p.shape != scenario.gain.shape or not _is_index(n, scenario.num_users):
         raise ValueError(f"need p of shape {scenario.gain.shape} and a user in "
                          f"0..{scenario.num_users - 1}, got {p.shape} and {n!r}")
+    return _effective_gain(scenario.gain, p, n)
 
 
 def _effective_gain(gain, p, n):
-    # effective_gain on arguments already checked; np.add.reduce is np.sum's
-    # own reduction, without its dispatch
+    # effective_gain unchecked, for the sweeps' own p and users; np.add.reduce
+    # is np.sum's own reduction, without its dispatch
     interference = np.add.reduce(p * gain, axis=0) - p[n] * gain[n]
     return gain[n] / (1.0 + interference)
 
@@ -122,15 +118,14 @@ def iterate_best_response(scenario: Scenario, responder, stop,
     previous sweep's (on sweep 1, less the all-zero schedule's 0).
     step(p_prev, p, rate), if given, runs between sweeps (never after the
     last) on the last two sweeps' results and the latter's rate, and may
-    move p in place.
+    move p in place.  The gains skip effective_gain's checks: p and the
+    users are the loop's own.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     p = np.zeros_like(scenario.harvest)
     gain = scenario.gain
     users = range(scenario.num_users)
-    for n in users:        # every (p, n) the sweeps pass; p changes in place only
-        _check_schedule_and_user(scenario, p, n)
     d = np.zeros_like(scenario.harvest)
     swept = np.zeros_like(scenario.harvest)
     trace = []

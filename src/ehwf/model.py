@@ -266,14 +266,14 @@ class Scenario:
                 raise TypeError("battery_max and power_max must be numbers or null")
             if len(users) != n:
                 raise ValueError(f"scenario declares {n} users but lists {len(users)}")
-            if n == 0:
-                raise ValueError("a scenario needs at least one user, got 0")
             if any(len(row) != k for row in rows):
                 raise ValueError("user vectors do not match the declared num_slots")
-            # a JSON integer past float range overflows here
+            # a JSON integer past float range overflows here; shaped (n, k),
+            # no users (with any num_slots) meet Scenario's own check
+            shape = (n, max(k, 0))
             return cls(
-                harvest=np.array(fields["harvest"], dtype=float),
-                gain=np.array(fields["gain"], dtype=float),
+                harvest=np.array(fields["harvest"], dtype=float).reshape(shape),
+                gain=np.array(fields["gain"], dtype=float).reshape(shape),
                 battery_max=np.array([_cap_from_json(c) for c in fields["battery_max"]]),
                 power_max=np.array([_cap_from_json(c) for c in fields["power_max"]]),
             )
@@ -303,9 +303,14 @@ def _cap_from_json(cap) -> float:
     return math.inf if cap is None else float(cap)
 
 
+def _is_integer(x) -> bool:
+    # an integer, Python's or numpy's, but not a bool
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _is_index(n, size: int) -> bool:
-    # an integer, Python's or numpy's but not a bool, in 0 .. size-1
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 0 <= n < size
+    # an integer in 0 .. size-1
+    return _is_integer(n) and 0 <= n < size
 
 
 def _is_json_number(x) -> bool:

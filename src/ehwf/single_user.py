@@ -27,11 +27,12 @@ or falling after the full point that set the maximum (BFP), and at the
 horizon the segment ends where the minimum was last attained.
 
 The walk, every fill and the warm-start check read one list of inverse
-gains, built and checked once per solve.  A zero-gain slot is
-just a slot at one finite burn level there, above every positive-gain
-slot's inverse gain plus its cap (or plus the whole budget, if smaller),
-so it draws only where nothing else can take the energy, and every slot
-has a positive gain: the problem's optimum is unique.  The walk and the
+gains, built once per solve from checked gains and so finite and
+nonnegative.  A zero-gain slot is just a slot at one finite burn level
+there, above every positive-gain slot's inverse gain plus its cap (or
+plus the whole budget, if smaller), so it draws only where nothing else
+can take the energy, and every slot has a positive gain: the problem's
+optimum is unique.  The walk and the
 warm-start check run on energies divided by model.energy_scale of the
 budget, so their FEAS_TOL comparisons mean the same at any scale.  The
 checkers in model and verify take the same scale of the cumulative
@@ -43,8 +44,8 @@ _fill_segment: its target energy, one _water_fill call on its slice of
 the inverse-gain list, and one pass, _segment_status, for feasibility
 and the warm-start margins; the target and the pass share one lookup of
 the budget before the segment.  _water_fill is the level, the draws and
-their residual correction, with no check of its own: the solve checked
-the list it slices, and the target is clamped into range.  Every segment
+their residual correction, with no check of its own: the list it slices
+needs none, and the target is clamped into range.  Every segment
 fill calls _water_fill by name, and water_fill_segment, the checked
 public entry, calls it too, so the arithmetic has one copy.  No fill
 inverts a gain, and no caller inverts the water level a fill returns.
@@ -172,16 +173,17 @@ def water_fill_segment(inv: list, target, cap):
     L), p the list of draws clamp(L - inv_k, 0, cap), and L = 0.0 for a
     zero target.  This is the checked entry to _water_fill, the fill every
     segment of a solve calls by name on its slice of an inverse-gain list
-    the solve has checked once.  A NaN, negative or infinite entry, a NaN
-    or infinite target, a NaN or negative cap, or a target above len(inv) *
-    cap raises ValueError.
+    the solve built.  A NaN, negative or infinite entry, a NaN or infinite
+    target, a NaN or negative cap, or a target above len(inv) * cap raises
+    ValueError.
     """
     cap = float(cap)
     target = float(target)
     if not (cap >= 0.0 and -math.inf < target < math.inf):
         raise ValueError(f"water_fill_segment needs a finite target and a "
                          f"nonnegative cap, got target {target!r}, cap {cap!r}")
-    _check_inverse_gains(inv)
+    if not _finite_nonnegative(inv):
+        raise ValueError("water_fill_segment needs finite, nonnegative inverse gains")
     if target > 0.0:
         limit = len(inv) * cap
         if len(inv) == 0 or target > limit + FEAS_TOL:
@@ -199,11 +201,6 @@ def _finite_nonnegative(values) -> bool:
         return True
     total = sum(values)
     return 0.0 <= min(values) and max(values) < math.inf and total == total
-
-
-def _check_inverse_gains(inv):
-    if not _finite_nonnegative(inv):
-        raise ValueError("water_fill_segment needs finite, nonnegative inverse gains")
 
 
 def _water_fill(inv, target, cap):
@@ -298,10 +295,10 @@ def _fill_segment(inv, e_tilde, battery_max, power_max, a, kind_a, b, kind_b):
 
     The target is the budget over the segment, plus a full battery after a
     BFP start and less one before a BFP end, clamped to [0, (b-a) * P].
-    inv and e_tilde are lists of floats, inv the solve's inverse gains,
-    checked once per solve; returns (p_segment list, level, feasible,
-    settled): p and the level from one _water_fill call on inv's slice,
-    with no further check, and feasible and settled from _segment_status.
+    inv and e_tilde are lists of floats, inv the solve's inverse gains;
+    returns (p_segment list, level, feasible, settled): p and the level from
+    one unchecked _water_fill call on inv's slice, and feasible and settled
+    from _segment_status.
     A zero-gain slot sits at the burn level, so it draws only once every
     positive-gain slot of the segment is capped: what the boundary
     condition forces through beyond their caps is burned evenly on the
@@ -553,7 +550,8 @@ class _ReducedProblem:
             priced = [1.0 / g for g in gains if g > GAIN_FLOOR]
             burn = (max(priced) if priced else 0.0) + min(cap, e_list[-1]) + 1.0
             inv = [1.0 / g if g > GAIN_FLOOR else burn for g in gains]
-        _check_inverse_gains(inv)       # once for every fill's slice
+        # no check: 1/g is finite for every g > GAIN_FLOOR (0.0 past float
+        # range), and burn, at most float max + ~1.5 K + 1, rounds to finite
         boundaries = self.boundaries
         warm = None if boundaries is None else _refill_guess(inv, e_list, bmax, cap,
                                                               boundaries)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ehwf.bench as bench
 from ehwf.bench import (DEFAULT_TRIALS, PRESETS, RESULT_COLUMNS, TRACE_COLUMNS,
                         GenParams, cli_main, gen_scenario, run_experiment,
                         truncated_gaussian)
@@ -176,11 +177,25 @@ def test_run_experiment_bad_inputs():
     dict(MINI, sweep=[3.0, 4.0]),
     dict(MINI, policies="optimal greedy"),
     dict(MINI, policies=["optimal", 1]),
+    dict(MINI, policies=["optimal", "oracle"]),     # used to raise "unknown policies"
     [MINI],
 ])
 def test_run_experiment_rejects_malformed_configs(config):
     with pytest.raises(ValueError, match="malformed experiment config"):
         run_experiment(config, trials=1)
+
+
+def test_a_bad_sweep_value_fails_before_any_instance_is_drawn(monkeypatch):
+    # every sweep value's GenParams is built before the first cell runs
+    drawn = []
+    original = bench.gen_scenario
+    monkeypatch.setattr(bench, "gen_scenario",
+                        lambda params: drawn.append(params) or original(params))
+    config = dict(MINI, sweep={"param": "harvest_var", "values": [3.5, 0.0]})
+    with pytest.raises(ValueError, match="^malformed experiment config: "
+                                         "harvest_var must be finite and positive$"):
+        run_experiment(config, trials=2)
+    assert drawn == []
 
 
 def test_cli_experiment_rejects_a_malformed_config(tmp_path, capsys):

@@ -104,19 +104,16 @@ def test_sweep_gains_match_effective_gain_bit_for_bit(n_users, k, data):
         assert effective_gain(sc, p, n).tobytes() == want.tobytes()
 
 
-def test_sweeps_check_their_schedule_once_per_solve(monkeypatch):
-    # the sweeps run effective_gain's argument checks up front, once per
-    # user, and then call the unchecked helper for every response
-    checks, gains = [], []
-    check, helper = mac._check_schedule_and_user, mac._effective_gain
-    monkeypatch.setattr(mac, "_check_schedule_and_user",
-                        lambda *args: checks.append(args[2]) or check(*args))
+def test_sweeps_take_each_response_gain_from_the_unchecked_helper(monkeypatch):
+    # every response of every sweep gets its gains from one call of the
+    # unchecked helper, users in index order
+    gains = []
+    helper = mac._effective_gain
     monkeypatch.setattr(mac, "_effective_gain",
                         lambda *args: gains.append(args[2]) or helper(*args))
     sc = random_scenario(np.random.default_rng(13), 4, 12)
     sol = solve_mac(sc)
     assert sol.iterations > 1
-    assert checks == [0, 1, 2, 3]
     assert gains == [0, 1, 2, 3] * sol.iterations
 
 

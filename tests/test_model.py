@@ -248,8 +248,9 @@ def test_zero_users_rejected():
     # with a shape error about num_slots
     with pytest.raises(ValueError, match="at least one user"):
         Scenario(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), np.zeros(0))
-    with pytest.raises(ValueError, match="at least one user"):
-        Scenario.from_json('{"num_users": 0, "num_slots": 3, "users": []}')
+    for k in (3, -1):
+        with pytest.raises(ValueError, match="at least one user"):
+            Scenario.from_json(f'{{"num_users": 0, "num_slots": {k}, "users": []}}')
 
 
 OVERFLOW = ('{"num_users": 1, "num_slots": 2, "users": [{"harvest": [1e308, 1e308], '

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ehwf.single_user as su
-from ehwf.model import (Scenario, UserEnv, check_feasible, cumulative_harvest,
-                        energy_scale)
+from ehwf.model import (GAIN_FLOOR, Scenario, UserEnv, check_feasible,
+                        cumulative_harvest, energy_scale)
 from ehwf.verify import (first_order_certificate, induced_wastage,
                          kkt_certificate, reduce_polytope)
 
@@ -728,6 +730,54 @@ def test_prepared_answers_end_at_a_depletion_point(data):
         assert x[0] == (0, su.BDP) and x[-1] == (k, su.BDP)
         if bmax == math.inf:
             assert all(kind == su.BDP for _, kind in x)
+
+
+# the edges of the priced gain range: zero, the least subnormal, the floor
+# and the next float above it, the least normal, and on to the float maximum
+EDGE_GAINS = (0.0, 5e-324, GAIN_FLOOR, math.nextafter(GAIN_FLOOR, math.inf),
+              2.2e-308, 1e-300, 1.0, 1e300, sys.float_info.max)
+# the open low-SNR and float-range defects a solve may still end in
+# (ROADMAP item 4), each matched by its message
+KNOWN_SOLVER_ERRORS = re.compile("closed segment did not fill feasibly|"
+                                 "e_tilde is unreachable|"
+                                 "gain and e_tilde entries must be finite and nonnegative|"
+                                 "overflow encountered in accumulate")
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_solves_fill_only_finite_nonnegative_inverse_gains(data):
+    # every solve builds its inverse-gain list from gains it has checked,
+    # and nothing checks the list again: every slice a fill receives, cold
+    # or warm-started, at any energy scale and gain, is finite and >= 0
+    k = data.draw(st.integers(min_value=1, max_value=8))
+    scale = 10.0 ** data.draw(st.integers(min_value=-300, max_value=300))
+    harvest = scale * np.array(data.draw(st.lists(st.floats(0.0, 1.0),
+                                                  min_size=k, max_size=k)))
+    gains = [np.array(data.draw(st.lists(st.sampled_from(EDGE_GAINS),
+                                         min_size=k, max_size=k)))
+             for _ in range(2)]
+    bmax, pmax = (scale * data.draw(st.sampled_from([0.0, 0.5, 3.0, math.inf])),
+                  scale * data.draw(st.sampled_from([0.0, 0.3, 2.0, math.inf])))
+    env = env_of(harvest, bmax=bmax, pmax=pmax)
+    d, _, _ = su.optimal_wastage(env)
+    slices = []
+    original = su._water_fill
+
+    def audited(inv, target, cap):
+        slices.append(list(inv))
+        return original(inv, target, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(su, "_water_fill", audited)
+        try:
+            problem = su._ReducedProblem(su.effective_energy(env, d), bmax, pmax)
+            for g in gains:
+                problem.solve(g)
+        except (ValueError, RuntimeError, RuntimeWarning) as exc:
+            assert KNOWN_SOLVER_ERRORS.search(str(exc)), exc
+    for inv in slices:
+        assert all(0.0 <= v < math.inf for v in inv), inv
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
