@@ -49,9 +49,14 @@ needs none, and the target is clamped into range.  Every segment
 fill calls _water_fill by name, and water_fill_segment, the checked
 public entry, calls it too, so the arithmetic has one copy.  No fill
 inverts a gain, and no caller inverts the water level a fill returns.
-That level, and the walk's prefix levels, come from one level function:
-a sweep over the slots' sorted fill and saturation breakpoints that
-stops at the target.
+That level, and the walk's prefix levels, come from one level function,
+_fill_level: one merged sweep over the slots' sorted inverse gains, where
+each slot starts filling, and their saturation points, each read off the
+same sorted list as inverse gain plus cap, that stops at the target.  No
+cap, not even an infinite one, takes another path.  The walk's bounds may
+ask for a target at or below 0.0 or above the capacity; the sweep
+extends the draw's line below its foot for the one and returns the level
+where every slot is full for the other.
 That layer (fill, level, target, feasibility, warm-start check) runs on
 Python floats converted once per solve: its segments are a few slots
 long, where a numpy call costs more than its arithmetic.  Python's float
@@ -73,9 +78,11 @@ event.  The switch is a property of the walk, not an option or a size
 threshold: on a 3-5-slot segment one numpy call costs more than the whole
 Python walk, while over a long idle stretch one vectorised pass beats a
 Python loop over every slot.  Either phase sees the same bits, so where
-the switch falls never moves a boundary.  With an unbounded battery the
-lower bound never moves, so neither phase draws at it or builds its
-arrays.
+the switch falls never moves a boundary: a running draw past the float
+range becomes inf in both, and the numpy phase runs under one
+np.errstate that silences numpy's overflow warning.  With an unbounded
+battery the lower bound never moves, so neither phase draws at it or
+builds its arrays.
 
 solve_reduced(gain, e_tilde, B, P) is one solve of _ReducedProblem(e_tilde,
 B, P), which checks and scales the budget and the caps once and then
@@ -234,29 +241,40 @@ def _water_fill(inv, target, cap):
 def _fill_level(starts, cap, target):
     """Smallest water level whose total draw over these slots reaches target.
 
-    starts holds the inverse gains in ascending order (a list, target > 0);
+    starts holds the inverse gains in ascending order (a nonempty list);
     each slot draws clamp(level - inv, 0, cap), so the total is piecewise
     linear and nondecreasing in the level, with a slope that rises by one
     where a slot starts filling (inv) and drops by one where it saturates
-    (inv + cap).  Both breakpoint streams come out of that one order, and
-    the sweep merges them, a saturation before a start at equal points.  A
-    target at or above the total capacity returns the level where every
-    slot saturates.
+    (inv + cap).  The saturation points come in the same order, so the
+    sweep reads each one off starts as it goes, starts[j] + cap, and
+    merges the two streams, a saturation before a start at equal points;
+    once the starts run out it takes the saturation points left.  With
+    cap = inf the first saturation point is inf, so the sweep takes every
+    start and then solves on the last stretch, of slope len(starts).
+
+    Fills pass a target in (0, len(starts) * cap]; the walk's level bounds
+    may pass one at or below 0.0 or above that capacity.  A target at or
+    below 0.0 returns prev + target / slope on the first stretch where the
+    draw rises, prev its foot: the draw's line extended below the level
+    where it leaves 0.  A target at or above the capacity, or any target
+    where no stretch rises (cap = 0), returns the last saturation point,
+    the level where every slot is full.
     """
-    ends = [v + cap for v in starts] if math.isfinite(cap) else []
-    n, m = len(starts), len(ends)
+    n = len(starts)
     i = j = slope = 0
     total = 0.0
     prev = starts[0]
-    while i < n or j < m:
-        if j < m and (i == n or ends[j] <= starts[i]):
-            x = ends[j]
-            j += 1
-            delta = -1
-        else:
+    end = prev + cap        # the next saturation point, starts[j] + cap
+    while j < n:
+        if i < n and starts[i] < end:
             x = starts[i]
             i += 1
             delta = 1
+        else:
+            x = end
+            j += 1
+            end = starts[j] + cap if j < n else math.inf
+            delta = -1
         if x > prev and slope > 0:
             step = slope * (x - prev)
             if total + step >= target:
@@ -264,7 +282,7 @@ def _fill_level(starts, cap, target):
             total += step
         prev = x
         slope += delta
-    return prev if m else prev + (target - total) / slope
+    return prev
 
 
 def _segment_status(p_seg, e_seg, base, start, battery_max, power_max):
@@ -382,62 +400,71 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
     upper = None            # the second phase's prefix bounds, once it starts
     hits_lo = [n]           # the second phase's lo events: just the horizon if unbounded
     j = -1
-    while True:
-        if upper is None:
-            j += 1
-            if j < n:
-                v = inv_list[a + j]
-                x = hi - v
-                x = 0.0 if x < 0.0 else x
-                at_hi += power_max if power_max < x else x
-                if bounded:
-                    x = lo - v
+    quiet = None            # the second phase's np.errstate, entered at the hand-over
+    try:
+        while True:
+            if upper is None:
+                j += 1
+                if j < n:
+                    v = inv_list[a + j]
+                    x = hi - v
                     x = 0.0 if x < 0.0 else x
-                    at_lo += power_max if power_max < x else x
-                u = start + (e_list[a + j] - base)
-                l = u - battery_max
-                if not (at_hi >= u - FEAS_TOL or at_lo <= l + FEAS_TOL):
-                    idle += 1
-                    if idle > events:
-                        inv = inv[a:]
-                        upper = start + (e_tilde[a:] - base)
-                        near_upper = upper - FEAS_TOL
+                    at_hi += power_max if power_max < x else x
+                    if bounded:
+                        x = lo - v
+                        x = 0.0 if x < 0.0 else x
+                        at_lo += power_max if power_max < x else x
+                    u = start + (e_list[a + j] - base)
+                    l = u - battery_max
+                    if not (at_hi >= u - FEAS_TOL or at_lo <= l + FEAS_TOL):
+                        idle += 1
+                        if idle > events:
+                            # its sums overflow to inf as the first phase's do,
+                            # without numpy's overflow warning
+                            quiet = np.errstate(over="ignore")
+                            quiet.__enter__()
+                            inv = inv[a:]
+                            upper = start + (e_tilde[a:] - base)
+                            near_upper = upper - FEAS_TOL
+                            draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
+                            if bounded:
+                                near_lower = upper - battery_max + FEAS_TOL
+                                draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+                        continue
+                    events += 1
+            else:
+                j = min(hits_hi[bisect.bisect_right(hits_hi, j)],
+                        hits_lo[bisect.bisect_right(hits_lo, j)])
+                if j < n:
+                    at_hi, u = draw_hi[j], float(upper[j])
+                    l = u - battery_max
+                    if bounded:
+                        at_lo = draw_lo[j]
+            if j == n:
+                return a + (hi_at if hi < math.inf else n), BDP
+            if at_hi < l - FEAS_TOL:
+                return a + hi_at, BDP
+            if at_lo > u + FEAS_TOL:
+                return a + lo_at, BFP
+            if at_hi >= u - FEAS_TOL:
+                if at_hi > u + FEAS_TOL:
+                    hi = _fill_level(sorted(inv_list[a:a + j + 1]), power_max, u)
+                    if upper is None:
+                        at_hi = prefix_draw(hi, j)
+                    else:
                         draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
-                        if bounded:
-                            near_lower = upper - battery_max + FEAS_TOL
-                            draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
-                    continue
-                events += 1
-        else:
-            j = min(hits_hi[bisect.bisect_right(hits_hi, j)],
-                    hits_lo[bisect.bisect_right(hits_lo, j)])
-            if j < n:
-                at_hi, u = draw_hi[j], float(upper[j])
-                l = u - battery_max
-                if bounded:
-                    at_lo = draw_lo[j]
-        if j == n:
-            return a + (hi_at if hi < math.inf else n), BDP
-        if at_hi < l - FEAS_TOL:
-            return a + hi_at, BDP
-        if at_lo > u + FEAS_TOL:
-            return a + lo_at, BFP
-        if at_hi >= u - FEAS_TOL:
-            if at_hi > u + FEAS_TOL:
-                hi = _fill_level(sorted(inv_list[a:a + j + 1]), power_max, u)
-                if upper is None:
-                    at_hi = prefix_draw(hi, j)
-                else:
-                    draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
-            hi_at = j + 1
-        if at_lo <= l + FEAS_TOL:
-            if at_lo < l - FEAS_TOL:
-                lo = _fill_level(sorted(inv_list[a:a + j + 1]), power_max, l)
-                if upper is None:
-                    at_lo = prefix_draw(lo, j)
-                else:
-                    draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
-            lo_at = j + 1
+                hi_at = j + 1
+            if at_lo <= l + FEAS_TOL:
+                if at_lo < l - FEAS_TOL:
+                    lo = _fill_level(sorted(inv_list[a:a + j + 1]), power_max, l)
+                    if upper is None:
+                        at_lo = prefix_draw(lo, j)
+                    else:
+                        draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
+                lo_at = j + 1
+    finally:
+        if quiet is not None:
+            quiet.__exit__(None, None, None)
 
 
 def _refill_guess(inv, e_tilde, bmax, cap, guess):
@@ -541,10 +568,12 @@ class _ReducedProblem:
         gains = gain.tolist()
         if not _finite_nonnegative(gains):
             raise ValueError("gain and e_tilde entries must be finite and nonnegative")
-        gains = [g * scale for g in gains]
-        if min(gains) > GAIN_FLOOR:
-            inv, burn = [1.0 / g for g in gains], math.inf
+        # scale is a power of two, so g * scale is exact or rounds monotonically:
+        # min(gains) * scale is the least scaled gain, bit for bit
+        if min(gains) * scale > GAIN_FLOOR:
+            inv, burn = [1.0 / (g * scale) for g in gains], math.inf
         else:
+            gains = [g * scale for g in gains]
             # at or above the burn level every positive-gain slot draws its cap
             # or more than the whole budget
             priced = [1.0 / g for g in gains if g > GAIN_FLOOR]

@@ -6,10 +6,11 @@ If the library and these disagree, trust neither and investigate.  The
 exceptions: wf_array_reference, the package's earlier numpy segment fill,
 kept as it was to hold the current fill to the same bits;
 close_segment_reference, the package's earlier numpy boundary walk, kept
-as it was, with the package's level function, to hold the current walk to
-the same boundaries; clip_to_battery_reference, the package's earlier
-battery clip, kept as it was, min and max builtins included, to hold the
-comparison clamps to the same bits; check_feasible_reference, the
+as it was, with the earlier level sweep of wf_array_reference, to hold the
+current walk and its level function to the same boundaries;
+clip_to_battery_reference, the package's earlier battery clip, kept as it
+was, min and max builtins included, to hold the comparison clamps to the
+same bits; check_feasible_reference, the
 package's earlier per-slot feasibility loop, kept as it was, to hold the
 vectorised check to the same report; max_linear_reference, the package's
 earlier Edmonds greedy, kept as it was, to hold the backward sweep to the
@@ -27,7 +28,7 @@ import numpy as np
 
 from ehwf.model import (Scenario, UserEnv, cumulative_harvest, energy_scale,
                         user_battery_trace)
-from ehwf.single_user import BDP, BFP, _fill_level, optimal_wastage
+from ehwf.single_user import BDP, BFP, optimal_wastage
 
 
 def cumulative_loop(harvest):
@@ -308,7 +309,9 @@ def close_segment_reference(inv, e_tilde, battery_max, power_max, a, kind_a):
     Kept unchanged as the reference for single_user._close_segment: from
     the same boundary a, both must return the same closing (b, kind).  inv
     and e_tilde are the arrays solve_reduced builds.  Its level solves call
-    the package's level sweep, which takes the inverse gains sorted.
+    _array_fill_level, the earlier sweep with its list of saturation
+    points, on the prefix's inverse gains, for targets the fills never
+    pass: at or below 0.0 and above the prefix's capacity as well.
 
     Prefix j of the segment (slots a+1 .. a+j) draws D_j(L), the sum of
     clamp(L - inv, 0, P) over its slots, and must keep its battery in
@@ -356,12 +359,12 @@ def close_segment_reference(inv, e_tilde, battery_max, power_max, a, kind_a):
             return a + lo_at, BFP
         if at_hi >= u - FEAS_TOL:
             if at_hi > u + FEAS_TOL:
-                hi = _fill_level(sorted(inv[:j + 1].tolist()), power_max, u)
+                hi = _array_fill_level(inv[:j + 1], power_max, u)
                 draw_hi, hits_hi = draws(hi, np.greater_equal, near_upper)
             hi_at = j + 1
         if at_lo <= l + FEAS_TOL:
             if at_lo < l - FEAS_TOL:
-                lo = _fill_level(sorted(inv[:j + 1].tolist()), power_max, l)
+                lo = _array_fill_level(inv[:j + 1], power_max, l)
                 draw_lo, hits_lo = draws(lo, np.less_equal, near_lower)
             lo_at = j + 1
 
