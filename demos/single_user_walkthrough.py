@@ -39,9 +39,10 @@ d_star, p_greedy, _ = optimal_wastage(env)
 print("\nminimal wastage d*      ", d_star, f"  (total {d_star.sum():g})")
 print("cap-greedy spend used   ", p_greedy)
 
-# Step 2: the wastage is folded into the harvest and the reduced problem
+# Step 2: the same greedy pass gives the budget the wastage leaves, its
+# running spend plus its battery, and the reduced problem on that budget
 # is solved by water-filling between battery-driven boundaries.
-e_tilde = effective_energy(env, d_star)
+e_tilde = effective_energy(env)
 p, d, boundaries, levels = solve_single(env)
 print("\neffective harvest       ", e_tilde)
 print("optimal schedule p*     ", p)

@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Scenario, UserEnv, cumulative_harvest
-from .single_user import (_ReducedProblem, _clip, _clip_to_battery, optimal_wastage,
-                          solve_reduced)
+from .single_user import _ReducedProblem, _clip, optimal_wastage, solve_reduced
 from .mac import MacSolution, iterate_best_response
 
 __all__ = [
@@ -45,8 +44,8 @@ def balanced_policy(env: UserEnv):
     carried forward; battery overflow is wasted where it occurs.
     """
     tau = float(env.harvest.sum()) / env.num_slots
-    p, d, _ = _clip_to_battery(env, tau)
-    return p, d
+    p, d, _ = _clip(env.harvest.tolist(), env.battery_max, env.power_max, [tau] * env.num_slots)
+    return np.array(p), np.array(d)
 
 
 def staircase_wf(env: UserEnv):
@@ -68,8 +67,9 @@ def modified_staircase(env: UserEnv):
     the cap and the battery actually allow; energy the clipped schedule
     leaves overflowing the battery is wasted on the spot.
     """
-    p, d, _ = _clip_to_battery(env, staircase_wf(env))
-    return p, d
+    stair = staircase_wf(env).tolist()
+    p, d, _ = _clip(env.harvest.tolist(), env.battery_max, env.power_max, stair)
+    return np.array(p), np.array(d)
 
 
 def iterative_modified_staircase(scenario: Scenario, max_iter: int = 50) -> MacSolution:

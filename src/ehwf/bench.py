@@ -29,7 +29,7 @@ import numpy as np
 
 from .baselines import _POLICIES, iterative_modified_staircase, non_iterative_multiuser
 from .mac import solve_mac
-from .model import Scenario, _is_integer, _is_json_number, sum_rate
+from .model import Scenario, UserEnv, _is_integer, _is_json_number, sum_rate
 from .verify import first_order_certificate, kkt_certificate
 
 __all__ = [
@@ -356,7 +356,8 @@ def _cmd_solve(args) -> int:
     ok = True
     if args.policy == "optimal":
         for n in range(scenario.num_users):
-            env = replace(scenario.user(n), gain=sol.user_gains[n])
+            env = UserEnv(scenario.harvest[n], sol.user_gains[n],
+                          scenario.battery_max[n], scenario.power_max[n])
             ok = ok and kkt_certificate(env, p[n], sol.user_boundaries[n]).passed
     fo_ok, gap = first_order_certificate(scenario, p)
     ok = ok and fo_ok

@@ -16,8 +16,8 @@ _effective_gain, and check nothing: the schedule is their own, of the
 scenario's shape from the start, and the users are 0 .. N-1.
 Only the gains change between sweeps: solve_mac prepares each user's
 reduced problem (single_user._ReducedProblem, the form solve_reduced
-solves once) a single time, with its budget and caps checked and scaled,
-and each solve hands back its schedule as a list.
+solves once) a single time, on the budget _greedy_pass reads off the
+checked scenario's rows, and each solve hands back its schedule as a list.
 The sum rate never decreases across a best response, and at a fixed
 point the joint schedule is globally optimal; solve_mac prices the
 duality gap of every sweep's schedule, the one
@@ -45,7 +45,7 @@ import numpy as np
 from .model import Scenario, _is_index, sum_rate
 # solve_reduced is imported only to keep the name ehwf.mac.solve_reduced,
 # which the benchmark's self-test wraps to check the tracer
-from .single_user import _ReducedProblem, effective_energy, optimal_wastage, solve_reduced
+from .single_user import _ReducedProblem, _greedy_pass, solve_reduced
 from .verify import GAP_TOL_PER_SLOT, _capped_gap, _user_polytopes
 
 __all__ = [
@@ -166,17 +166,12 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
         tol = GAP_TOL_PER_SLOT * scenario.num_slots
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    n_users = scenario.num_users
-    d = np.zeros_like(scenario.harvest)
-    e_tilde = np.zeros_like(scenario.harvest)
-    for n in range(n_users):
-        env = scenario.user(n)
-        d[n], _, _ = optimal_wastage(env)
-        e_tilde[n] = effective_energy(env, d[n])
+    bmax, cap = scenario.battery_max.tolist(), scenario.power_max.tolist()
+    runs = [_greedy_pass(h, bmax[n], cap[n]) for n, h in enumerate(scenario.harvest.tolist())]
+    d = np.array([run[0] for run in runs])
+    e_tilde = np.array([run[3] for run in runs])
+    users = [_ReducedProblem(run[3], bmax[n], cap[n]) for n, run in enumerate(runs)]
     polytopes = _user_polytopes(scenario)
-
-    users = [_ReducedProblem(e_tilde[n], scenario.battery_max[n], scenario.power_max[n])
-             for n in range(n_users)]
     snap_gains = np.array(scenario.gain, dtype=float, copy=True)
 
     def respond(n, gains):

@@ -3,7 +3,7 @@
 Contents
 --------
 optimal_wastage        minimal-total-wastage forward recurrence
-effective_energy       cumulative harvest net of wastage
+effective_energy       the cumulative energy budget that wastage leaves
 water_fill_segment     capped water-filling at one constant level on a list of
                        inverse gains: checks, then the fill every segment calls
 solve_reduced          forward tube walk on (gain, e_tilde, B, P) alone
@@ -12,10 +12,11 @@ solve_single           the full pipeline: wastage, then boundary search
 The solver works in two stages.  First the wastage schedule is fixed by a
 greedy recurrence (waste only what overflows the battery, after consuming
 as much as the cap allows); this is total-wastage minimal and leaves the
-transmission problem over a pure polytope.  Second, the horizon is split
-into segments by battery-depletion points (BDP, level 0) and
-battery-full points (BFP, level at capacity); within a segment the
-optimal allocation is capped water-filling at a single level.
+transmission problem over a pure polytope, whose budget the same pass
+gives as its running consumption plus its battery (_greedy_pass).
+Second, the horizon is split into segments by battery-depletion points
+(BDP, level 0) and battery-full points (BFP, level at capacity); within a
+segment the optimal allocation is capped water-filling at a single level.
 
 The boundaries come from one forward walk per segment.  Each prefix of
 the segment bounds its level from above (the highest level that keeps its
@@ -84,8 +85,9 @@ np.errstate that silences numpy's overflow warning.  With an unbounded
 battery the lower bound never moves, so neither phase draws at it or
 builds its arrays.
 
-solve_reduced(gain, e_tilde, B, P) is one solve of _ReducedProblem(e_tilde,
-B, P), which checks and scales the budget and the caps once and then
+solve_reduced(gain, e_tilde, B, P), the one entry that checks a budget,
+caps and gains, is one solve of _ReducedProblem(e_tilde, B, P), which
+checks nothing and scales the budget and the caps once and then
 solves for one gain vector after another; each solve returns its
 schedule as a list, which solve_reduced turns into an array.  Each solve
 first refills the segments of its own last answer once each and returns
@@ -99,12 +101,12 @@ long before the sum rate does.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 
 import numpy as np
 
-from .model import (FEAS_TOL, GAIN_FLOOR, UserEnv, _float_array, cumulative_harvest,
-                    energy_scale)
+from .model import FEAS_TOL, GAIN_FLOOR, UserEnv, _float_array, energy_scale
 
 __all__ = [
     "BDP",
@@ -119,20 +121,13 @@ __all__ = [
 BDP = "BDP"      # battery-depletion point: level 0, water level may rise after
 BFP = "BFP"      # battery-full point: level at capacity, water level may drop
 
-def _clip_to_battery(env: UserEnv, want):
+def _clip(harvest, bmax, cap, wants):
     """Spend min(want, cap, banked energy) each slot; waste only overflow.
 
-    want is one number for every slot or a per-slot vector.  Returns
-    (p, d, battery): consumption, wastage and end-of-slot battery level.
+    harvest and wants are lists of floats, one want per slot.  Returns
+    (p, d, battery) lists: consumption, wastage and end-of-slot battery.  An
+    overflowing battery is set to bmax, not reduced by the rounded overflow.
     """
-    harvest = env.harvest.tolist()
-    wants = want.tolist() if isinstance(want, np.ndarray) else [float(want)] * len(harvest)
-    p, d, battery = _clip(harvest, env.battery_max, env.power_max, wants)
-    return np.array(p), np.array(d), np.array(battery)
-
-
-def _clip(harvest, bmax, cap, wants):
-    """_clip_to_battery on lists of floats: (p, d, battery) lists."""
     p, d, battery = [], [], []
     level = 0.0
     for h, w in zip(harvest, wants):
@@ -142,11 +137,23 @@ def _clip(harvest, bmax, cap, wants):
         level = avail - p_k
         d_k = level - bmax
         d_k = 0.0 if d_k < 0.0 else d_k
-        level -= d_k
+        level = bmax if bmax < level else level     # min(level, bmax)
         p.append(p_k)
         d.append(d_k)
         battery.append(level)
     return p, d, battery
+
+
+def _greedy_pass(harvest, bmax, cap):
+    """_clip wanting the cap every slot: (d, p, battery, budget) lists.
+
+    budget, the cumulative energy the wastage leaves, is cumsum(p) + battery
+    in np.cumsum's order: nonnegative terms, where cumsum(harvest) -
+    cumsum(d) cancels.
+    """
+    p, d, battery = _clip(harvest, bmax, cap, [cap] * len(harvest))
+    budget = [drawn + level for drawn, level in zip(itertools.accumulate(p), battery)]
+    return d, p, battery, budget
 
 
 def optimal_wastage(env: UserEnv):
@@ -156,20 +163,16 @@ def optimal_wastage(env: UserEnv):
     among all feasible wastage schedules; p_greedy is the max-consumption
     schedule that induces it, and battery its end-of-slot trace.
     """
-    p, d, battery = _clip_to_battery(env, env.power_max)
-    return d, p, battery
+    d, p, battery, _ = _greedy_pass(env.harvest.tolist(), env.battery_max, env.power_max)
+    return np.array(d), np.array(p), np.array(battery)
 
 
-def effective_energy(env: UserEnv, d_star) -> np.ndarray:
-    """Cumulative harvested energy minus cumulative wastage.
+def effective_energy(env: UserEnv) -> np.ndarray:
+    """The cumulative energy budget the minimal wastage leaves, per slot.
 
-    d_star must hold one entry per slot; any other shape raises ValueError.
+    optimal_wastage's cumsum(p_greedy) + battery: nonnegative, met by p_greedy.
     """
-    d_star = np.asarray(d_star, dtype=float)
-    if d_star.shape != env.harvest.shape:
-        raise ValueError(f"d_star must hold one entry per slot ({env.num_slots}), "
-                         f"got shape {d_star.shape}")
-    return cumulative_harvest(env.harvest) - np.cumsum(d_star)
+    return np.array(_greedy_pass(env.harvest.tolist(), env.battery_max, env.power_max)[3])
 
 
 def water_fill_segment(inv: list, target, cap):
@@ -526,48 +529,31 @@ class _ReducedProblem:
     """One user's reduced problem with its gains left open: solve(gain).
 
     Built from (e_tilde, battery_max, power_max), which best-response
-    sweeps hold fixed while only the effective gains change.  The budget
-    and the caps are checked and divided by energy_scale(e_tilde) here,
-    once; each solve checks and scales only its gains.  boundaries is the
-    boundary list of the last answer (None before the first): each solve
-    refills it once and keeps it if it passes _refill_guess, and walks cold
-    otherwise, so a solve returns what a cold one would.
+    sweeps hold fixed while only the effective gains change.  Nothing is
+    checked (solve_reduced checks); the budget and the caps are divided by
+    energy_scale(e_tilde) here, once, and each solve scales only its
+    gains.  boundaries is the boundary list of the last answer (None before
+    the first): each solve refills it once and keeps it if it passes
+    _refill_guess, and walks cold otherwise, so a solve returns what a
+    cold one would.
     """
 
     __slots__ = ("scale", "e", "e_list", "bmax", "cap", "boundaries")
 
     def __init__(self, e_tilde, battery_max, power_max):
-        e_tilde = _float_array(e_tilde, "e_tilde")
-        if not e_tilde.size or e_tilde.shape != (e_tilde.size,):
-            raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
-                             f"e_tilde of shape {e_tilde.shape}")
-        if not _finite_nonnegative(e_tilde.tolist()):
-            raise ValueError("gain and e_tilde entries must be finite and nonnegative")
-        try:
-            bmax, cap = float(battery_max), float(power_max)
-        except (TypeError, ValueError, OverflowError):
-            bmax = cap = math.nan       # not a number: rejected just below
-        if not (bmax >= 0.0 and cap >= 0.0):
-            raise ValueError("battery_max and power_max must be nonnegative or infinite")
         self.scale = scale = energy_scale(e_tilde)
-        self.e = e_tilde / scale
+        self.e = np.divide(e_tilde, scale)
         # segments are filled and checked on Python floats: the same IEEE
         # operations as numpy's, without a numpy call per few-slot segment
         self.e_list = self.e.tolist()
-        self.bmax, self.cap = bmax / scale, cap / scale
+        self.bmax, self.cap = battery_max / scale, power_max / scale
         self.boundaries = None
 
     def solve(self, gain):
         """solve_reduced's (p, boundaries, water_levels), with p a list of floats."""
         e_list, bmax, cap, scale = self.e_list, self.bmax, self.cap, self.scale
         k_slots = len(e_list)
-        gain = _float_array(gain, "gain")
-        if gain.shape != (k_slots,):
-            raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
-                             f"shapes {gain.shape} and {(k_slots,)}")
         gains = gain.tolist()
-        if not _finite_nonnegative(gains):
-            raise ValueError("gain and e_tilde entries must be finite and nonnegative")
         # scale is a power of two, so g * scale is exact or rounds monotonically:
         # min(gains) * scale is the least scaled gain, bit for bit
         if min(gains) * scale > GAIN_FLOOR:
@@ -622,10 +608,11 @@ def solve_reduced(gain, e_tilde, battery_max, power_max):
 
     gain and e_tilde must hold K >= 1 finite, nonnegative entries each,
     each cap be nonnegative or infinite, and some schedule meet e_tilde;
-    anything else raises ValueError.  Every fill runs on energies divided
-    by energy_scale(e_tilde), gains multiplied by it: that power of two is
-    exact in floating point, so p and the heights come back bit for bit,
-    and the tolerances become scale-free.
+    anything else raises ValueError; no other entry checks them.  Every
+    fill runs on energies divided by energy_scale(e_tilde), gains
+    multiplied by it: that power of two is exact in floating point, so p
+    and the heights come back bit for bit, and the tolerances become
+    scale-free.
 
     The walk and every fill read one list of inverse gains, built per
     solve; a zero-gain slot's entry is the burn level (see the module
@@ -634,7 +621,25 @@ def solve_reduced(gain, e_tilde, battery_max, power_max):
     This is one solve of a fresh _ReducedProblem, the form sweeps hold per
     user to warm-start each solve from the last.
     """
-    p, boundaries, levels = _ReducedProblem(e_tilde, battery_max, power_max).solve(gain)
+    e_tilde = _float_array(e_tilde, "e_tilde")
+    if not e_tilde.size or e_tilde.shape != (e_tilde.size,):
+        raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
+                         f"e_tilde of shape {e_tilde.shape}")
+    if not _finite_nonnegative(e_tilde.tolist()):
+        raise ValueError("gain and e_tilde entries must be finite and nonnegative")
+    try:
+        bmax, cap = float(battery_max), float(power_max)
+    except (TypeError, ValueError, OverflowError):
+        bmax = cap = math.nan       # not a number: rejected just below
+    if not (bmax >= 0.0 and cap >= 0.0):
+        raise ValueError("battery_max and power_max must be nonnegative or infinite")
+    gain = _float_array(gain, "gain")
+    if gain.shape != e_tilde.shape:
+        raise ValueError(f"gain and e_tilde must be 1-D, of one length K >= 1, got "
+                         f"shapes {gain.shape} and {e_tilde.shape}")
+    if not _finite_nonnegative(gain.tolist()):
+        raise ValueError("gain and e_tilde entries must be finite and nonnegative")
+    p, boundaries, levels = _ReducedProblem(e_tilde, bmax, cap).solve(gain)
     return np.array(p), boundaries, levels
 
 
@@ -643,7 +648,6 @@ def solve_single(env: UserEnv):
 
     Returns (p_star, d_star, boundaries, water_levels).
     """
-    d_star, _, _ = optimal_wastage(env)
-    p_star, boundaries, levels = solve_reduced(
-        env.gain, effective_energy(env, d_star), env.battery_max, env.power_max)
-    return p_star, d_star, boundaries, levels
+    d_star, _, _, budget = _greedy_pass(env.harvest.tolist(), env.battery_max, env.power_max)
+    p_star, x, levels = _ReducedProblem(budget, env.battery_max, env.power_max).solve(env.gain)
+    return np.array(p_star), np.array(d_star), x, levels

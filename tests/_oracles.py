@@ -8,9 +8,10 @@ kept as it was to hold the current fill to the same bits;
 close_segment_reference, the package's earlier numpy boundary walk, kept
 as it was, with the earlier level sweep of wf_array_reference, to hold the
 current walk and its level function to the same boundaries;
-clip_to_battery_reference, the package's earlier battery clip, kept as it
-was, min and max builtins included, to hold the comparison clamps to the
-same bits; check_feasible_reference, the
+clip_to_battery_reference, the package's earlier battery clip, min and
+max builtins included, with its battery clamped to exactly B as the
+package's is, to hold the comparison clamps to the same bits;
+check_feasible_reference, the
 package's earlier per-slot feasibility loop, kept as it was, to hold the
 vectorised check to the same report; max_linear_reference, the package's
 earlier Edmonds greedy, kept as it was, to hold the backward sweep to the
@@ -21,8 +22,10 @@ package's own optimal_wastage.
 """
 
 import bisect
+import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -370,10 +373,12 @@ def close_segment_reference(inv, e_tilde, battery_max, power_max, a, kind_a):
 
 
 def clip_to_battery_reference(env: UserEnv, want):
-    """The battery clip that single_user._clip_to_battery's comparisons replaced.
+    """The battery clip that single_user._clip's comparisons replaced.
 
-    Kept unchanged, with the min and max builtins, as the bit-for-bit
-    reference for every policy that clips.
+    Kept with the min and max builtins, as the bit-for-bit reference for
+    every policy that clips.  Its one change keeps it that reference: an
+    overflowing battery holds min(level, bmax), exactly bmax, where it
+    held level - d_k.
     """
     bmax, cap = env.battery_max, env.power_max
     harvest = env.harvest.tolist()
@@ -385,7 +390,7 @@ def clip_to_battery_reference(env: UserEnv, want):
         p_k = min(w, cap, avail)
         level = avail - p_k
         d_k = max(level - bmax, 0.0)
-        level -= d_k
+        level = min(level, bmax)
         p.append(p_k)
         d.append(d_k)
         battery.append(level)
@@ -457,3 +462,51 @@ def max_linear_reference(poly, c):
             for m in range(k, n):
                 h[m] += step
     return np.array(q)
+
+
+def _exact_max_linear(harvest, battery_max, power_max, c):
+    """max_linear_reference's greedy on Fractions: a maximiser of c . q.
+
+    harvest is one user's float harvest, whose running totals are summed
+    exactly; c a list of Fractions.  An infinite cap is no bound.
+    """
+    cum = list(itertools.accumulate(Fraction(e) for e in harvest))
+    n = len(c)
+    h = [-e for e in cum]
+    q = [Fraction(0)] * n
+    for k in sorted(range(n), key=c.__getitem__, reverse=True):
+        if not c[k] > 0:
+            break
+        step = Fraction(0)
+        if battery_max < math.inf:
+            step = min(step, Fraction(battery_max) + min(h[:k], default=Fraction(0)))
+        step -= max(h[k:])
+        if power_max < math.inf:
+            step = min(step, Fraction(power_max))
+        if step > 0:
+            q[k] = step
+            for m in range(k, n):
+                h[m] += step
+    return q
+
+
+def exact_gap(scenario: Scenario, p) -> Fraction:
+    """first_order_certificate's Frank-Wolfe gap of p, computed exactly.
+
+    The gradient g / (1 + sum_m g_m p_m), each user's linear maximum and
+    the dot products are Fractions of the float inputs, so the result is
+    the true gap of p on the true polytopes: no rounding anywhere.  On one
+    user with its effective gains it is kkt_certificate's gap.
+    """
+    p = np.asarray(p, dtype=float)
+    gains = [[Fraction(g) for g in row] for row in scenario.gain.tolist()]
+    ps = [[Fraction(v) for v in row] for row in p.tolist()]
+    power = [1 + sum(g[k] * q[k] for g, q in zip(gains, ps))
+             for k in range(scenario.num_slots)]
+    gap = Fraction(0)
+    for n, (g, q) in enumerate(zip(gains, ps)):
+        c = [g_k / power_k for g_k, power_k in zip(g, power)]
+        best = _exact_max_linear(scenario.harvest[n].tolist(), float(scenario.battery_max[n]),
+                                 float(scenario.power_max[n]), c)
+        gap += sum(c_k * (b_k - q_k) for c_k, b_k, q_k in zip(c, best, q))
+    return gap

@@ -13,9 +13,8 @@ import pytest
 import ehwf.single_user
 from ehwf.bench import GenParams, gen_scenario, run_experiment, truncated_gaussian
 from ehwf.mac import first_iteration_gap_bound, solve_mac
-from ehwf.model import Scenario, UserEnv, check_feasible, sum_rate
-from ehwf.single_user import (effective_energy, optimal_wastage, solve_reduced,
-                              solve_single)
+from ehwf.model import Scenario, UserEnv, check_feasible, cumulative_harvest, sum_rate
+from ehwf.single_user import optimal_wastage, solve_reduced, solve_single
 from ehwf.verify import first_order_certificate, kkt_certificate
 
 from _oracles import brute_force_tiny, wastage_minimality_check
@@ -177,8 +176,9 @@ def test_criterion_4_wastage_minimality_and_reschedule():
         d_alt[0] += d_alt[1]
         d_alt[1] = 0.0
         assert d_alt.sum() == pytest.approx(d_star.sum())
-        p_alt, _, _ = solve_reduced(env.gain, effective_energy(env, d_alt),
-                                    env.battery_max, env.power_max)
+        # the budget d_alt leaves: the harvest's running total less d_alt's
+        e_alt = cumulative_harvest(env.harvest) - np.cumsum(d_alt)
+        p_alt, _, _ = solve_reduced(env.gain, e_alt, env.battery_max, env.power_max)
         report = check_feasible(Scenario.single_user(env), p_alt[None, :],
                                 d_alt[None, :])
         assert report.ok

@@ -303,6 +303,30 @@ def test_cli_solve_certify_in_another_unit_of_energy(tmp_path, capsys):
     assert "certificate: PASS" in out
 
 
+@pytest.mark.parametrize("harvest, gain, bmax, pmax, p", [
+    # a battery far below the harvest's ulp: each overflow rounds, and the
+    # harvest's running total less the wastage's cancelled to [2, 0, -4, 0]
+    ([9100114506957038.0, 0.6666666666666666, 9100114506957038.0, 3.0],
+     [1.0] * 4, 1.0, 0.2, [0.2] * 4),
+    # a cap 1e-18 of the harvest: the same subtraction lost the budget's
+    # bits, and the solve found no schedule to meet it
+    ([0.0, 2.4009114822930404, 2.220446049250313e-16], [0.0] * 3, 0.0,
+     3.910885698356212e-18, None),
+], ids=["overflow-below-an-ulp", "cap-1e-18-of-the-harvest"])
+def test_cli_certifies_files_whose_wastage_dwarfs_the_budget(tmp_path, capsys, harvest,
+                                                               gain, bmax, pmax, p):
+    sc = Scenario([harvest], [gain], [bmax], [pmax])
+    path = tmp_path / "sc.json"
+    path.write_text(sc.to_json())
+    rc = cli_main(["solve", "--in", str(path), "--certify"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "certificate: PASS" in out
+    if p is not None:
+        assert bench.solve_mac(sc).p[0].tolist() == p
+        assert "p[0]: " + " ".join(f"{v:.9g}" for v in p) in out
+
+
 def test_cli_solve_reports_unconverged_solve(tmp_path, capsys):
     path = tmp_path / "sc.json"
     assert cli_main(["gen", "--n", "3", "--k", "6", "--seed", "3",

@@ -12,8 +12,7 @@ from ehwf.bench import PRESETS, GenParams, gen_scenario
 from ehwf.mac import (effective_gain, first_iteration_gap_bound,
                       iterate_best_response, solve_mac)
 from ehwf.model import Scenario, UserEnv, check_feasible, sum_rate
-from ehwf.single_user import (effective_energy, optimal_wastage, solve_reduced,
-                              solve_single)
+from ehwf.single_user import effective_energy, solve_reduced, solve_single
 from ehwf.verify import first_order_certificate, kkt_certificate
 
 from _oracles import brute_force_tiny
@@ -37,8 +36,7 @@ def best_response(sc, p, n):
     # user n's optimal schedule against the others' fixed schedules: the
     # single-user solve on its effective gains
     env = sc.user(n)
-    d_star, _, _ = optimal_wastage(env)
-    return solve_reduced(effective_gain(sc, p, n), effective_energy(env, d_star),
+    return solve_reduced(effective_gain(sc, p, n), effective_energy(env),
                          env.battery_max, env.power_max)[0]
 
 
@@ -118,8 +116,8 @@ def test_sweeps_take_each_response_gain_from_the_unchecked_helper(monkeypatch):
 
 
 def test_sweeps_build_no_user_env(monkeypatch):
-    # a best response reads only the reduced problem: each solver builds at
-    # most one UserEnv per user up front, however many sweeps it runs
+    # a best response reads only the reduced problem, and each user's budget
+    # comes from the scenario's own rows: no solver builds a UserEnv
     built = []
     original = UserEnv.__post_init__
 
@@ -133,7 +131,7 @@ def test_sweeps_build_no_user_env(monkeypatch):
         built.clear()
         sol = solve(sc)
         assert sol.iterations > 1
-        assert len(built) <= sc.num_users, solve.__name__
+        assert not built, solve.__name__
 
 
 def test_sweeps_prepare_each_user_once(monkeypatch):

@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from ehwf.mac import solve_mac
 from ehwf.model import Scenario, UserEnv, check_feasible, sum_rate
 from ehwf.single_user import optimal_wastage, solve_single
-from ehwf.verify import (ReducedPolytope, first_order_certificate,
+from ehwf.verify import (GAP_TOL_PER_SLOT, ReducedPolytope, first_order_certificate,
                          induced_wastage, kkt_certificate, reduce_polytope)
 
 import _oracles
@@ -385,6 +386,65 @@ def test_first_order_rejects_infeasible_input():
                   battery_max=np.array([5.0]), power_max=np.array([5.0]))
     with pytest.raises(ValueError):
         first_order_certificate(sc, np.array([[3.0, 0.0]]))
+
+
+# ---- exact referee ----------------------------------------------------------------
+
+@st.composite
+def mixed_scale_scenarios(draw, max_users, max_slots):
+    """Energies at one scale in 1e-12..1e12, gains at one in 1e-8..1e8, mixed caps."""
+    n = draw(st.integers(min_value=1, max_value=max_users))
+    k = draw(st.integers(min_value=1, max_value=max_slots))
+    unit = 10.0 ** draw(st.integers(min_value=-12, max_value=12))
+    per_slot = st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=n * k,
+                        max_size=n * k)
+    harvest = unit * np.array(draw(per_slot)).reshape(n, k)
+    gain = 10.0 ** draw(st.integers(min_value=-8, max_value=8)) / unit
+    gain = gain * np.array(draw(per_slot)).reshape(n, k)
+    bmax = [unit * draw(st.sampled_from([0.0, 0.5, 5.0, 20.0, math.inf])) for _ in range(n)]
+    pmax = [unit * draw(st.sampled_from([0.3, 3.0, 15.0, math.inf])) for _ in range(n)]
+    return Scenario(harvest, gain, bmax, pmax)
+
+
+# how far toward the greedy schedule a solved schedule is moved: not at
+# all, all the way, or by 1e-12 to 1, which brings gaps near the tolerance
+toward_greedy = st.one_of(st.sampled_from([0.0, 1.0]),
+                          st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0 ** e))
+
+
+def assert_verdict_matches_the_exact_gap(passed, scenario, p):
+    # a pass bounds the true gap by the tolerance; a true gap well inside
+    # it passes
+    exact = _oracles.exact_gap(scenario, p)
+    tol = GAP_TOL_PER_SLOT * scenario.num_slots
+    if passed:
+        assert exact <= tol, float(exact)
+    if exact <= tol / 2:
+        assert passed, float(exact)
+
+
+@given(mixed_scale_scenarios(max_users=1, max_slots=15), toward_greedy)
+@settings(max_examples=300)
+def test_kkt_certificate_agrees_with_the_exact_gap(sc, t):
+    env = sc.user(0)
+    try:
+        p_star, _, x, _ = solve_single(env)
+    except RuntimeError:
+        return          # the open low-SNR defect: no schedule to judge
+    p = p_star + t * (optimal_wastage(env)[1] - p_star)
+    assert_verdict_matches_the_exact_gap(kkt_certificate(env, p, x).passed, sc, p[None, :])
+
+
+@given(mixed_scale_scenarios(max_users=3, max_slots=15), toward_greedy)
+@settings(max_examples=100)
+def test_first_order_certificate_agrees_with_the_exact_gap(sc, t):
+    try:
+        p_star = solve_mac(sc).p
+    except RuntimeError:
+        return          # the open low-SNR defect: no schedule to judge
+    greedy = np.stack([optimal_wastage(sc.user(n))[1] for n in range(sc.num_users)])
+    p = p_star + t * (greedy - p_star)
+    assert_verdict_matches_the_exact_gap(first_order_certificate(sc, p)[0], sc, p)
 
 
 # ---- grid oracle ----------------------------------------------------------------
