@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Scenario, UserEnv, cumulative_harvest
-from .single_user import _ReducedProblem, _clip, optimal_wastage, solve_reduced
+from .single_user import _ReducedProblem, _clip, optimal_wastage
 from .mac import MacSolution, iterate_best_response
 
 __all__ = [
@@ -55,9 +55,10 @@ def staircase_wf(env: UserEnv):
     depletion points partition the horizon and the water levels step
     upward over time.  Returns p.
     """
-    # no cap and no capacity: nothing overflows, the budget is the raw harvest
-    p, _, _ = solve_reduced(env.gain, cumulative_harvest(env.harvest), np.inf, np.inf)
-    return p
+    # no cap and no capacity: nothing overflows, the budget is the raw harvest;
+    # env is checked, so the problem is solved unchecked, as the sweeps do
+    p, _, _ = _ReducedProblem(cumulative_harvest(env.harvest), np.inf, np.inf).solve(env.gain)
+    return np.array(p)
 
 
 def modified_staircase(env: UserEnv):

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Scenario, _is_index, sum_rate
+from .model import Scenario, _is_index, _is_integer, sum_rate
 # solve_reduced is imported only to keep the name ehwf.mac.solve_reduced,
 # which the benchmark's self-test wraps to check the tracer
 from .single_user import _ReducedProblem, _greedy_pass, solve_reduced
@@ -113,7 +113,8 @@ def iterate_best_response(scenario: Scenario, responder, stop,
     arrays or lists;
     the solution's d holds each user's wastage from its last response.
     Sweeps run in user-index order; the loop ends when stop(p, rate_gain)
-    returns True (converged) or after max_iter sweeps.  stop gets the
+    returns True (converged) or after max_iter sweeps, an integer (not a
+    bool) of at least 1; anything else raises ValueError.  stop gets the
     sweep's schedule and rate_gain, its best-response rate less the
     previous sweep's (on sweep 1, less the all-zero schedule's 0).
     step(p_prev, p, rate), if given, runs between sweeps (never after the
@@ -121,8 +122,8 @@ def iterate_best_response(scenario: Scenario, responder, stop,
     move p in place.  The gains skip effective_gain's checks: p and the
     users are the loop's own.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not (_is_integer(max_iter) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     p = np.zeros_like(scenario.harvest)
     gain = scenario.gain
     users = range(scenario.num_users)
@@ -233,7 +234,12 @@ def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> None:
 
 
 def first_iteration_gap_bound(n_users: int, n_slots: int) -> float:
-    """Worst-case nats between the first sweep's rate and the optimum."""
-    if n_users < 1 or n_slots < 1:
-        raise ValueError("need at least one user and one slot")
+    """Worst-case nats between the first sweep's rate and the optimum.
+
+    n_users and n_slots must be integers (not bools) of at least 1;
+    anything else raises ValueError.
+    """
+    if not (_is_integer(n_users) and _is_integer(n_slots) and n_users >= 1 and n_slots >= 1):
+        raise ValueError(f"need integer counts of at least one user and one slot, "
+                         f"got {n_users!r} and {n_slots!r}")
     return (n_users - 1) * n_slots / 2.0

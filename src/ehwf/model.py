@@ -211,12 +211,20 @@ class Scenario:
         """Slice out user n's data.
 
         n must be an integer (a Python or numpy one, not a bool) in
-        0 .. N-1; anything else raises ValueError.
+        0 .. N-1; anything else raises ValueError.  The scenario checked
+        the row already, and no row of a valid scenario fails UserEnv's
+        checks, so the UserEnv skips them: its arrays are read-only views
+        of the scenario's rows and its caps Python floats, as UserEnv's
+        own conversion would leave them.
         """
         if not _is_index(n, self.num_users):
             raise ValueError(f"need a user in 0..{self.num_users - 1}, got {n!r}")
-        return UserEnv(self.harvest[n], self.gain[n],
-                       float(self.battery_max[n]), float(self.power_max[n]))
+        env = object.__new__(UserEnv)
+        # a frozen dataclass: its fields are set past its __setattr__
+        vars(env).update(harvest=self.harvest[n], gain=self.gain[n],
+                         battery_max=float(self.battery_max[n]),
+                         power_max=float(self.power_max[n]))
+        return env
 
     # -- canonical JSON format ------------------------------------------------
 

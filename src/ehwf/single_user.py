@@ -73,17 +73,21 @@ or a NaN, comes out exactly as min and max return it.
 The walk (_close_segment) starts on those Python floats as well, one
 prefix at a time.  A prefix whose draw ties or crosses one of the two
 level bounds is an event; any other is idle.  Once idle prefixes
-outnumber events, the walk hands its levels to numpy: one np.cumsum per
+outnumber events, and more than _NUMPY_WALK_MIN_SLOTS prefixes are left
+to the horizon, the walk hands its levels to numpy: one np.cumsum per
 bound over the rest of the horizon, then bisection jumps from event to
-event.  The switch is a property of the walk, not an option or a size
-threshold: on a 3-5-slot segment one numpy call costs more than the whole
-Python walk, while over a long idle stretch one vectorised pass beats a
-Python loop over every slot.  Either phase sees the same bits, so where
-the switch falls never moves a boundary: a running draw past the float
-range becomes inf in both, and the numpy phase runs under one
-np.errstate that silences numpy's overflow warning.  With an unbounded
-battery the lower bound never moves, so neither phase draws at it or
-builds its arrays.
+event.  The switch reads the walk and the slots it has left, nothing
+else, and is no option.  A hand-over costs a fixed 15-26 us, a Python
+visit 0.27-0.40 us a slot, so they break even at 48-56 slots left (one
+walk over 16-256 idle slots timed in each phase alone on 2 vCPUs, Python
+3.11, numpy 2.4): a walk with fewer left, every walk of a 20-slot horizon
+among them, never calls numpy, while over a long idle stretch one vectorised
+pass beats a Python loop over every slot.  Either phase sees the same
+bits, so where the switch falls never moves a boundary: a running draw
+past the float range becomes inf in both, and the numpy phase runs under
+one np.errstate that silences numpy's overflow warning.  With an
+unbounded battery the lower bound never moves, so neither phase draws at
+it or builds its arrays.
 
 solve_reduced(gain, e_tilde, B, P), the one entry that checks a budget,
 caps and gains, is one solve of _ReducedProblem(e_tilde, B, P), which
@@ -120,6 +124,12 @@ __all__ = [
 
 BDP = "BDP"      # battery-depletion point: level 0, water level may rise after
 BFP = "BFP"      # battery-full point: level at capacity, water level may drop
+
+# The walk hands over to numpy only with more than this many prefixes left
+# to the horizon: one hand-over and a Python visit per slot break even at
+# 48-56 slots, and 64 errs toward Python (see the module doc).
+_NUMPY_WALK_MIN_SLOTS = 64
+
 
 def _clip(harvest, bmax, cap, wants):
     """Spend min(want, cap, banked energy) each slot; waste only overflow.
@@ -361,12 +371,15 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
     every comparison sees the bits the arrays would hold.  Segments are
     mostly a few slots long, where one numpy call costs more than the whole
     walk.  Once idle prefixes outnumber event prefixes, a long idle stretch
-    is likely, and the second phase takes over: each bound keeps every
-    prefix's draw at its current level, one np.cumsum over the rest of the
-    horizon per move, and the walk jumps from one event prefix to the next
-    by bisection.  The switch depends on the walk alone: a walk that closes
-    within a few slots never calls numpy, and a long idle stretch costs one
-    pass per bound instead of a Python step per slot.
+    is likely, and the second phase takes over, if more than
+    _NUMPY_WALK_MIN_SLOTS prefixes are left to the horizon: each bound
+    keeps every prefix's draw at its current level, one np.cumsum over the
+    rest of the horizon per move, and the walk jumps from one event prefix
+    to the next by bisection.  The switch depends on the walk and the slots
+    left to it: a walk that closes within a few slots, or has at most the
+    constant's 64 left, never calls numpy, and a long idle stretch costs
+    one pass per bound instead of a Python step per slot.  The constant is
+    the break-even of the two (48-56 slots, see the module doc).
 
     With B = inf every floor is -inf, so lo never moves from -inf, where
     every prefix draws exactly 0.0: neither phase draws at lo or builds
@@ -376,6 +389,7 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
     start = battery_max if kind_a == BFP else 0.0
     base = e_list[a - 1] if a > 0 else 0.0
     n = len(inv_list) - a
+    handover_before = n - _NUMPY_WALK_MIN_SLOTS    # a hand-over at j leaves n - j
 
     def prefix_draw(level, j):
         # prefix j's draw at level, summed in np.cumsum's order
@@ -421,7 +435,7 @@ def _close_segment(inv, e_tilde, inv_list, e_list, battery_max, power_max, a, ki
                     l = u - battery_max
                     if not (at_hi >= u - FEAS_TOL or at_lo <= l + FEAS_TOL):
                         idle += 1
-                        if idle > events:
+                        if idle > events and j < handover_before:
                             # its sums overflow to inf as the first phase's do,
                             # without numpy's overflow warning
                             quiet = np.errstate(over="ignore")

@@ -10,6 +10,7 @@ ValueError on whatever it is given.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -244,6 +245,44 @@ def test_user_env_loads_exactly_when_its_scenario_does(h, g, bmax, pmax):
         assert env.gain.tobytes() == user.gain.tobytes()
         assert (env.battery_max, env.power_max) == (user.battery_max, user.power_max)
         assert type(env.battery_max) is type(env.power_max) is float
+        assert_is_checked_user(sc, 0)
+
+
+def assert_is_checked_user(sc, n):
+    """sc.user(n), which skips UserEnv's checks, is the checked UserEnv of row n.
+
+    Field for field: arrays of one dtype, shape and bytes, read-only, and
+    caps that are Python floats of one repr (so -0.0 stays -0.0).
+    """
+    user = sc.user(n)
+    checked = UserEnv(sc.harvest[n], sc.gain[n], sc.battery_max[n], sc.power_max[n])
+    assert type(user) is UserEnv
+    for f in dataclasses.fields(UserEnv):
+        got, want = getattr(user, f.name), getattr(checked, f.name)
+        assert type(got) is type(want), f.name
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+            assert got.tobytes() == want.tobytes(), f.name
+            assert not got.flags.writeable, f.name
+        else:
+            assert type(got) is float and repr(got) == repr(want), f.name
+    assert user.num_slots == checked.num_slots
+
+
+@given(mutated_scenarios())
+@settings(max_examples=300)
+@example(VALID)
+@example(with_user(battery_max=-0.0, power_max=0.0))
+@example(with_user(gain=[1.0, -0.0]))
+# float-range rows: a harvest at float max / 2K, subnormal and tiny gains
+@example(dict(VALID, num_users=2, users=[
+    with_user(harvest=[4.4e307, 0.0], gain=[5e-324, 1e-300])["users"][0],
+    with_user(harvest=[5e-324, 1e-300], gain=[1e300, 0.0], battery_max=None)["users"][0]]))
+def test_scenario_user_is_its_checked_user_env(obj):
+    sc = load(obj)
+    if sc is not None:
+        for n in range(sc.num_users):
+            assert_is_checked_user(sc, n)
 
 
 @st.composite

@@ -274,6 +274,15 @@ def test_solve_mac_respects_max_iter():
     sol = solve_mac(sc, tol=1e-300, max_iter=3)
     assert sol.iterations == 3
     assert not sol.converged
+    assert solve_mac(sc, tol=1e-300, max_iter=np.int64(3)).iterations == 3
+    # a sweep count is an integer: not a float, a NaN or a bool
+    zero = (lambda n, gains: (np.zeros(gains.size), np.zeros(gains.size)))
+    for bad in (2.5, 3.0, math.nan, True, False):
+        for solve in (lambda: solve_mac(sc, max_iter=bad),
+                      lambda: iterative_modified_staircase(sc, max_iter=bad),
+                      lambda: iterate_best_response(sc, zero, lambda p, g: True, bad)):
+            with pytest.raises(ValueError, match="max_iter"):
+                solve()
 
 
 def test_solve_mac_rejects_bad_arguments():
@@ -335,6 +344,12 @@ def test_first_iteration_gap_bound_values():
     assert first_iteration_gap_bound(2, 2) == 1.0
     with pytest.raises(ValueError):
         first_iteration_gap_bound(0, 5)
+    # counts are integers: not a float, a NaN or a bool
+    for n_users, n_slots in ((2.5, math.nan), (True, 20), (5, False), (2.0, 3),
+                             (2, 3.5)):
+        with pytest.raises(ValueError):
+            first_iteration_gap_bound(n_users, n_slots)
+    assert first_iteration_gap_bound(np.int64(5), np.int32(20)) == 40.0
 
 
 @given(st.data())

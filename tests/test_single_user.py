@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import math
 import re
 import sys
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ehwf.single_user as su
+from ehwf.bench import run_experiment
 from ehwf.model import (GAIN_FLOOR, Scenario, UserEnv, check_feasible,
                         cumulative_harvest, energy_scale)
 from ehwf.verify import (first_order_certificate, induced_wastage,
@@ -30,6 +33,32 @@ def warm_solve(gain, e_tilde, bmax, pmax, guess):
     problem = su._ReducedProblem(e_tilde, bmax, pmax)
     problem.boundaries = guess
     return problem.solve(gain)
+
+
+class _HandoverCounter:
+    """single_user's numpy, counting the walk's hand-overs to its numpy phase.
+
+    Each hand-over enters one np.errstate, and no other code of the module
+    enters one.
+    """
+
+    def __init__(self):
+        self.count = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def errstate(self, **kwargs):
+        self.count += 1
+        return np.errstate(**kwargs)
+
+
+@contextlib.contextmanager
+def counted_handovers():
+    counter = _HandoverCounter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(su, "np", counter)
+        yield counter
 
 
 # ---- optimal wastage ---------------------------------------------------------
@@ -517,7 +546,7 @@ def test_feasibility_predicates_agree_at_any_scale(env, data):
 
 
 @st.composite
-def staircase_envs(draw, max_slots=40):
+def staircase_envs(draw, max_slots=100):
     """B = P = infinity with harvest in about one slot in four.
 
     Energy only ever waits, so the walk crosses long idle stretches between
@@ -546,6 +575,11 @@ def dense_envs(draw, max_slots=200):
                   np.full(k, gain), bmax=1e9, pmax=math.inf)
 
 
+# 100 slots: the walks from boundaries 0 .. 33 are still idle with more
+# than su._NUMPY_WALK_MIN_SLOTS slots left, and hand over to numpy
+LONG_UNBOUNDED = env_of(np.linspace(1.0, 2.0, 100) ** 2, bmax=math.inf, pmax=math.inf)
+
+
 @given(st.one_of(user_envs(), scaled_user_envs(), staircase_envs(), dense_envs()))
 # prefix draws that tie a level bound exactly, which hypothesis seldom hits:
 # hi = 3.0 from slot 1, and slot 2 draws 2.0 + (3.0 - 2.0) = 3.0, its bound
@@ -558,12 +592,13 @@ def dense_envs(draw, max_slots=200):
 @example(env_of([10.0, 0.0, 0.0, 4.0], [1.0, 1.0, 0.5, 1.0], bmax=2.0, pmax=math.inf))
 # an unbounded battery keeps no lower bound, in the numpy phase as well:
 # every slot is a depletion point and every walk crosses the horizon idle
-@example(env_of(np.linspace(1.0, 2.0, 40) ** 2, bmax=math.inf, pmax=math.inf))
+@example(LONG_UNBOUNDED)
 def test_walk_matches_the_numpy_reference_walk(env):
     # from every boundary the cold solve confirms, the two-phase walk closes
     # the segment where the earlier all-numpy walk does; short segments
     # stay on Python floats, the idle stretches of the last two families
-    # take the numpy phase
+    # take the numpy phase where more than su._NUMPY_WALK_MIN_SLOTS slots
+    # are left
     walk = su._close_segment
 
     def checked(inv, e_tilde, inv_list, e_list, bmax, cap, a, kind_a):
@@ -572,21 +607,27 @@ def test_walk_matches_the_numpy_reference_walk(env):
                                                        a, kind_a)
         return got
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, counted_handovers() as handovers:
         mp.setattr(su, "_close_segment", checked)
         su.solve_single(env)
+    if env is LONG_UNBOUNDED:
+        assert handovers.count
 
 
 def test_walk_overflows_to_inf_quietly_in_either_phase():
     # gains near the float minimum put inverse gains near the float
     # maximum, and the numpy phase's running draws overflow to inf as the
-    # Python phase's do, with no warning (an error under this suite)
-    gain = [5.562684646268003e-309, 2.2250738585072014e-308,
-            2.2250738585072014e-308, 1.0, 3.7]
-    e_tilde = [0.1110158509111514, 0.6041143275485196, 1.4474457629341222,
-               1.8561710872110462, 2.448348365252232]
-    p, x, _ = su.solve_reduced(gain, e_tilde, math.inf, math.inf)
-    assert x == [(0, su.BDP), (5, su.BDP)]
+    # Python phase's do, with no warning (an error under this suite): the
+    # 70 slots at 2.2e-308 draw nothing at hi, so the walk hands over with
+    # 73 slots left, and the last two draw past float max in its cumsum
+    tiny = 2.2250738585072014e-308
+    gain = [5.562684646268003e-309, tiny, tiny] + [tiny] * 70 + [1.0, 3.7]
+    e_tilde = list(itertools.accumulate(
+        [0.1110158509111514, 0.4931, 0.8433] + [0.5] * 70 + [0.4087, 0.5922]))
+    with counted_handovers() as handovers:
+        p, x, _ = su.solve_reduced(gain, e_tilde, math.inf, math.inf)
+    assert handovers.count
+    assert x == [(0, su.BDP), (75, su.BDP)]
     env = UserEnv(np.diff(e_tilde, prepend=0.0), np.array(gain), math.inf, math.inf)
     assert kkt_certificate(env, p, x).passed
 
@@ -596,13 +637,72 @@ def test_unbounded_walk_still_closes_below_its_zero_floor(pmax):
     # with B = inf the walk drops its lower bound, whose draws are all 0.0,
     # but a prefix ceiling below that floor still closes the segment at
     # once, as a BFP, where the reference walk does; here after an idle
-    # stretch, in the numpy phase
-    e_tilde = [5.0, 6.0, 8.0, 11.0, 15.0, 20.0, 26.0, 4.0]
+    # stretch of 80 slots, in the numpy phase
+    e_tilde = list(itertools.accumulate([5.0] + [float(k) for k in range(1, 81)])) + [4.0]
     inv = [1.0] * len(e_tilde)
     args = (np.array(inv), np.array(e_tilde))
     want = _oracles.close_segment_reference(*args, math.inf, pmax, 1, su.BDP)
     assert want == (1, su.BFP)
-    assert su._close_segment(*args, inv, e_tilde, math.inf, pmax, 1, su.BDP) == want
+    with counted_handovers() as handovers:
+        assert su._close_segment(*args, inv, e_tilde, math.inf, pmax, 1, su.BDP) == want
+    assert handovers.count
+
+
+@contextlib.contextmanager
+def walks_under_both_rules():
+    """Check every walk against the hand-over rule without the slots-left test.
+
+    Each walk runs as it is and again with su._NUMPY_WALK_MIN_SLOTS at 0,
+    where it hands over whenever idle prefixes outnumber events, and the
+    two must close at one boundary.  Yields the list of walks checked.
+    """
+    walk, default = su._close_segment, su._NUMPY_WALK_MIN_SLOTS
+    walks = []
+
+    def both(*args):
+        got = walk(*args)
+        su._NUMPY_WALK_MIN_SLOTS = 0
+        try:
+            assert walk(*args) == got
+        finally:
+            su._NUMPY_WALK_MIN_SLOTS = default
+        walks.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(su, "_close_segment", both)
+        yield walks
+
+
+def test_slots_left_moves_no_walk_on_the_fig9_grid():
+    # every cold walk of the fig9 and fig10 cells (all five policies) closes
+    # where it does when the walk hands over regardless of the slots left;
+    # at 20 slots only that rule enters the numpy phase
+    with walks_under_both_rules() as walks, counted_handovers() as handovers:
+        for preset in ("fig9", "fig10"):
+            run_experiment(preset, trials=2, seed=11)
+    assert walks and handovers.count
+
+
+@given(st.one_of(user_envs(), scaled_user_envs(), staircase_envs(), dense_envs()))
+def test_slots_left_moves_no_walk_on_the_hypothesis_families(env):
+    with walks_under_both_rules():
+        su.solve_single(env)
+
+
+def test_no_20_slot_fig9_cell_enters_the_numpy_phase():
+    with counted_handovers() as handovers:
+        for preset in ("fig9", "fig10"):
+            run_experiment(preset, trials=2, seed=11)
+    assert handovers.count == 0
+
+
+@given(st.one_of(user_envs(max_slots=20), scaled_user_envs(max_slots=20),
+                 staircase_envs(max_slots=20), dense_envs(max_slots=20)))
+def test_no_20_slot_solve_enters_the_numpy_phase(env):
+    with counted_handovers() as handovers:
+        su.solve_single(env)
+    assert handovers.count == 0
 
 
 def test_warm_start_from_own_boundaries_fills_each_segment_once(monkeypatch):
