@@ -97,7 +97,8 @@ def iterative_modified_staircase(scenario: Scenario, max_iter: int = 50) -> MacS
         return p_n, d_n
 
     return iterate_best_response(
-        scenario, respond, lambda p, gain: abs(gain) <= 1e-5, max_iter)
+        scenario, respond, lambda p, rate_gain, received: abs(rate_gain) <= 1e-5,
+        max_iter)
 
 
 _POLICIES = {

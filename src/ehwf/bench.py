@@ -96,14 +96,18 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(GenParams) if f.name != "seed")
 def truncated_gaussian(mean: float, var: float, rng, size=None):
     """Normal(mean, var) draws redrawn until nonnegative.
 
-    Scalar when size is None, else a 1-D array of that length.  The mean
-    must be finite and nonnegative (a negative one could take forever to
-    draw) and the variance finite and positive; NaN is neither.
+    Scalar when size is None, else a 1-D array of that length, an integer
+    (a Python or numpy one, not a bool) of at least 0.  The mean must be
+    finite and nonnegative (a negative one could take forever to draw) and
+    the variance finite and positive; NaN is neither.  Anything else
+    raises ValueError.
     """
     if not 0.0 <= mean < math.inf:
         raise ValueError("mean must be finite and nonnegative")
     if not 0.0 < var < math.inf:
         raise ValueError("variance must be finite and positive")
+    if not (size is None or (_is_integer(size) and size >= 0)):
+        raise ValueError(f"size must be None or an integer of at least 0, got {size!r}")
     sigma = math.sqrt(var)
     n = 1 if size is None else int(size)
     out = rng.normal(mean, sigma, size=n)

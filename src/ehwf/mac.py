@@ -14,6 +14,12 @@ sweep is N single-user solves, fed those gains with no UserEnv built.
 The sweeps take the gains from effective_gain's arithmetic,
 _effective_gain, and check nothing: the schedule is their own, of the
 scenario's shape from the start, and the users are 0 .. N-1.
+The received power sum_n p[n] * gain[n] lives in the sweep loop: it
+holds the rows p[n] * gain[n] in one array, rewrites row n after each
+response and every row after step moves p.  Each response's
+interference, the sweep's rate, and solve_mac's pricing (the gap's
+gradient and the line search's power) all read those rows or their
+column sum, never p * gain again.
 Only the gains change between sweeps: solve_mac prepares each user's
 reduced problem (single_user._ReducedProblem, the form solve_reduced
 solves once) a single time, on the budget _greedy_pass reads off the
@@ -42,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Scenario, _is_index, _is_integer, sum_rate
+from .model import Scenario, _is_index, _is_integer
 # solve_reduced is imported only to keep the name ehwf.mac.solve_reduced,
 # which the benchmark's self-test wraps to check the tracer
 from .single_user import _ReducedProblem, _greedy_pass, solve_reduced
@@ -94,14 +100,19 @@ def effective_gain(scenario: Scenario, p, n: int):
     if p.shape != scenario.gain.shape or not _is_index(n, scenario.num_users):
         raise ValueError(f"need p of shape {scenario.gain.shape} and a user in "
                          f"0..{scenario.num_users - 1}, got {p.shape} and {n!r}")
-    return _effective_gain(scenario.gain, p, n)
+    return _effective_gain(scenario.gain, p * scenario.gain, n)
 
 
-def _effective_gain(gain, p, n):
-    # effective_gain unchecked, for the sweeps' own p and users; np.add.reduce
-    # is np.sum's own reduction, without its dispatch
-    interference = np.add.reduce(p * gain, axis=0) - p[n] * gain[n]
-    return gain[n] / (1.0 + interference)
+def _effective_gain(gain, rows, n):
+    # effective_gain unchecked, on the rows p[m] * gain[m] of every user m,
+    # for the sweeps' own p and users; np.add.reduce is np.sum's own
+    # reduction, without its dispatch
+    return gain[n] / (1.0 + (np.add.reduce(rows, axis=0) - rows[n]))
+
+
+def _rate(received) -> float:
+    # sum_rate of a schedule whose received power per slot is given
+    return float(np.add.reduce(np.log1p(received)))
 
 
 def iterate_best_response(scenario: Scenario, responder, stop,
@@ -112,37 +123,44 @@ def iterate_best_response(scenario: Scenario, responder, stop,
     current schedule and returns that user's new (p_n, d_n) slot vectors,
     arrays or lists;
     the solution's d holds each user's wastage from its last response.
-    Sweeps run in user-index order; the loop ends when stop(p, rate_gain)
-    returns True (converged) or after max_iter sweeps, an integer (not a
-    bool) of at least 1; anything else raises ValueError.  stop gets the
-    sweep's schedule and rate_gain, its best-response rate less the
-    previous sweep's (on sweep 1, less the all-zero schedule's 0).
-    step(p_prev, p, rate), if given, runs between sweeps (never after the
-    last) on the last two sweeps' results and the latter's rate, and may
-    move p in place.  The gains skip effective_gain's checks: p and the
-    users are the loop's own.
+    Sweeps run in user-index order, at most max_iter, an integer (not a
+    bool) of at least 1; anything else raises ValueError.  The loop ends
+    when stop(p, rate_gain, received) returns True (converged) or after
+    max_iter sweeps.  stop gets the sweep's schedule, its rate_gain (its
+    best-response rate less the previous sweep's; on sweep 1, less the
+    all-zero schedule's 0) and its received power per slot, sum_n
+    p[n] * gain[n] as np.sum(p * gain, axis=0) computes it.
+    step(p_prev, p, rate, received), if given, runs between sweeps (never
+    after the last) on the last two sweeps' results, the latter's rate
+    and received power, and may move p in place.  The gains skip
+    effective_gain's checks: p and the users are the loop's own.
     """
     if not (_is_integer(max_iter) and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     p = np.zeros_like(scenario.harvest)
     gain = scenario.gain
-    users = range(scenario.num_users)
+    rows = np.zeros_like(p)         # p[n] * gain[n], kept row by row
+    # each user's rows of p, gain and rows, as views made once
+    users = [(n, p[n], gain[n], rows[n]) for n in range(scenario.num_users)]
     d = np.zeros_like(scenario.harvest)
     swept = np.zeros_like(scenario.harvest)
     trace = []
     v_prev = 0.0
     converged = False
     for sweep in range(max_iter):
-        for n in users:
-            p[n], d[n] = responder(n, _effective_gain(gain, p, n))
-        v = sum_rate(scenario, p)
+        for n, p_n, gain_n, rows_n in users:
+            p[n], d[n] = responder(n, _effective_gain(gain, rows, n))
+            np.multiply(p_n, gain_n, out=rows_n)
+        received = np.add.reduce(rows, axis=0)
+        v = _rate(received)
         trace.append(v)
-        if stop(p, v - v_prev):
+        if stop(p, v - v_prev, received):
             converged = True
             break
         if step is not None and sweep + 1 < max_iter:
             prev, swept = swept, p.copy()       # p copied before it moves
-            step(prev, p, v)
+            step(prev, p, v, received)
+            np.multiply(p, gain, out=rows)
         v_prev = v
 
     return MacSolution(p=p, d=d, trace=np.asarray(trace),
@@ -182,21 +200,23 @@ def solve_mac(scenario: Scenario, tol: float | None = None,
 
     gaps = []
 
-    def stop(p, rate_gain):
-        gaps.append(_capped_gap(scenario, polytopes, p, tol))
+    def stop(p, rate_gain, received):
+        gaps.append(_capped_gap(scenario.gain, polytopes, p, received, tol))
         return gaps[-1] <= tol
 
     sol = iterate_best_response(scenario, respond, stop, max_iter,
                                 lambda *args: _line_search(scenario, e_tilde, *args))
-    gap = gaps[-1] if sol.converged else _capped_gap(scenario, polytopes, sol.p, math.inf)
+    gap = gaps[-1] if sol.converged else _capped_gap(
+        scenario.gain, polytopes, sol.p, np.sum(sol.p * scenario.gain, axis=0), math.inf)
     return replace(sol, converged=gap <= tol, gap=gap,
                    user_boundaries=[user.boundaries for user in users],
                    user_gains=snap_gains)
 
 
-def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> None:
+def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate, received) -> None:
     """Move p in place to the best rate on the ray p + a * (p - p_prev).
 
+    received is p's received power per slot, the sweep loop's.
     p_prev and p are consecutive sweeps' results, so the step carries the
     last move too and grows along a valley.  a >= 0 keeps every user in its
     fixed-wastage tube, 0 <= p <= P and e_tilde - B <= cumsum(p) <= e_tilde;
@@ -214,7 +234,7 @@ def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> None:
     ahead = speed > 0.0
     with np.errstate(over="ignore"):        # a bound past float range is inf
         a_max = float((slack[ahead] / speed[ahead]).min(initial=np.inf))
-    power = 1.0 + np.sum(p * scenario.gain, axis=0)
+    power = 1.0 + received
     delta = np.sum(step * scenario.gain, axis=0)
     if not (0.0 < a_max < np.inf and float(np.sum(delta / power)) > 0.0):
         return
@@ -229,7 +249,7 @@ def _line_search(scenario: Scenario, e_tilde, p_prev, p, rate) -> None:
         if abs(a - last) <= 1e-12 * a:
             break
     stepped = p + a * step
-    if sum_rate(scenario, stepped) > rate:
+    if _rate(np.add.reduce(stepped * scenario.gain, axis=0)) > rate:
         p[...] = stepped
 
 

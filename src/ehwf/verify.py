@@ -26,6 +26,12 @@ of capacity B_max between slots, cap P out, free discard), a polymatroid,
 so a greedy maximises a linear function over it exactly.  max_linear runs
 it backward in time: each slot's harvest serves the most valuable demand
 it can still reach, found in O(log K) from a list sorted by value.
+A ReducedPolytope checks its data once, when built, and prepares the
+Python lists that max_linear and violation walk (the cumulative harvest
+and its per-slot increments) once too; reduce_polytope and the sweeps'
+polytopes build from a checked UserEnv or Scenario and skip the checks.
+solve_mac's pricing calls the unchecked gap, on the sweep's own
+gradient and rows.
 
 ReducedPolytope.contains is the one membership predicate: induced_wastage,
 kkt_certificate and first_order_certificate all decide feasibility through
@@ -44,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FEAS_TOL, Scenario, UserEnv, cumulative_harvest, energy_scale
+from .model import (FEAS_TOL, Scenario, UserEnv, _as_float_array, cumulative_harvest,
+                    energy_scale)
 from .single_user import BDP, BFP
 
 __all__ = [
@@ -69,11 +76,31 @@ class ReducedPolytope:
     Constraints: 0 <= p <= power_max, causality cumsum(p) <= cum_energy,
     and windows cumsum(p)[k] - cumsum(p)[j] <= cum_energy[k] -
     cum_energy[j] + battery_max for all j < k.
+
+    cum_energy must be 1-D with K >= 1 finite, nonnegative, nondecreasing
+    entries, and each cap a nonnegative number or infinity; anything else
+    raises ValueError naming the field.  cum_energy is kept as a read-only
+    float copy, and the Python lists violation and max_linear walk are
+    prepared from it once.
     """
 
     cum_energy: np.ndarray
     battery_max: float
     power_max: float
+
+    def __post_init__(self):
+        cum = _as_float_array(self.cum_energy, "cum_energy", 1).copy()
+        if cum.size == 0:
+            raise ValueError("cum_energy must cover at least one slot, got 0")
+        if not (np.isfinite(cum).all() and cum[0] >= 0.0 and (cum[1:] >= cum[:-1]).all()):
+            raise ValueError("cum_energy entries must be finite, nonnegative and nondecreasing")
+        caps = []
+        for name in ("battery_max", "power_max"):
+            cap = float(_as_float_array(getattr(self, name), name, 0))
+            if not cap >= 0.0:
+                raise ValueError(f"{name} must be nonnegative or infinite, got {cap!r}")
+            caps.append(cap)
+        _prepare(self, cum, *caps)
 
     def violation(self, p) -> float:
         """Largest constraint violation of p; 0 when p is a member.
@@ -84,14 +111,32 @@ class ReducedPolytope:
         p = _schedule(p, self.cum_energy.shape)
         if not np.isfinite(p).all():
             return math.inf
-        worst = max(0.0, float((-p).max()), float((p - self.power_max).max()))
-        h = np.cumsum(p) - self.cum_energy
-        worst = max(worst, float(h.max()))
-        # min over j < k of h[j], with h[0-boundary] = 0
-        prev = np.concatenate(([0.0], h[:-1]))
-        running_min = np.minimum.accumulate(prev)
-        worst = max(worst, float((h - running_min - self.battery_max).max()))
-        return worst
+        bmax, cap = self.battery_max, self.power_max
+        # one pass, summing in np.cumsum's order: h = cumsum(p) - cum_energy
+        # and low = min(0, h[j] for j < k).  Starting the sum at 0.0 changes
+        # only the sign of a zero, which no positive violation shows.  A NaN
+        # window (h = low = -inf, past a sum overflowing downward) voids the
+        # whole window term, as the NaN numpy's max returned did in the
+        # builtin max
+        worst = window = total = low = 0.0
+        void = False
+        for pk, energy in zip(p.tolist(), self._cum):
+            if -pk > worst:
+                worst = -pk
+            if pk - cap > worst:
+                worst = pk - cap
+            total += pk
+            h = total - energy
+            if h > worst:
+                worst = h
+            w = h - low - bmax
+            if w > window:
+                window = w
+            elif w != w:
+                void = True
+            if h < low:
+                low = h
+        return window if window > worst and not void else worst
 
     def contains(self, p) -> bool:
         """Whether p is a member, within FEAS_TOL * energy_scale(cum_energy).
@@ -114,7 +159,8 @@ class ReducedPolytope:
         can serve slot k or any later slot, the battery carries at most B
         across each slot boundary, and slot m takes at most P.  Walking
         from slot K down to 1, the sweep keeps the demand still open at
-        slots m >= k as entries (c_m, m, amount) sorted by c_m.  Before
+        slots m >= k as [m, amount] entries in a list sorted by c_m, with
+        the c_m in a list beside it.  Before
         slot k it cuts them to their top B units, as no more crosses the
         boundary after slot k; then it opens slot k's demand when c_k > 0
         and serves slot k's harvest from the top.  An entry is capped at
@@ -128,58 +174,88 @@ class ReducedPolytope:
         c = _schedule(c, self.cum_energy.shape)
         if not np.isfinite(c).all():
             raise ValueError("max_linear needs finite coefficients")
-        c = c.tolist()
-        cum = self.cum_energy.tolist()
+        return np.array(self._max_linear(c.tolist()))
+
+    def _max_linear(self, c) -> list:
+        # max_linear's sweep, unchecked: c a list of K finite floats, q a list
+        cum, harvests = self._cum, self._harvest
         bmax, cap = self.battery_max, self.power_max
         q = [0.0] * len(cum)
-        values, slots, amounts = [], [], []    # the open demand, ascending by value
-        total = 0.0                            # sum(amounts), kept as it runs
+        values, entries = [], []    # the open demand, ascending by value
+        total = 0.0                 # the entries' amounts summed as it runs
         for k in range(len(cum) - 1, -1, -1):
             if total > bmax:
                 # drop the lowest units; the running total may have drifted
                 # past the list's own sum, so the loop may empty the list
                 excess = total - bmax
                 drop = 0
-                for amount in amounts:
+                for entry in entries:
+                    amount = entry[1]
                     if amount > excess:
-                        amounts[drop] = amount - excess
+                        entry[1] = amount - excess
                         break
                     excess -= amount
                     drop += 1
-                del values[:drop], slots[:drop], amounts[:drop]
-                total = bmax if amounts else 0.0
-            energy = cum[k]
-            if c[k] > 0.0:
+                del values[:drop], entries[:drop]
+                total = bmax if entries else 0.0
+            value = c[k]
+            if value > 0.0:
+                energy = cum[k]
                 amount = cap if cap < energy else energy
                 if amount > 0.0:
-                    i = bisect.bisect_right(values, c[k])
-                    values.insert(i, c[k])
-                    slots.insert(i, k)
-                    amounts.insert(i, amount)
+                    i = bisect.bisect_right(values, value)
+                    values.insert(i, value)
+                    entries.insert(i, [k, amount])
                     total += amount
-            harvest = energy - cum[k - 1] if k else energy
-            while harvest > 0.0 and amounts:
-                amount = amounts[-1]
+            harvest = harvests[k]
+            while harvest > 0.0 and entries:
+                entry = entries[-1]
+                slot, amount = entry
                 if amount > harvest:
-                    amounts[-1] = amount - harvest
-                    q[slots[-1]] += harvest
+                    entry[1] = amount - harvest
+                    q[slot] += harvest
                     total -= harvest
                     break
-                q[slots[-1]] += amount
+                q[slot] += amount
                 harvest -= amount
                 total -= amount
                 values.pop()
-                slots.pop()
-                amounts.pop()
-        return np.array(q)
+                entries.pop()
+        return q
 
     def gap(self, c, p) -> float:
         """Frank-Wolfe gap c . (q - p) of p, with q = max_linear(c).
 
         For a member p and c the gradient of a concave f at p, it bounds
         max f - f(p) from above (Jaggi, "Revisiting Frank-Wolfe", ICML 2013).
+        A p of another length than the horizon raises ValueError, as a c
+        that max_linear rejects does.
         """
+        p = _schedule(p, self.cum_energy.shape)
         return float(c @ (self.max_linear(c) - p))
+
+    def _gap(self, c, p) -> float:
+        # gap unchecked, for pricing whose c (a finite gradient) and p are
+        # float arrays of the horizon's shape
+        return float(c @ (np.array(self._max_linear(c.tolist())) - p))
+
+
+def _prepare(poly, cum_energy, battery_max, power_max):
+    # set a ReducedPolytope's fields from checked data, past the frozen
+    # dataclass's __setattr__, with the lists max_linear and violation walk:
+    # cum_energy's entries and its per-slot increments
+    cum_energy.setflags(write=False)
+    cum = cum_energy.tolist()
+    vars(poly).update(cum_energy=cum_energy, battery_max=battery_max, power_max=power_max,
+                      _cum=cum, _harvest=[cum[0]] + [b - a for a, b in zip(cum, cum[1:])])
+
+
+def _checked_polytope(cum_energy, battery_max, power_max):
+    # a ReducedPolytope of data a Scenario or UserEnv checked already:
+    # fresh cum_energy, Python-float caps; __post_init__'s checks skipped
+    poly = object.__new__(ReducedPolytope)
+    _prepare(poly, cum_energy, battery_max, power_max)
+    return poly
 
 
 def _schedule(p, shape) -> np.ndarray:
@@ -192,14 +268,13 @@ def _schedule(p, shape) -> np.ndarray:
 
 def reduce_polytope(env: UserEnv) -> ReducedPolytope:
     """The wastage-eliminated feasible set of one user's schedules."""
-    return ReducedPolytope(cum_energy=cumulative_harvest(env.harvest),
-                           battery_max=env.battery_max,
-                           power_max=env.power_max)
+    return _checked_polytope(cumulative_harvest(env.harvest), env.battery_max,
+                             env.power_max)
 
 
 def _user_polytopes(scenario: Scenario) -> list:
     # every user's reduce_polytope, read straight from the scenario's rows
-    return [ReducedPolytope(cum_energy=cum, battery_max=bmax, power_max=cap)
+    return [_checked_polytope(cum, bmax, cap)
             for cum, bmax, cap in zip(cumulative_harvest(scenario.harvest),
                                       scenario.battery_max.tolist(),
                                       scenario.power_max.tolist())]
@@ -284,13 +359,14 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
                                        "duality-gap": (gap_ok, gap)})
 
 
-def _capped_gap(scenario: Scenario, polytopes, p, limit: float) -> float:
+def _capped_gap(gain, polytopes, p, received, limit: float) -> float:
     # first_order_certificate's gap, summed in user order and returned once
-    # it exceeds limit; p is a float array of the scenario's shape
-    grad = scenario.gain / (1.0 + np.sum(p * scenario.gain, axis=0))
+    # it exceeds limit; p is a float array of gain's shape, and received
+    # its received power np.sum(p * gain, axis=0)
+    grad = gain / (1.0 + received)
     gap = 0.0
     for n, poly in enumerate(polytopes):
-        gap += poly.gap(grad[n], p[n])
+        gap += poly._gap(grad[n], p[n])
         if gap > limit:
             break
     return gap
@@ -311,5 +387,5 @@ def first_order_certificate(scenario: Scenario, p):
     for n, poly in enumerate(polytopes):
         if not poly.contains(p[n]):
             raise ValueError(f"schedule of user {n} is infeasible")
-    gap = _capped_gap(scenario, polytopes, p, math.inf)
+    gap = _capped_gap(scenario.gain, polytopes, p, np.sum(p * scenario.gain, axis=0), math.inf)
     return gap <= GAP_TOL_PER_SLOT * scenario.num_slots, gap

@@ -15,7 +15,10 @@ check_feasible_reference, the
 package's earlier per-slot feasibility loop, kept as it was, to hold the
 vectorised check to the same report; max_linear_reference, the package's
 earlier Edmonds greedy, kept as it was, to hold the backward sweep to the
-same objective value; brute_force_tiny, which takes the
+same objective value; max_linear_sweep_reference and violation_reference,
+the package's earlier backward sweep on three parallel lists and its
+earlier numpy violation pass, kept as they were, to hold the current ones
+to the same bits; brute_force_tiny, which takes the
 package's tolerance rule (energy_scale) so that its grid filter accepts
 what the checkers accept; and wastage_minimality_check, which tests the
 package's own optimal_wastage.
@@ -462,6 +465,83 @@ def max_linear_reference(poly, c):
             for m in range(k, n):
                 h[m] += step
     return np.array(q)
+
+
+def max_linear_sweep_reference(poly, c):
+    """ReducedPolytope.max_linear's backward sweep on three parallel lists.
+
+    Kept as it was, on the polytope's fields, as the reference for the
+    current sweep's q, bit for bit, ties included.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.shape != poly.cum_energy.shape:
+        raise ValueError(f"schedule has shape {c.shape}, expected {poly.cum_energy.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("max_linear needs finite coefficients")
+    c = c.tolist()
+    cum = poly.cum_energy.tolist()
+    bmax, cap = poly.battery_max, poly.power_max
+    q = [0.0] * len(cum)
+    values, slots, amounts = [], [], []    # the open demand, ascending by value
+    total = 0.0                            # sum(amounts), kept as it runs
+    for k in range(len(cum) - 1, -1, -1):
+        if total > bmax:
+            excess = total - bmax
+            drop = 0
+            for amount in amounts:
+                if amount > excess:
+                    amounts[drop] = amount - excess
+                    break
+                excess -= amount
+                drop += 1
+            del values[:drop], slots[:drop], amounts[:drop]
+            total = bmax if amounts else 0.0
+        energy = cum[k]
+        if c[k] > 0.0:
+            amount = cap if cap < energy else energy
+            if amount > 0.0:
+                i = bisect.bisect_right(values, c[k])
+                values.insert(i, c[k])
+                slots.insert(i, k)
+                amounts.insert(i, amount)
+                total += amount
+        harvest = energy - cum[k - 1] if k else energy
+        while harvest > 0.0 and amounts:
+            amount = amounts[-1]
+            if amount > harvest:
+                amounts[-1] = amount - harvest
+                q[slots[-1]] += harvest
+                total -= harvest
+                break
+            q[slots[-1]] += amount
+            harvest -= amount
+            total -= amount
+            values.pop()
+            slots.pop()
+            amounts.pop()
+    return np.array(q)
+
+
+def violation_reference(poly, p):
+    """ReducedPolytope.violation's earlier numpy pass.
+
+    Kept unchanged, apart from an np.errstate that silences the warnings a
+    sum past the float range raises, as the reference for the current
+    one-pass violation, bit for bit.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.shape != poly.cum_energy.shape:
+        raise ValueError(f"schedule has shape {p.shape}, expected {poly.cum_energy.shape}")
+    if not np.isfinite(p).all():
+        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = max(0.0, float((-p).max()), float((p - poly.power_max).max()))
+        h = np.cumsum(p) - poly.cum_energy
+        worst = max(worst, float(h.max()))
+        prev = np.concatenate(([0.0], h[:-1]))
+        running_min = np.minimum.accumulate(prev)
+        worst = max(worst, float((h - running_min - poly.battery_max).max()))
+    return worst
 
 
 def _exact_max_linear(harvest, battery_max, power_max, c):

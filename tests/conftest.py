@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from ehwf.model import UserEnv
 
 # Property suites call the full solver, whose time varies wildly with the
-# drawn instance; wall-clock deadlines just make them flaky.
+# drawn instance; wall-clock deadlines just make them flaky.  A failure
+# prints its @reproduce_failure blob, so a draw-dependent one can be
+# replayed without hunting for its --hypothesis-seed.
 settings.register_profile(
-    "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow],
+    print_blob=True)
 settings.load_profile("suite")
 
 finite_energy = st.floats(min_value=0.0, max_value=50.0,

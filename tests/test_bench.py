@@ -44,6 +44,12 @@ def test_truncated_gaussian_scalar_and_reproducible():
                       (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)):
         with pytest.raises(ValueError):
             truncated_gaussian(mean, var, np.random.default_rng(7))
+    # a size is an integer: 2.5 used to draw 2 values and True 1
+    for size in (2.5, 2.0, True, False, -1, "3"):
+        with pytest.raises(ValueError, match="size"):
+            truncated_gaussian(2.0, 4.0, np.random.default_rng(7), size)
+    for size in (0, 3, np.int64(3)):
+        assert truncated_gaussian(2.0, 4.0, np.random.default_rng(7), size).shape == (size,)
 
 
 def test_gen_params_validation():

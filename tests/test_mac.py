@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ehwf.baselines as baselines
 import ehwf.mac as mac
 from ehwf.baselines import iterative_modified_staircase
 from ehwf.bench import PRESETS, GenParams, gen_scenario
@@ -86,8 +87,9 @@ def test_effective_gain_rejects_bad_shape_or_user(p, n):
 
 @given(st.integers(1, 4), st.integers(1, 6), st.data())
 def test_sweep_gains_match_effective_gain_bit_for_bit(n_users, k, data):
-    # the sweeps' unchecked helper is effective_gain's arithmetic, and both
-    # are the np.sum expression effective_gain computed before the helper
+    # the sweeps' unchecked helper on the rows p * gain is effective_gain's
+    # arithmetic, and both are the np.sum expression effective_gain
+    # computed before the helper
     def rows(lo, hi):
         floats = st.floats(min_value=lo, max_value=hi)
         return np.array(data.draw(st.lists(st.lists(floats, min_size=k, max_size=k),
@@ -98,21 +100,103 @@ def test_sweep_gains_match_effective_gain_bit_for_bit(n_users, k, data):
     p = rows(0.0, 1e3)
     for n in range(n_users):
         want = sc.gain[n] / (1.0 + (np.sum(p * sc.gain, axis=0) - p[n] * sc.gain[n]))
-        assert mac._effective_gain(sc.gain, p, n).tobytes() == want.tobytes()
+        assert mac._effective_gain(sc.gain, p * sc.gain, n).tobytes() == want.tobytes()
         assert effective_gain(sc, p, n).tobytes() == want.tobytes()
 
 
 def test_sweeps_take_each_response_gain_from_the_unchecked_helper(monkeypatch):
     # every response of every sweep gets its gains from one call of the
-    # unchecked helper, users in index order
-    gains = []
+    # unchecked helper on the sweep's rows p * gain, users in index order
+    users = []
     helper = mac._effective_gain
-    monkeypatch.setattr(mac, "_effective_gain",
-                        lambda *args: gains.append(args[2]) or helper(*args))
+
+    def counted(gain, rows, n):
+        users.append(n)
+        return helper(gain, rows, n)
+
+    monkeypatch.setattr(mac, "_effective_gain", counted)
     sc = random_scenario(np.random.default_rng(13), 4, 12)
     sol = solve_mac(sc)
     assert sol.iterations > 1
-    assert gains == [0, 1, 2, 3] * sol.iterations
+    assert users == [0, 1, 2, 3] * sol.iterations
+
+
+def _watch_sweeps(monkeypatch, record):
+    # wrap the sweep loop, for solve_mac and the staircase alike, so that it
+    # keeps its own copy of p: every response's gains, the stop rule's
+    # received power and the step's go to record(kind, value, want), want
+    # computed afresh from that copy
+    loop = mac.iterate_best_response
+
+    def watched(scenario, responder, stop, max_iter, step=None):
+        mirror = np.zeros_like(scenario.harvest)
+
+        def respond(n, gains):
+            record("gains", gains, effective_gain(scenario, mirror, n))
+            p_n, d_n = responder(n, gains)
+            mirror[n] = p_n
+            return p_n, d_n
+
+        def stopped(p, rate_gain, received):
+            record("stop", received, np.sum(mirror * scenario.gain, axis=0))
+            return stop(p, rate_gain, received)
+
+        def stepped(p_prev, p, rate, received):
+            record("step", received, np.sum(mirror * scenario.gain, axis=0))
+            step(p_prev, p, rate, received)
+            record("moved", None, not np.array_equal(p, mirror))
+            mirror[...] = p
+
+        return loop(scenario, respond, stopped, max_iter,
+                    None if step is None else stepped)
+
+    monkeypatch.setattr(mac, "iterate_best_response", watched)
+    monkeypatch.setattr(baselines, "iterate_best_response", watched)
+
+
+def _check_sweep_arrays(sc):
+    # the number of line-search moves seen; every array the loop hands out
+    # has the bits effective_gain and np.sum give on the current p
+    moves = []
+
+    def record(kind, value, want):
+        if kind == "moved":
+            moves.append(want)
+        else:
+            assert value.tobytes() == want.tobytes(), kind
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _watch_sweeps(monkeypatch, record)
+        solve_mac(sc, max_iter=30)
+        iterative_modified_staircase(sc, max_iter=30)
+    return sum(moves)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_sweep_arrays_match_a_fresh_computation_bit_for_bit(data):
+    # the rows the loop keeps are refreshed after every response and after
+    # every line-search move: the first response after a move sees the
+    # moved p
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    k = data.draw(st.integers(min_value=1, max_value=8))
+    harvest = np.array(data.draw(st.lists(
+        st.lists(finite_energy, min_size=k, max_size=k), min_size=n, max_size=n)))
+    gain = np.array(data.draw(st.lists(
+        st.lists(finite_gain, min_size=k, max_size=k), min_size=n, max_size=n)))
+    bmax = data.draw(st.lists(st.sampled_from([0.5, 3.0, 20.0, math.inf]),
+                              min_size=n, max_size=n))
+    pmax = data.draw(st.lists(st.sampled_from([2.0, 8.0, math.inf]),
+                              min_size=n, max_size=n))
+    _check_sweep_arrays(scenario_of(harvest, gain, bmax, pmax))
+
+
+def test_sweep_arrays_match_after_line_search_moves():
+    # the same check where the line search is known to move p
+    rng = np.random.default_rng(15)
+    moves = sum(_check_sweep_arrays(random_scenario(rng, 5, 20))
+                for _ in range(10))
+    assert moves >= 10
 
 
 def test_sweeps_build_no_user_env(monkeypatch):
@@ -280,7 +364,7 @@ def test_solve_mac_respects_max_iter():
     for bad in (2.5, 3.0, math.nan, True, False):
         for solve in (lambda: solve_mac(sc, max_iter=bad),
                       lambda: iterative_modified_staircase(sc, max_iter=bad),
-                      lambda: iterate_best_response(sc, zero, lambda p, g: True, bad)):
+                      lambda: iterate_best_response(sc, zero, lambda p, g, r: True, bad)):
             with pytest.raises(ValueError, match="max_iter"):
                 solve()
 
@@ -298,7 +382,7 @@ def test_iterate_best_response_generic_loop():
     sc = random_scenario(rng, 2, 4)
     sol = iterate_best_response(
         sc, lambda n, gains: (np.zeros(gains.size), np.zeros(gains.size)),
-        lambda p, rate_gain: abs(rate_gain) <= 1e-5, max_iter=50)
+        lambda p, rate_gain, received: abs(rate_gain) <= 1e-5, max_iter=50)
     assert not sol.p.any()
     assert sol.converged
     assert sol.iterations == 1            # zero schedule matches V(0) = 0
@@ -424,15 +508,16 @@ def test_line_search_steps_raise_the_rate_inside_the_tube(data):
     steps = []
     line_search = mac._line_search
 
-    def recorded(scenario, e_tilde, p_prev, p, rate):
+    def recorded(scenario, e_tilde, p_prev, p, rate, received):
         before = p.copy()
-        line_search(scenario, e_tilde, p_prev, p, rate)
-        steps.append((before, p.copy(), rate))
+        line_search(scenario, e_tilde, p_prev, p, rate, received)
+        steps.append((before, p.copy(), rate, received))
 
     with mock.patch.object(mac, "_line_search", recorded):
         sol = solve_mac(sc, max_iter=20)
-    for before, after, rate in steps:
+    for before, after, rate, received in steps:
         assert rate == sum_rate(sc, before)
+        assert received.tobytes() == np.sum(before * sc.gain, axis=0).tobytes()
         if np.array_equal(before, after):
             continue
         assert sum_rate(sc, after) > rate

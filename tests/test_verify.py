@@ -194,6 +194,73 @@ def test_wrong_length_schedules_raise():
             induced_wastage(env, p)
         with pytest.raises(ValueError, match=r"expected \(1, 2\)"):
             first_order_certificate(Scenario.single_user(env), np.array([p]))
+    # a scalar and a length-1 p used to broadcast, and a column to raise TypeError
+    for p in ([1.0], [1.0, 1.0, 1.0], 0.5, [[1.0], [1.0]]):
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            reduce_polytope(env).gap(np.ones(2), p)
+    assert reduce_polytope(env).gap(np.ones(2), [1.0, 1.0]) == 2.0
+
+
+@pytest.mark.parametrize("cum, bmax, pmax, field", [
+    ([1.0, math.nan], 1.0, 1.0, "cum_energy"),
+    ([1.0, math.inf], 1.0, 1.0, "cum_energy"),
+    ([-1.0, 2.0], 1.0, 1.0, "cum_energy"),
+    ([2.0, 1.0], 1.0, 1.0, "cum_energy"),
+    ([], 1.0, 1.0, "cum_energy"),
+    ([[1.0, 2.0]], 1.0, 1.0, "cum_energy"),
+    (2.0, 1.0, 1.0, "cum_energy"),
+    ([1.0, 2.0], math.nan, 1.0, "battery_max"),
+    ([1.0, 2.0], -1.0, 1.0, "battery_max"),
+    ([1.0, 2.0], -math.inf, 1.0, "battery_max"),
+    ([1.0, 2.0], [1.0], 1.0, "battery_max"),
+    ([1.0, 2.0], 1.0, math.nan, "power_max"),
+    ([1.0, 2.0], 1.0, -0.5, "power_max"),
+])
+def test_reduced_polytope_rejects_bad_data(cum, bmax, pmax, field):
+    # a NaN battery used to admit zeros, and a list cum_energy to raise
+    # AttributeError later
+    with pytest.raises(ValueError, match=field):
+        ReducedPolytope(cum, bmax, pmax)
+
+
+def test_reduced_polytope_keeps_a_read_only_copy():
+    cum = np.array([1.0, 3.0, 3.0])
+    poly = ReducedPolytope(cum, np.float64(2.0), 0)
+    assert cum.flags.writeable
+    assert not poly.cum_energy.flags.writeable
+    assert poly.cum_energy.tolist() == [1.0, 3.0, 3.0]
+    assert type(poly.battery_max) is float and type(poly.power_max) is float
+    listed = ReducedPolytope([1, 3, 3], 2.0, math.inf)
+    assert listed.cum_energy.dtype == float
+    # only B = 2 crosses into slot 2
+    assert listed.max_linear([1.0, 2.0, 3.0]).tolist() == [0.0, 1.0, 2.0]
+
+
+def test_internal_polytopes_are_the_checked_ones(monkeypatch):
+    # reduce_polytope and the scenario's polytopes build from checked data
+    # and skip the checks, yet equal the checked build field for field
+    built = []
+    original = ReducedPolytope.__post_init__
+    monkeypatch.setattr(ReducedPolytope, "__post_init__",
+                        lambda self: built.append(self) or original(self))
+    sc = Scenario(harvest=np.array([[1.0, 0.0, 2.5], [3.0, 1.0, 0.0]]),
+                  gain=np.ones((2, 3)), battery_max=np.array([2.0, math.inf]),
+                  power_max=np.array([math.inf, 1.5]))
+    sol = solve_mac(sc)
+    first_order_certificate(sc, sol.p)
+    kkt_certificate(sc.user(0), sol.p[0], sol.user_boundaries[0])
+    polys = [reduce_polytope(sc.user(n)) for n in range(2)]
+    assert built == []
+    c = np.array([0.5, 2.0, 1.0])
+    for n, poly in enumerate(polys):
+        checked = ReducedPolytope(np.cumsum(sc.harvest[n]), sc.battery_max[n], sc.power_max[n])
+        assert poly.cum_energy.tobytes() == checked.cum_energy.tobytes()
+        assert not poly.cum_energy.flags.writeable
+        assert (poly.battery_max, poly.power_max) == (checked.battery_max, checked.power_max)
+        assert type(poly.battery_max) is float and type(poly.power_max) is float
+        assert poly.max_linear(c).tobytes() == checked.max_linear(c).tobytes()
+        assert poly.violation(sol.p[n]) == checked.violation(sol.p[n])
+    assert len(built) == 2
 
 
 # ---- exact linear maximiser and duality gap ------------------------------------
@@ -293,6 +360,55 @@ def test_max_linear_matches_the_reference_greedy(rows, bmax, pmax, exponent):
     assert poly.contains(q)
     want = float(c @ max_linear_reference(poly, c))
     assert abs(float(c @ q) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+_any_float = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+                       st.floats(min_value=-1.0, max_value=3.0), st.floats())
+_cap = st.one_of(st.sampled_from([0.0, 0.5, 5.0, math.inf]),
+                 st.floats(min_value=0.0, max_value=1e308))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=30).flatmap(
+           lambda k: st.tuples(st.lists(_harvest_entry, min_size=k, max_size=k),
+                               st.lists(_any_float, min_size=k, max_size=k))),
+       _cap, _cap, st.floats(min_value=-300.0, max_value=290.0))
+def test_max_linear_and_violation_match_their_numpy_era_forms(rows, bmax, pmax, exponent):
+    # the sweep on [slot, amount] entries against the three-list sweep, and
+    # the one-pass violation against the numpy pass, bit for bit: non-finite
+    # entries, -0.0, caps of 0 and inf, ties in c, sums overflowing the
+    # float range
+    harvest, c = rows
+    poly = ReducedPolytope(np.cumsum(harvest) * 10.0 ** exponent, bmax, pmax)
+    for x in (c, [-v for v in c], [v * 10.0 ** exponent for v in c]):
+        assert _bits(poly.violation(x)) == _bits(_oracles.violation_reference(poly, x))
+        try:
+            want = _oracles.max_linear_sweep_reference(poly, x).tobytes()
+        except ValueError:
+            with pytest.raises(ValueError, match="finite coefficients"):
+                poly.max_linear(x)
+        else:
+            assert poly.max_linear(x).tobytes() == want
+
+
+@pytest.mark.parametrize("p, bmax", [
+    # a sum overflowing downward leaves NaN windows, which void the window
+    # term, here its largest (1e308 against -p's 0.9e308)
+    ([-1e307, 1e308, -0.9e308, -0.9e308, -0.9e308, -0.9e308, 0.0], 0.0),
+    ([-1.5e308, -1.5e308, 1.0, 1.0], 1.0),
+    # and upward: an infinite h is an infinite violation
+    ([1e308, 1e308, 0.0], math.inf),
+    ([1e308, 1e308, 0.0], 0.0),
+    # a window of a finite h less a large negative low overflows past B = inf
+    ([-1e308, 1.7e308, 1.7e308], math.inf),
+])
+def test_violation_matches_its_numpy_era_form_past_float_range(p, bmax):
+    poly = ReducedPolytope(np.arange(1.0, len(p) + 1.0), bmax, math.inf)
+    assert _bits(poly.violation(p)) == _bits(_oracles.violation_reference(poly, p))
 
 
 def test_max_linear_matches_the_reference_greedy_at_k800():
