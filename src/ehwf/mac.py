@@ -67,7 +67,7 @@ __all__ = [
 MAX_ITER = 5000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MacSolution:
     """Multi-user result: schedules plus the per-sweep objective trace.
 
@@ -78,6 +78,7 @@ class MacSolution:
     user_boundaries / user_gains hold each user's segment boundary list
     and the effective gains from its last update, for certificate
     checking; they are None for solvers that do not produce them.
+    == is identity, as an array has no single truth value.
     """
 
     p: np.ndarray

@@ -11,7 +11,9 @@ check_feasible        check a (transmission, wastage) pair
 sum_rate              the objective, in nats
 
 Energy is stored per slot (increments); cumulative views are derived on
-demand so the two representations cannot drift apart.
+demand so the two representations cannot drift apart.  Scenario and
+UserEnv hold arrays, so == between two of them is identity: it never asks
+an array for a truth value it does not have.
 
 The problem has no unit of energy: harvest, caps and schedules times s
 with gains over s is the same problem.  So no check compares energies
@@ -66,11 +68,12 @@ def energy_scale(cum_energy) -> float:
 
 
 def _float_array(x, name):
-    # numpy's own conversion errors, for a dict, a complex or an integer
-    # past float range, become the ValueError every bad entry raises
+    # numpy's own conversion errors, for a dict, a complex, a string or an
+    # integer past float range, become the ValueError every bad entry
+    # raises, naming the field
     try:
         return np.asarray(x, dtype=float)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must hold real numbers: {exc}") from None
 
 
@@ -121,7 +124,7 @@ def _check_entries(harvest, gain, caps):
                          "past it")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserEnv:
     """One transmitter's problem data.
 
@@ -166,7 +169,7 @@ class UserEnv:
         return self.harvest.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """An immutable N-user, K-slot problem instance.
 

@@ -30,12 +30,18 @@ A ReducedPolytope checks its data once, when built, and prepares the
 Python lists that max_linear and violation walk (the cumulative harvest
 and its per-slot increments) once too; reduce_polytope and the sweeps'
 polytopes build from a checked UserEnv or Scenario and skip the checks.
-solve_mac's pricing calls the unchecked gap, on the sweep's own
-gradient and rows.
+
+_capped_gap is the one place a duality gap is priced: it forms the sum
+rate's gradient from the received power and calls the unchecked
+max_linear, for solve_mac's sweeps and both certificates alike.  Where
+some slot's 1 + received power is not positive, which only a negative
+schedule reaches, the rate has no gradient and the gap is infinite, so a
+certificate fails.
 
 ReducedPolytope.contains is the one membership predicate: induced_wastage,
 kkt_certificate and first_order_certificate all decide feasibility through
-it, kkt_certificate taking the verdict with the violation it reports from
+its unchecked form, after checking the schedule's shape once themselves,
+kkt_certificate taking the verdict with the violation it reports from
 the one pass contains makes.  It allows FEAS_TOL times model.energy_scale
 of the cumulative harvest on every constraint, the tolerance
 model.check_feasible applies too, so a verdict does not depend on the
@@ -69,7 +75,7 @@ __all__ = [
 GAP_TOL_PER_SLOT = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedPolytope:
     """Feasible transmission schedules of one user, wastage eliminated.
 
@@ -81,7 +87,8 @@ class ReducedPolytope:
     entries, and each cap a nonnegative number or infinity; anything else
     raises ValueError naming the field.  cum_energy is kept as a read-only
     float copy, and the Python lists violation and max_linear walk are
-    prepared from it once.
+    prepared from it once.  == is identity, as an array has no single
+    truth value.
     """
 
     cum_energy: np.ndarray
@@ -108,7 +115,10 @@ class ReducedPolytope:
         A non-finite entry is an infinite violation; a p of another length
         than the horizon raises ValueError.
         """
-        p = _schedule(p, self.cum_energy.shape)
+        return self._violation(_schedule(p, self.cum_energy.shape))
+
+    def _violation(self, p) -> float:
+        # violation unchecked, for a float array p of the horizon's shape
         if not np.isfinite(p).all():
             return math.inf
         bmax, cap = self.battery_max, self.power_max
@@ -144,12 +154,13 @@ class ReducedPolytope:
         The tolerance follows the user's mean harvest per slot, so the
         verdict does not depend on the unit of energy.
         """
-        return self._membership(p)[0]
+        return self._membership(_schedule(p, self.cum_energy.shape))[0]
 
     def _membership(self, p):
-        # (contains(p), violation(p)) from one violation pass; the one place
-        # the membership tolerance is decided
-        worst = self.violation(p)
+        # (contains(p), violation(p)) from one unchecked violation pass, for
+        # a float array p of the horizon's shape; the one place the
+        # membership tolerance is decided
+        worst = self._violation(p)
         return worst <= FEAS_TOL * energy_scale(self.cum_energy), worst
 
     def max_linear(self, c) -> np.ndarray:
@@ -223,22 +234,6 @@ class ReducedPolytope:
                 entries.pop()
         return q
 
-    def gap(self, c, p) -> float:
-        """Frank-Wolfe gap c . (q - p) of p, with q = max_linear(c).
-
-        For a member p and c the gradient of a concave f at p, it bounds
-        max f - f(p) from above (Jaggi, "Revisiting Frank-Wolfe", ICML 2013).
-        A p of another length than the horizon raises ValueError, as a c
-        that max_linear rejects does.
-        """
-        p = _schedule(p, self.cum_energy.shape)
-        return float(c @ (self.max_linear(c) - p))
-
-    def _gap(self, c, p) -> float:
-        # gap unchecked, for pricing whose c (a finite gradient) and p are
-        # float arrays of the horizon's shape
-        return float(c @ (np.array(self._max_linear(c.tolist())) - p))
-
 
 def _prepare(poly, cum_energy, battery_max, power_max):
     # set a ReducedPolytope's fields from checked data, past the frozen
@@ -290,7 +285,7 @@ def induced_wastage(env: UserEnv, p):
     passes check_feasible.
     """
     p = _schedule(p, (env.num_slots,))
-    if not reduce_polytope(env).contains(p):
+    if not reduce_polytope(env)._membership(p)[0]:
         return None
     d = np.zeros(env.num_slots)
     level = 0.0
@@ -341,7 +336,7 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
       feasible     ReducedPolytope.contains(p) (its largest violation);
       duality-gap  the Frank-Wolfe gap of p under the gradient g / (1 + g p)
                    is at most GAP_TOL_PER_SLOT per slot (infinite for a
-                   non-finite p).
+                   non-finite p, and where some 1 + g p <= 0).
     The gap is first_order_certificate's on this user alone; on effective
     gains it is that user's term of the joint gap.  A pass bounds what p
     leaves of the optimum by GAP_TOL_PER_SLOT * K nats.
@@ -350,9 +345,9 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
     p = _schedule(p, (env.num_slots,))
     poly = reduce_polytope(env)
     feasible, violation = poly._membership(p)
-    gap = math.inf      # a non-finite p (an infinite violation) has no gradient
-    if violation < math.inf:
-        gap = poly.gap(env.gain / (1.0 + env.gain * p), p)
+    # a non-finite p (an infinite violation) has no gradient
+    gap = (_capped_gap(env.gain[None], [poly], p[None], env.gain * p, math.inf)
+           if violation < math.inf else math.inf)
     gap_ok = gap <= GAP_TOL_PER_SLOT * env.num_slots
     return DualCertificate(passed=feasible and gap_ok,
                            conditions={"feasible": (feasible, violation),
@@ -360,13 +355,20 @@ def kkt_certificate(env: UserEnv, p, x) -> DualCertificate:
 
 
 def _capped_gap(gain, polytopes, p, received, limit: float) -> float:
-    # first_order_certificate's gap, summed in user order and returned once
-    # it exceeds limit; p is a float array of gain's shape, and received
-    # its received power np.sum(p * gain, axis=0)
-    grad = gain / (1.0 + received)
+    # the Frank-Wolfe gap sum_n grad_n . (max_linear(grad_n) - p_n) under
+    # the sum rate's gradient grad = gain / (1 + received), summed in user
+    # order and returned once it exceeds limit; p is a float array of
+    # gain's shape, and received its received power np.sum(p * gain,
+    # axis=0).  For a member p it bounds max f - f(p) from above (Jaggi,
+    # "Revisiting Frank-Wolfe", ICML 2013).  Where some 1 + received <= 0
+    # there is no gradient, and the gap is infinite
+    power = 1.0 + received
+    if not power.min() > 0.0:
+        return math.inf
+    grad = gain / power
     gap = 0.0
     for n, poly in enumerate(polytopes):
-        gap += poly._gap(grad[n], p[n])
+        gap += float(grad[n] @ (np.array(poly._max_linear(grad[n].tolist())) - p[n]))
         if gap > limit:
             break
     return gap
@@ -377,7 +379,8 @@ def first_order_certificate(scenario: Scenario, p):
 
     gap is the Frank-Wolfe duality gap sum_n max_q grad_n . (q - p_n), q
     over user n's ReducedPolytope and grad the sum rate's gradient at p;
-    for a member p it bounds f* - f(p) from above.  tol is
+    for a member p it bounds f* - f(p) from above, and it is infinite
+    where some slot's 1 + received power is not positive.  tol is
     GAP_TOL_PER_SLOT per slot; a p that some user's
     ReducedPolytope.contains rejects (a non-finite entry included), or one
     of another shape than the scenario, raises.
@@ -385,7 +388,7 @@ def first_order_certificate(scenario: Scenario, p):
     p = _schedule(p, scenario.harvest.shape)
     polytopes = _user_polytopes(scenario)
     for n, poly in enumerate(polytopes):
-        if not poly.contains(p[n]):
+        if not poly._membership(p[n])[0]:
             raise ValueError(f"schedule of user {n} is infeasible")
     gap = _capped_gap(scenario.gain, polytopes, p, np.sum(p * scenario.gain, axis=0), math.inf)
     return gap <= GAP_TOL_PER_SLOT * scenario.num_slots, gap

@@ -18,7 +18,9 @@ earlier Edmonds greedy, kept as it was, to hold the backward sweep to the
 same objective value; max_linear_sweep_reference and violation_reference,
 the package's earlier backward sweep on three parallel lists and its
 earlier numpy violation pass, kept as they were, to hold the current ones
-to the same bits; brute_force_tiny, which takes the
+to the same bits; gap_reference, the package's earlier Frank-Wolfe gap
+method, on the package's own max_linear, kept as it was to hold the
+certificate's gap to the same bits; brute_force_tiny, which takes the
 package's tolerance rule (energy_scale) so that its grid filter accepts
 what the checkers accept; and wastage_minimality_check, which tests the
 package's own optimal_wastage.
@@ -542,6 +544,15 @@ def violation_reference(poly, p):
         running_min = np.minimum.accumulate(prev)
         worst = max(worst, float((h - running_min - poly.battery_max).max()))
     return worst
+
+
+def gap_reference(poly, c, p):
+    """The Frank-Wolfe gap c . (max_linear(c) - p) that ReducedPolytope.gap priced.
+
+    Kept as it was, on the polytope's own max_linear, as the reference for
+    kkt_certificate's "duality-gap" residual, bit for bit.
+    """
+    return float(c @ (poly.max_linear(c) - np.asarray(p, dtype=float)))
 
 
 def _exact_max_linear(harvest, battery_max, power_max, c):

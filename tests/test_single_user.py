@@ -797,6 +797,8 @@ def test_bad_e_tilde_raises(e_tilde):
     ([1.0, 1.0], 5.0, math.nan, "battery_max and power_max"),
     ([1.0, 1.0], -1.0, 5.0, "battery_max and power_max"),
     ([1.0, 1.0], 5.0, -1.0, "battery_max and power_max"),
+    # a string used to raise numpy's own message, which names no field
+    (["x", 1.0], 5.0, 5.0, "gain must hold real numbers"),
 ])
 def test_bad_gain_or_cap_raises(gain, bmax, pmax, match):
     # solve_reduced checks its own inputs: no UserEnv checked them first
